@@ -2,8 +2,8 @@
 
 Cross-correlation uses zero padding past the end of the signal, the
 ground-truth classification thresholds the matched output at half the
-template energy, and ROC thresholds are taken at midpoints between
-consecutive distinct scores plus sentinels, which makes the trapezoidal AUC
+template energy, and ROC thresholds lie between consecutive distinct scores
+plus sentinels below and above them all, which makes the trapezoidal AUC
 exact for the resulting staircase.
 """
 
@@ -131,23 +131,33 @@ def roc_curve(recovered, template: Template, truth: Classification) -> RocCurve:
 
 
 def roc_curve_from_scores(scores, truth: Classification) -> RocCurve:
-    """ROC from raw detection scores (one per location)."""
-    scores = np.asarray(scores, dtype=float)
-    n_positive = int(truth.labels.sum())
-    n_negative = int(truth.labels.size - n_positive)
-    distinct = np.unique(scores)
-    midpoints = (distinct[:-1] + distinct[1:]) / 2.0
-    thresholds = np.concatenate(([distinct[0] - 1.0], midpoints, [distinct[-1] + 1.0]))
+    """ROC from raw detection scores (one per location).
 
-    points = []
-    for threshold in thresholds:
-        predicted = scores >= threshold
-        recall = np.sum(predicted & (truth.labels == 1)) / n_positive
-        fallout = np.sum(predicted & (truth.labels == 0)) / n_negative
-        points.append((fallout, recall))
-    points = np.unique(np.array(points), axis=0)
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    return RocCurve(points[order])
+    A threshold between consecutive distinct scores flags every location
+    scoring at or above the upper one, so the true- and false-positive counts
+    at each threshold are reversed cumulative sums of the per-score counts.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != truth.labels.shape:
+        raise ValueError(
+            f"{scores.shape} scores do not match {truth.labels.shape} labels"
+        )
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("detection scores have non-finite values")
+    positive = truth.labels == 1
+    n_positive = int(positive.sum())
+    n_negative = int(positive.size - n_positive)
+    distinct, inverse = np.unique(scores, return_inverse=True)
+
+    def at_or_above(selected):
+        # entry i counts the selected scores >= distinct[i]; the appended 0 is
+        # the threshold above every score, which flags nothing
+        counts = np.bincount(inverse[selected], minlength=distinct.size)
+        return np.append(np.cumsum(counts[::-1])[::-1], 0)
+
+    tp = at_or_above(positive)
+    fp = at_or_above(~positive)
+    return RocCurve(np.column_stack((fp[::-1] / n_negative, tp[::-1] / n_positive)))
 
 
 def auc(curve: RocCurve) -> AucScore:

@@ -37,6 +37,7 @@ from .recovery import (
     RecoveryResult,
     default_lambda,
     fista_solve,
+    fista_solve_block,
 )
 from .sensor import MagnusCoefficients, NoiseModel
 from .transform import (
@@ -56,6 +57,10 @@ _TAG_SHOT = 0
 _TAG_SUBSET = 1
 _TAG_RAMSEY = 2
 _TAG_SEQUENCE = 3
+
+# sweep subsets solved per block: each working array of the engine holds at
+# most this many rows of N - 1 values, whatever the m grid and subset count
+_SWEEP_BLOCK_COLUMNS = 256
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -216,12 +221,12 @@ def tune_lambda(
         measured = simulate_measurements(
             waveform, subset, spec.noise, master_seed=derive_seed(spec.master_seed, index)
         )
-        operator = subsample_rows(matrix, subset)
-        for j, lam in enumerate(lambdas):
-            result = fista_solve(LassoProblem(operator, measured.values, lam), config)
-            if not result.converged:
-                failures += 1
-            errors[j] += np.abs(result.waveform - waveform.samples).sum()
+        results = fista_solve_block(
+            subsample_rows(matrix, subset), measured.values, lambdas, config=config
+        )
+        failures += sum(not result.converged for result in results)
+        recovered = np.array([result.waveform for result in results])
+        errors += np.abs(recovered - waveform.samples).sum(axis=1)
     errors /= spec.count
     if failures:
         warnings.warn(f"{failures} FISTA solves hit max_iters during tuning")
@@ -271,24 +276,37 @@ def sweep_sample_count(
 ) -> list[tuple[int, float, float]]:
     """(m, mean AUC, std AUC) over seeded random subsets for each m.
 
-    Failed recoveries keep their (possibly poor) AUC; nothing is dropped.
+    Every (m, rep) subset is one column of a masked block on the full DST
+    matrix, solved ``_SWEEP_BLOCK_COLUMNS`` columns at a time.  Failed
+    recoveries keep their (possibly poor) AUC; nothing is dropped.
     """
     matrix = dst_matrix(spec.n_grid)
     truth_labels = ground_truth_classification(truth, template)
-    rows = []
-    for m in spec.m_values:
-        scores = np.empty(spec.subsets_per_m)
-        for rep in range(spec.subsets_per_m):
+    pairs = [(m, rep) for m in spec.m_values for rep in range(spec.subsets_per_m)]
+    scores = np.empty(len(pairs))
+    for start in range(0, len(pairs), _SWEEP_BLOCK_COLUMNS):
+        chunk = pairs[start : start + _SWEEP_BLOCK_COLUMNS]
+        masks = np.zeros((len(chunk), spec.n_grid - 1), dtype=bool)
+        for j, (m, rep) in enumerate(chunk):
             subset = random_subsample(
                 spec.n_grid, m, derive_seed(spec.master_seed, _TAG_SUBSET, m, rep)
             )
-            operator = subsample_rows(matrix, subset)
-            values = spec.base_measurements[np.asarray(subset.indices) - 1]
-            result = fista_solve(LassoProblem(operator, values, spec.lam), config)
+            masks[j, np.asarray(subset.indices) - 1] = True
+        results = fista_solve_block(
+            matrix.entries,
+            spec.base_measurements,
+            np.full(len(chunk), spec.lam),
+            row_masks=masks,
+            config=config,
+        )
+        for j, result in enumerate(results):
             curve = roc_curve(result.waveform, template, truth_labels)
-            scores[rep] = auc(curve).value
-        rows.append((int(m), float(scores.mean()), float(scores.std())))
-    return rows
+            scores[start + j] = auc(curve).value
+    scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
+    return [
+        (int(m), float(row.mean()), float(row.std()))
+        for m, row in zip(spec.m_values, scores)
+    ]
 
 
 SCENARIOS = ("ramsey", "full_dst", "compressive")

@@ -149,12 +149,14 @@ def waveform_from_csv(path, dt: float | None = None) -> Waveform:
     times, samples = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["time_s", "gamma_b_hz"]:
             raise ValueError(f"unexpected waveform CSV header: {header}")
         for row in reader:
             times.append(float(row[0]))
             samples.append(float(row[1]))
+    if not samples:
+        raise ValueError(f"waveform CSV {path} holds no samples")
     if dt is None:
         dt = times[0]
     grid = TimeGrid(len(samples) + 1, dt)

@@ -109,6 +109,34 @@ def test_recover_roundtrip_and_roc(tmp_path, pulse_csv):
     assert 0.5 <= auc <= 1.0
 
 
+def test_recover_rejects_non_finite_measurement(tmp_path, pulse_csv, capsys):
+    m_csv = tmp_path / "m.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--m", 60, "--seed", 7,
+                    "--out", m_csv]) == 0
+    lines = m_csv.read_text().splitlines()
+    k, freq, _ = lines[5].split(",")
+    lines[5] = f"{k},{freq},nan"
+    m_csv.write_text("\n".join(lines) + "\n")
+    rec_csv = tmp_path / "rec.csv"
+    code = run_cli(["recover", "--measurements", m_csv, "--out", rec_csv])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not rec_csv.exists()
+
+
+def test_measure_header_only_waveform(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("time_s,gamma_b_hz\n")
+    code = run_cli(["measure", "--in", empty, "--m", 10,
+                    "--out", tmp_path / "m.csv"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and "no samples" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_roc_length_mismatch(tmp_path, pulse_csv, capsys):
     short = tmp_path / "short.csv"
     short.write_text("time_s,recovered_hz\n5e-05,0.0\n")

@@ -126,6 +126,62 @@ def test_roc_constant_scores():
     assert auc(curve).value == pytest.approx(0.5)
 
 
+def _reference_roc_points(scores, truth):
+    """The per-threshold loop ``roc_curve_from_scores`` replaced."""
+    scores = np.asarray(scores, dtype=float)
+    n_positive = int(truth.labels.sum())
+    n_negative = int(truth.labels.size - n_positive)
+    distinct = np.unique(scores)
+    midpoints = (distinct[:-1] + distinct[1:]) / 2.0
+    thresholds = np.concatenate(([distinct[0] - 1.0], midpoints, [distinct[-1] + 1.0]))
+    points = []
+    for threshold in thresholds:
+        predicted = scores >= threshold
+        recall = np.sum(predicted & (truth.labels == 1)) / n_positive
+        fallout = np.sum(predicted & (truth.labels == 0)) / n_negative
+        points.append((fallout, recall))
+    points = np.unique(np.array(points), axis=0)
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    return points[order]
+
+
+def test_roc_matches_reference_loop():
+    # 1200 seeded score vectors, rounded so that many scores tie
+    rng = np.random.default_rng(2024)
+    for case in range(1200):
+        size = int(rng.integers(2, 120))
+        labels = (rng.random(size) < rng.uniform(0.05, 0.95)).astype(int)
+        labels[rng.integers(size)] = 1
+        labels[(labels.nonzero()[0][0] + 1) % size] = 0
+        decimals = int(rng.integers(0, 4))
+        scores = np.round(rng.normal(scale=10.0 ** rng.integers(-2, 4), size=size), decimals)
+        truth = Classification(labels)
+        expected = _reference_roc_points(scores, truth)
+        points = roc_curve_from_scores(scores, truth).points
+        assert points.shape == expected.shape, case
+        assert np.array_equal(points, expected), case
+
+
+def test_roc_adjacent_scores_keep_every_step():
+    # the midpoint of two adjacent doubles rounds onto one of them; the
+    # threshold must still separate them
+    low = 1.0
+    high = np.nextafter(low, 2.0)
+    truth = Classification(np.array([0, 1]))
+    curve = roc_curve_from_scores(np.array([low, high]), truth)
+    np.testing.assert_array_equal(curve.points, [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    assert auc(curve).value == 1.0
+
+
+def test_roc_rejects_bad_scores():
+    truth = Classification(np.array([1, 0, 1, 0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            roc_curve_from_scores(np.array([1.0, bad, 0.5, 0.2]), truth)
+    with pytest.raises(ValueError, match="do not match"):
+        roc_curve_from_scores(np.array([1.0, 0.5, 0.2]), truth)
+
+
 def test_roc_degenerate_truth_errors():
     template = Template(np.array([1.0]))
     with pytest.raises(ValueError, match="recall"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sparsemag.experiments import LambdaGrid, simulate_measurements
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.recovery import (
     FistaConfig,
@@ -13,12 +14,14 @@ from sparsemag.recovery import (
     RecoveryResult,
     default_lambda,
     fista_solve,
+    fista_solve_block,
     objective,
     result_metadata_to_json,
     result_to_csv,
     safe_step,
     soft_threshold,
 )
+from sparsemag.sensor import NoiseModel
 from sparsemag.transform import (
     apply_dst,
     apply_inverse_dst,
@@ -37,6 +40,50 @@ def _pulse_instance(subset_seed, lam):
     operator = subsample_rows(matrix, subset)
     measurements = operator @ waveform.samples
     return waveform, LassoProblem(operator, measurements, lam)
+
+
+def _reference_fista(problem, config=None):
+    """The scalar FISTA loop the block engine replaced, kept as its oracle."""
+    if config is None:
+        config = FistaConfig()
+    step = config.step if config.step is not None else safe_step(problem.n_grid)
+
+    a_mat = problem.operator
+    m = problem.measurements
+    x = np.zeros(a_mat.shape[1])
+    y = x.copy()
+    theta = 1.0
+    trace = [objective(problem, x)]
+    converged = False
+    iterations = 0
+
+    for iterations in range(1, config.max_iters + 1):
+        gradient = 2.0 * (a_mat.T @ (a_mat @ y - m))
+        x_next = soft_threshold(y - step * gradient, step * problem.lam)
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+        y = x_next + ((theta - 1.0) / theta_next) * (x_next - x)
+        x, theta = x_next, theta_next
+
+        value = objective(problem, x)
+        trace.append(value)
+        previous = trace[-2]
+        scale = max(abs(previous), abs(value), 1e-300)
+        if abs(previous - value) <= config.rel_tolerance * scale:
+            converged = True
+            break
+
+    return RecoveryResult(
+        waveform=x,
+        objective_trace=np.array(trace),
+        iterations_used=iterations,
+        converged=converged,
+    )
+
+
+def _assert_matches_reference(result, reference):
+    assert result.iterations_used == reference.iterations_used
+    assert result.converged == reference.converged
+    np.testing.assert_allclose(result.waveform, reference.waveform, rtol=0, atol=1e-9)
 
 
 def test_soft_threshold_examples():
@@ -192,6 +239,118 @@ def test_fista_reports_non_convergence():
     result = fista_solve(problem, FistaConfig(max_iters=5, rel_tolerance=0.0))
     assert not result.converged
     assert result.iterations_used == 5
+
+
+def test_block_matches_scalar_on_lambda_grid():
+    # a tune-style block: one noisy m = 60 measurement, the 200-point grid
+    tgrid, _ = make_grids(100, 50e-6)
+    waveform = synth_waveform(
+        tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3), PulseSpec(1000.0, 200e-6, 3.21e-3)]
+    )
+    subset = random_subsample(100, 60, 11)
+    measured = simulate_measurements(waveform, subset, NoiseModel(seed=4), master_seed=5)
+    operator = subsample_rows(dst_matrix(100), subset)
+    lams = LambdaGrid().values
+    results = fista_solve_block(operator, measured.values, lams)
+    assert len(results) == lams.size
+    for lam, result in zip(lams, results):
+        problem = LassoProblem(operator, measured.values, lam)
+        _assert_matches_reference(result, _reference_fista(problem))
+
+
+def test_masked_block_matches_subsampled_rows():
+    # criterion-7 base vector: all 99 noisy coefficients of the one-pulse
+    # waveform; each column keeps the rows of one random subset
+    tgrid, _ = make_grids(100, 50e-6)
+    waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
+    base = simulate_measurements(waveform, None, NoiseModel(seed=0), master_seed=0).values
+    matrix = dst_matrix(100)
+    subsets = [
+        random_subsample(100, m, 100 * m + rep)
+        for m in (10, 20, 34, 52, 60, 80, 99)
+        for rep in range(4)
+    ]
+    masks = np.zeros((len(subsets), 99), dtype=bool)
+    for j, subset in enumerate(subsets):
+        masks[j, np.asarray(subset.indices) - 1] = True
+    lam = default_lambda()
+    results = fista_solve_block(
+        matrix.entries, base, np.full(len(subsets), lam), row_masks=masks
+    )
+    for subset, result in zip(subsets, results):
+        rows = np.asarray(subset.indices) - 1
+        problem = LassoProblem(subsample_rows(matrix, subset), base[rows], lam)
+        _assert_matches_reference(result, _reference_fista(problem))
+
+
+@pytest.mark.parametrize(
+    "subset_seed, lam, config",
+    [
+        (0, 1.04, None),
+        (3, 3e-6, FistaConfig(max_iters=40000, rel_tolerance=0.0)),
+        (5, 0.01, FistaConfig(max_iters=40000, rel_tolerance=0.0)),
+        (7, 0.5, FistaConfig(max_iters=2000)),
+        (2, 0.8, FistaConfig(max_iters=10000, rel_tolerance=0.0)),
+        (1, 1e-8, FistaConfig(max_iters=5, rel_tolerance=0.0)),
+    ],
+)
+def test_single_solve_matches_scalar(subset_seed, lam, config):
+    _, problem = _pulse_instance(subset_seed, lam)
+    result = fista_solve(problem, config)
+    reference = _reference_fista(problem, config)
+    _assert_matches_reference(result, reference)
+    np.testing.assert_allclose(
+        result.objective_trace, reference.objective_trace, rtol=1e-12, atol=0
+    )
+
+
+def test_block_traces_are_per_column():
+    _, problem = _pulse_instance(4, 1.0)
+    lams = [0.05, 1.0, 20.0]
+    results = fista_solve_block(problem.operator, problem.measurements, lams)
+    for lam, result in zip(lams, results):
+        single = fista_solve(LassoProblem(problem.operator, problem.measurements, lam))
+        assert result.objective_trace.size == result.iterations_used + 1
+        _assert_matches_reference(result, single)
+        np.testing.assert_allclose(
+            result.objective_trace, single.objective_trace, rtol=1e-12, atol=0
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    _, problem = _pulse_instance(0, 1.0)
+    operator = problem.operator.copy()
+    operator[3, 4] = bad
+    measurements = problem.measurements.copy()
+    measurements[7] = bad
+    with pytest.raises(ValueError, match="operator"):
+        LassoProblem(operator, problem.measurements, 1.0)
+    with pytest.raises(ValueError, match="measurements"):
+        LassoProblem(problem.operator, measurements, 1.0)
+    with pytest.raises(ValueError, match="lambda"):
+        LassoProblem(problem.operator, problem.measurements, bad)
+    with pytest.raises(ValueError, match="operator"):
+        fista_solve_block(operator, problem.measurements, [1.0])
+    with pytest.raises(ValueError, match="measurements"):
+        fista_solve_block(problem.operator, measurements, [1.0])
+    with pytest.raises(ValueError, match="lambda"):
+        fista_solve_block(problem.operator, problem.measurements, [1.0, bad])
+
+
+def test_block_validation():
+    _, problem = _pulse_instance(0, 1.0)
+    args = (problem.operator, problem.measurements)
+    with pytest.raises(ValueError, match="row mask"):
+        fista_solve_block(*args, [1.0, 2.0], row_masks=np.ones((3, 60), dtype=bool))
+    with pytest.raises(ValueError, match="row mask"):
+        fista_solve_block(*args, [1.0], row_masks=np.ones(60, dtype=bool))
+    with pytest.raises(ValueError, match="lambda"):
+        fista_solve_block(*args, [])
+    with pytest.raises(ValueError, match="lambda"):
+        fista_solve_block(*args, [1.0, 0.0])
+    with pytest.raises(ValueError, match="measurement length"):
+        fista_solve_block(problem.operator, problem.measurements[:-1], [1.0])
 
 
 def test_default_lambda_value():
