@@ -346,18 +346,9 @@ def run_scenario(
 
     recovery = None
     if name == "ramsey":
-        samples = np.array(
-            [
-                sensor.ramsey_sample(
-                    waveform,
-                    t,
-                    ramsey_window,
-                    noise,
-                    shot_seed=derive_seed(master_seed, _TAG_RAMSEY, j),
-                )
-                for j, t in enumerate(tgrid.times)
-            ]
-        )
+        times = tgrid.times
+        seeds = [derive_seed(master_seed, _TAG_RAMSEY, j) for j in range(times.size)]
+        samples = sensor.ramsey_sample(waveform, times, ramsey_window, noise, seeds)
         recovered = Waveform(samples, tgrid)
         record = {"protocol": "ramsey", "samples": samples.tolist()}
     elif name == "full_dst":

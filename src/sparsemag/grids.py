@@ -9,7 +9,6 @@ quadrature formulas, never in stored data.  The fixed conversion
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +39,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.n_grid < 2:
             raise ValueError(f"n_grid must be >= 2, got {self.n_grid}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def duration(self) -> float:
@@ -112,6 +111,8 @@ class Waveform:
             raise ValueError(
                 f"expected {self.grid.n_grid - 1} samples, got {self.samples.shape}"
             )
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("waveform holds non-finite samples")
 
 
 def synth_waveform(grid: TimeGrid, pulses: list[PulseSpec]) -> Waveform:
@@ -144,7 +145,9 @@ def waveform_to_csv(waveform: Waveform, path):
 def waveform_from_csv(path, dt: float | None = None) -> Waveform:
     """Read a waveform written by :func:`waveform_to_csv`.
 
-    The time step is inferred from the time column unless given explicitly.
+    The time step is inferred from the first time unless given explicitly;
+    either way the time column must read j*dt, j = 1..N-1, to a relative
+    1e-9, or a ``ValueError`` is raised.
     """
     times, samples = [], []
     with open(path, newline="") as fh:
@@ -160,23 +163,6 @@ def waveform_from_csv(path, dt: float | None = None) -> Waveform:
     if dt is None:
         dt = times[0]
     grid = TimeGrid(len(samples) + 1, dt)
+    if not np.allclose(times, grid.times, rtol=1e-9, atol=0.0):
+        raise ValueError(f"waveform CSV {path}: time column is not j*dt, dt={dt!r}")
     return Waveform(np.array(samples), grid)
-
-
-def waveform_to_json(waveform: Waveform, path):
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "n_grid": waveform.grid.n_grid,
-                "dt_s": waveform.grid.dt,
-                "samples": waveform.samples.tolist(),
-            },
-            fh,
-        )
-
-
-def waveform_from_json(path) -> Waveform:
-    with open(path) as fh:
-        data = json.load(fh)
-    grid = TimeGrid(int(data["n_grid"]), float(data["dt_s"]))
-    return Waveform(np.array(data["samples"], dtype=float), grid)

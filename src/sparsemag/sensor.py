@@ -26,20 +26,21 @@ closed form by the test suite):
 Evolution freezes the Hamiltonian at each step midpoint and applies the exact
 spin-1 rotation exp(-i theta n.F) = I - i sin(theta) (n.F)
 + (cos(theta) - 1) (n.F)^2, which preserves the norm exactly and is
-second-order accurate.
+second-order accurate.  The midpoints (i + 1/2) T / n are uniform, so a sine
+interpolant is evaluated on all of them at once by one DST-III
+(``SineInterpolant.at_midpoints``), and the n step rotations are multiplied
+pairwise, ceil(log2 n) batched levels, before the product meets |m=-1>.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .grids import Waveform
-from .transform import sine_interpolant
+from .transform import SineInterpolant, sine_interpolant
 
 SQRT2 = np.sqrt(2.0)
 
@@ -171,10 +172,13 @@ def _step_unitaries(omega_x: np.ndarray, omega_z: np.ndarray, dt: float) -> np.n
 
 
 def _evolve(psi0: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    psi = psi0.copy()
-    for u in unitaries:
-        psi = u @ psi
-    return psi
+    """U_{n-1} ... U_1 U_0 psi0: neighbouring steps are multiplied pairwise,
+    the later one on the left, and an odd last step is carried up a level."""
+    u = unitaries
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        u = np.concatenate((u[1:even:2] @ u[0:even:2], u[even:]))
+    return u[0] @ psi0
 
 
 def _time_steps(duration: float, step: float):
@@ -182,6 +186,14 @@ def _time_steps(duration: float, step: float):
     dt = duration / n_steps
     midpoints = (np.arange(n_steps) + 0.5) * dt
     return midpoints, dt
+
+
+def _signal_at(signal, midpoints: np.ndarray, duration: float) -> np.ndarray:
+    """The signal at the step midpoints: one DST-III for a sine interpolant
+    over its own duration, a plain call otherwise."""
+    if isinstance(signal, SineInterpolant) and signal.duration == duration:
+        return signal.at_midpoints(midpoints.size)
+    return np.asarray(signal(midpoints), dtype=float)
 
 
 def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -> SpinState:
@@ -196,7 +208,7 @@ def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -
         )
     midpoints, dt = _time_steps(params.duration, params.step)
     omega_x = np.full(midpoints.size, 2.0 * np.pi * params.rabi_hz)
-    omega_z = -2.0 * np.pi * (np.asarray(signal(midpoints), dtype=float) + drift_hz)
+    omega_z = -2.0 * np.pi * (_signal_at(signal, midpoints, params.duration) + drift_hz)
     psi = _evolve(STATE_MINUS_Z, _step_unitaries(omega_x, omega_z, dt))
     return SpinState(psi)
 
@@ -218,8 +230,8 @@ def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
         * (2.0 * np.pi * params.rabi_hz)
         * np.cos(2.0 * np.pi * params.rf_hz * midpoints)
     )
-    omega_z = 2.0 * np.pi * params.larmor_hz - 2.0 * np.pi * np.asarray(
-        signal(midpoints), dtype=float
+    omega_z = 2.0 * np.pi * params.larmor_hz - 2.0 * np.pi * _signal_at(
+        signal, midpoints, params.duration
     )
     psi = _evolve(STATE_MINUS_Z, _step_unitaries(omega_x, omega_z, dt))
     return SpinState(psi)
@@ -296,10 +308,13 @@ def readout(
     if abs(state.norm_sq - 1.0) > 1e-8:
         raise ValueError(f"state not normalised: |psi|^2 = {state.norm_sq}")
     probs = _readout_probabilities(second_frame_state(state, params), readout_sign)
+    return _count_atoms(probs, noise, shot_seed)
+
+
+def _count_atoms(probs, noise: NoiseModel, shot_seed: int) -> PopulationCounts:
     rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 1)))
     total = max(1, int(rng.poisson(noise.mean_atoms)))
-    counts = rng.multinomial(total, probs)
-    return PopulationCounts(int(counts[0]), int(counts[1]), int(counts[2]))
+    return PopulationCounts(*(int(c) for c in rng.multinomial(total, probs)))
 
 
 def extract_coefficient(counts: PopulationCounts, duration: float) -> float:
@@ -362,75 +377,40 @@ def measure_sine_coefficient(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if noise is None:
-        p = _readout_probabilities(state, readout_sign)
-        return (p[2] - p[0]) / (2.0 * np.pi * duration)
     probs = _readout_probabilities(state, readout_sign)
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 1)))
-    total = max(1, int(rng.poisson(noise.mean_atoms)))
-    counts = rng.multinomial(total, probs)
-    return extract_coefficient(
-        PopulationCounts(int(counts[0]), int(counts[1]), int(counts[2])), duration
-    )
+    if noise is None:
+        return (probs[2] - probs[0]) / (2.0 * np.pi * duration)
+    return extract_coefficient(_count_atoms(probs, noise, shot_seed), duration)
 
 
 def ramsey_sample(
     waveform: Waveform,
-    center_time: float,
+    center_time,
     window: float,
     noise: NoiseModel | None,
-    shot_seed: int = 0,
-) -> float:
-    """Ramsey baseline: window-averaged gamma*B plus drift and an effective
-    Gaussian shot-noise term calibrated to the multinomial variance at
-    mean_atoms (std = sqrt(1/(2 atoms)) / (2 pi window))."""
+    shot_seed=0,
+):
+    """Ramsey baseline: the exact mean of the sine interpolant over each window
+    clipped to [0, T], plus drift and an effective Gaussian shot-noise term
+    calibrated to the multinomial variance at mean_atoms
+    (std = sqrt(1/(2 atoms)) / (2 pi window)).  Array ``center_time`` and
+    ``shot_seed`` broadcast: one call then makes every window from one
+    coefficient vector, each with its own noise stream (noise.seed, shot_seed,
+    2), and returns an array.  Scalars give a float."""
     if window <= 0:
         raise ValueError("window must be positive")
+    centre, seeds = np.broadcast_arrays(np.asarray(center_time, dtype=float), shot_seed)
     duration = waveform.grid.duration
-    lo = min(max(center_time - window / 2.0, 0.0), duration)
-    hi = min(max(center_time + window / 2.0, 0.0), duration)
-    if hi <= lo:
+    lo = np.clip(centre - window / 2.0, 0.0, duration)
+    hi = np.clip(centre + window / 2.0, 0.0, duration)
+    if np.any(hi <= lo):
         raise ValueError("window does not overlap [0, T]")
-    signal = sine_interpolant(waveform)
-    t = np.linspace(lo, hi, 201)
-    mean_field = simpson(signal(t), x=t) / (hi - lo)
-    if noise is None:
-        return float(mean_field)
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 2)))
-    drift = rng.normal(0.0, noise.bias_drift_std_hz)
-    shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
-    return float(mean_field + drift + rng.normal(0.0, shot_std))
-
-
-def shots_to_csv(rows, df: float, path):
-    """Write a shot batch as ``k,freq_hz,coef_hz,seed`` rows.
-
-    ``rows`` is an iterable of (k, coefficient_hz, shot_seed) triples.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "freq_hz", "coef_hz", "seed"])
-        for k, value, shot_seed in rows:
-            writer.writerow(
-                [int(k), repr(float(k * df)), repr(float(value)), int(shot_seed)]
-            )
-
-
-def noise_to_json(noise: NoiseModel, path):
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "bias_drift_std_hz": noise.bias_drift_std_hz,
-                "mean_atoms": noise.mean_atoms,
-                "seed": noise.seed,
-            },
-            fh,
-        )
-
-
-def noise_from_json(path) -> NoiseModel:
-    with open(path) as fh:
-        data = json.load(fh)
-    return NoiseModel(
-        float(data["bias_drift_std_hz"]), float(data["mean_atoms"]), int(data["seed"])
-    )
+    values = np.array(sine_interpolant(waveform).window_mean(lo, hi))
+    if noise is not None:
+        shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
+        for i, seed in np.ndenumerate(seeds):
+            seq = np.random.SeedSequence((noise.seed, int(seed), 2))
+            rng = np.random.default_rng(seq)
+            drift = rng.normal(0.0, noise.bias_drift_std_hz)
+            values[i] = values[i] + drift + rng.normal(0.0, shot_std)
+    return float(values) if values.ndim == 0 else values

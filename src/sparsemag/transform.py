@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .grids import FrequencyGrid, TimeGrid, Waveform
 
@@ -102,8 +103,8 @@ def random_subsample(n_grid: int, m: int, seed: int) -> SubsampleSet:
         raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
     rng = np.random.default_rng(seed)
     pool = np.arange(1, n_grid)
-    for i in range(m):
-        j = int(rng.integers(i, pool.size))
+    # one draw per step i from [i, N-1): the same stream as a call per step
+    for i, j in enumerate(rng.integers(np.arange(m), pool.size)):
         pool[i], pool[j] = pool[j], pool[i]
     return SubsampleSet(n_grid, tuple(sorted(int(i) for i in pool[:m])))
 
@@ -129,26 +130,55 @@ class MeasurementVector:
             raise ValueError(
                 f"expected {self.subsample.m} values, got {self.values.shape}"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("measurement vector holds non-finite values")
+
+
+@dataclass(frozen=True)
+class SineInterpolant:
+    """Continuous sine-series interpolation B(t) = 2 sum_k m_k sin(w_k t) of a
+    waveform, m = apply_dst(waveform), w_k = pi k / T.  B passes through every
+    grid sample, and its continuous Fourier sine coefficient at k*df is
+    exactly m_k, so a sensor evolving it measures the DST of the samples with
+    no discretisation error."""
+
+    coefs: np.ndarray
+    duration: float
+
+    @property
+    def omega(self) -> np.ndarray:
+        return np.pi * np.arange(1, self.coefs.size + 1) / self.duration
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return 2.0 * np.sin(np.multiply.outer(t, self.omega)) @ self.coefs
+
+    def at_midpoints(self, n: int) -> np.ndarray:
+        """B at the n uniform midpoints (i + 1/2) T / n, from one DST-III:
+        sin(pi k (i + 1/2) / n) flips sign when k grows by 2n and is even
+        about k = n, so every k folds onto 1..n."""
+        turns, j = np.divmod(np.arange(1, self.coefs.size + 1), 2 * n)
+        folded = np.zeros(n + 1)
+        signs = np.where(turns % 2, -1.0, 1.0)
+        np.add.at(folded, np.minimum(j, 2 * n - j), signs * self.coefs)
+        folded[n] *= 2.0  # DST-III weighs its last input once, the others twice
+        return scipy.fft.dst(folded[1:], type=3)
+
+    def window_mean(self, lo, hi) -> np.ndarray:
+        """Exact mean of B over each [lo, hi]: 2 sum_k m_k (cos w_k lo -
+        cos w_k hi) / (w_k (hi - lo)) = 2 sum_k m_k sin(w_k c) sinc(w_k h),
+        with centre c and half width h."""
+        lo = np.asarray(lo, dtype=float)[..., None]
+        hi = np.asarray(hi, dtype=float)[..., None]
+        centre, half = self.omega * (lo + hi) / 2.0, self.omega * (hi - lo) / 2.0
+        return 2.0 * (np.sin(centre) * np.sinc(half / np.pi)) @ self.coefs
 
 
 def sine_interpolant(waveform: Waveform, matrix: DstMatrix | None = None):
-    """Continuous sine-series interpolation of a waveform.
-
-    Returns B(t) = 2 sum_k m_k sin(2 pi k df t) with m = apply_dst(waveform).
-    This passes through every grid sample, and its continuous Fourier sine
-    coefficient at frequency k*df is exactly m_k, so a sensor evolving it
-    measures the DST of the samples with no discretisation error.
-    """
+    """The :class:`SineInterpolant` of a waveform."""
     if matrix is None:
         matrix = dst_matrix(waveform.grid.n_grid)
-    coefs = apply_dst(matrix, waveform)
-    omega = np.pi * np.arange(1, waveform.grid.n_grid) / waveform.grid.duration
-
-    def signal(t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.sin(np.multiply.outer(t, omega)) @ coefs
-
-    return signal
+    return SineInterpolant(apply_dst(matrix, waveform), waveform.grid.duration)
 
 
 def subsample_to_json(subsample: SubsampleSet, path):

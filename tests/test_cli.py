@@ -137,6 +137,36 @@ def test_measure_header_only_waveform(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_measure_rejects_non_finite_sample(tmp_path, pulse_csv, capsys):
+    lines = pulse_csv.read_text().splitlines()
+    t, _ = lines[30].split(",")
+    lines[30] = f"{t},nan"
+    pulse_csv.write_text("\n".join(lines) + "\n")
+    m_csv = tmp_path / "m.csv"
+    code = run_cli(["measure", "--in", pulse_csv, "--m", 60, "--no-noise",
+                    "--out", m_csv])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not m_csv.exists()
+
+
+def test_measure_rejects_non_uniform_times(tmp_path, pulse_csv, capsys):
+    # the spacing doubles halfway through the time column
+    lines = pulse_csv.read_text().splitlines()
+    for j in range(50, len(lines)):
+        _, x = lines[j].split(",")
+        lines[j] = f"{repr((2 * j - 49) * 50e-6)},{x}"
+    pulse_csv.write_text("\n".join(lines) + "\n")
+    code = run_cli(["measure", "--in", pulse_csv, "--m", 60, "--no-noise",
+                    "--out", tmp_path / "m.csv"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and "time column" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_roc_length_mismatch(tmp_path, pulse_csv, capsys):
     short = tmp_path / "short.csv"
     short.write_text("time_s,recovered_hz\n5e-05,0.0\n")

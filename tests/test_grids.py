@@ -13,9 +13,7 @@ from sparsemag.grids import (
     nanotesla_to_hz,
     synth_waveform,
     waveform_from_csv,
-    waveform_from_json,
     waveform_to_csv,
-    waveform_to_json,
 )
 
 
@@ -133,6 +131,20 @@ def test_waveform_length_checked():
         Waveform(np.zeros(100), tgrid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_waveform_rejects_non_finite_samples(bad):
+    samples = np.zeros(99)
+    samples[40] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Waveform(samples, TimeGrid(100, 50e-6))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-6, np.nan, np.inf])
+def test_time_grid_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        TimeGrid(100, dt)
+
+
 def test_unit_conversion_round_trip():
     # fixed sensor calibration: 1 kHz of gamma*B corresponds to 143 nT
     assert hz_to_nanotesla(1000.0) == pytest.approx(143.0, rel=1e-12)
@@ -153,11 +165,34 @@ def test_waveform_csv_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.samples, waveform.samples)
 
 
-def test_waveform_json_round_trip(tmp_path):
-    tgrid, _ = make_grids(16, 1e-3)
-    waveform = Waveform(np.linspace(-3.0, 3.0, 15), tgrid)
-    path = tmp_path / "wf.json"
-    waveform_to_json(waveform, path)
-    loaded = waveform_from_json(path)
-    assert loaded.grid == waveform.grid
-    np.testing.assert_allclose(loaded.samples, waveform.samples)
+def test_waveform_csv_accepts_decimal_uniform_times(tmp_path):
+    # hand-typed decimal times are j*dt only to rounding
+    path = tmp_path / "wf.csv"
+    path.write_text("time_s,gamma_b_hz\n0.00005,1\n0.0001,2\n0.00015,3\n0.0002,4\n")
+    loaded = waveform_from_csv(path)
+    assert loaded.grid == TimeGrid(5, 0.00005)
+    np.testing.assert_array_equal(loaded.samples, [1.0, 2.0, 3.0, 4.0])
+    assert waveform_from_csv(path, dt=0.00005).grid == loaded.grid
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        ["0.00005", "0.0001", "0.0002", "0.0003"],  # spacing doubles halfway
+        ["0.00005", "0.0001", "0.00015", "0.00015"],  # repeated time
+        ["0.00005", "0.00015", "0.00025", "0.00035"],  # first time is not dt
+    ],
+)
+def test_waveform_csv_rejects_non_uniform_times(tmp_path, times):
+    path = tmp_path / "wf.csv"
+    path.write_text("time_s,gamma_b_hz\n" + "".join(f"{t},1\n" for t in times))
+    with pytest.raises(ValueError, match="time column"):
+        waveform_from_csv(path)
+
+
+def test_waveform_csv_rejects_times_off_explicit_dt(tmp_path):
+    tgrid, _ = make_grids(10, 50e-6)
+    path = tmp_path / "wf.csv"
+    waveform_to_csv(Waveform(np.ones(9), tgrid), path)
+    with pytest.raises(ValueError, match="time column"):
+        waveform_from_csv(path, dt=40e-6)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.linalg import expm
+
+from sparsemag import sensor
+from sparsemag.experiments import derive_seed
 
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.sensor import (
@@ -22,8 +26,6 @@ from sparsemag.sensor import (
     magnus_prediction,
     magnus_state,
     measure_sine_coefficient,
-    noise_from_json,
-    noise_to_json,
     ramsey_sample,
     readout,
     second_frame_state,
@@ -342,12 +344,166 @@ def test_lab_vs_rotating_frame_populations():
     np.testing.assert_allclose(lab.populations, rot.populations, atol=5e-3)
 
 
-def test_noise_model_validation_and_json(tmp_path):
+def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(-1.0, 1000.0)
     with pytest.raises(ValueError):
         NoiseModel(200.0, 0.5)
-    noise = NoiseModel(200.0, 1000.0, seed=6)
-    path = tmp_path / "noise.json"
-    noise_to_json(noise, path)
-    assert noise_from_json(path) == noise
+
+
+# ------------------------------------------------ the kernels as first written
+#
+# Oracles for the fast kernels: the Ramsey window mean by 201-node Simpson
+# quadrature, the interpolant summed as sin(outer(t, w)) @ m at every step
+# midpoint, and the step rotations applied to the state one at a time.
+
+
+def _reference_ramsey(waveform, center_time, window, noise, shot_seed=0):
+    duration = waveform.grid.duration
+    lo = min(max(center_time - window / 2.0, 0.0), duration)
+    hi = min(max(center_time + window / 2.0, 0.0), duration)
+    signal = sine_interpolant(waveform)
+    t = np.linspace(lo, hi, 201)
+    mean_field = simpson(signal(t), x=t) / (hi - lo)
+    if noise is None:
+        return float(mean_field)
+    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 2)))
+    drift = rng.normal(0.0, noise.bias_drift_std_hz)
+    shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
+    return float(mean_field + drift + rng.normal(0.0, shot_std))
+
+
+def _reference_evolve(psi0, unitaries):
+    psi = psi0.copy()
+    for u in unitaries:
+        psi = u @ psi
+    return psi
+
+
+def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
+    duration = waveform.grid.duration
+    rabi_hz = k / (2.0 * duration)
+    params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
+    coefs = apply_dst(dst_matrix(waveform.grid.n_grid), waveform)
+    omega = np.pi * np.arange(1, waveform.grid.n_grid) / duration
+    n_steps = max(1, int(round(duration / params.step)))
+    dt = duration / n_steps
+    t = (np.arange(n_steps) + 0.5) * dt
+    drift = 0.0 if noise is None else sensor._shot_drift(noise, shot_seed)
+    field = 2.0 * np.sin(np.multiply.outer(t, omega)) @ coefs
+    unitaries = sensor._step_unitaries(
+        np.full(n_steps, 2.0 * np.pi * rabi_hz), -2.0 * np.pi * (field + drift), dt
+    )
+    state = SpinState(_reference_evolve(STATE_MINUS_Z, unitaries))
+    if noise is not None:
+        return extract_coefficient(readout(state, params, noise, shot_seed), duration)
+    p = sensor._readout_probabilities(second_frame_state(state, params), 1)
+    return (p[2] - p[0]) / (2.0 * np.pi * duration)
+
+
+def _pulse_pool(count, seed=0):
+    """1- and 2-pulse 1 kHz waveforms with seeded, separated start times."""
+    tgrid, _ = make_grids(100, 50e-6)
+    rng = np.random.default_rng(seed)
+    pool = []
+    for index in range(count):
+        starts = []
+        while len(starts) < 1 + index % 2:
+            t0 = float(rng.uniform(tgrid.dt, tgrid.duration - 200e-6))
+            if all(abs(t0 - t) >= 400e-6 for t in starts):
+                starts.append(t0)
+        pool.append(synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, t0) for t0 in starts]))
+    return pool
+
+
+def test_ramsey_matches_simpson_reference():
+    # the exact window mean moves the 201-node Simpson value only by the
+    # quadrature error: at most 2.1e-8 relative over 64 such waveforms
+    for index, waveform in enumerate(_pulse_pool(16)):
+        noise = None if index % 4 == 0 else NoiseModel(200.0, 1000.0, seed=index)
+        times = waveform.grid.times
+        seeds = [derive_seed(index, 2, j) for j in range(times.size)]
+        fast = ramsey_sample(waveform, times, 60e-6, noise, seeds)
+        slow = np.array(
+            [_reference_ramsey(waveform, t, 60e-6, noise, s) for t, s in zip(times, seeds)]
+        )
+        np.testing.assert_array_less(
+            np.abs(fast - slow), 1e-7 * np.maximum(np.abs(slow), 1.0)
+        )
+
+
+def test_ramsey_vector_call_equals_scalar_calls():
+    waveform = _pulse_pool(2)[1]
+    noise = NoiseModel(200.0, 1000.0, seed=3)
+    # windows clipped at both ends of [0, T] included
+    centres = np.array([0.0, 10e-6, 1.2e-3, 2.5e-3, 4.99e-3, 5e-3])
+    seeds = np.arange(7, 13)
+    vector = ramsey_sample(waveform, centres, 60e-6, noise, seeds)
+    assert vector.shape == (6,)
+    for value, t, seed in zip(vector, centres, seeds):
+        scalar = ramsey_sample(waveform, float(t), 60e-6, noise, shot_seed=int(seed))
+        assert isinstance(scalar, float)
+        assert scalar == value
+        assert scalar == pytest.approx(_reference_ramsey(waveform, t, 60e-6, noise, seed), rel=1e-7)
+    # a scalar seed broadcasts over the windows
+    np.testing.assert_array_equal(
+        ramsey_sample(waveform, centres, 60e-6, noise, 5),
+        ramsey_sample(waveform, centres, 60e-6, noise, np.full(6, 5)),
+    )
+    with pytest.raises(ValueError):
+        ramsey_sample(waveform, np.array([1e-3, 10.0]), 60e-6, None)
+
+
+@pytest.mark.parametrize("n_pulses", [1, 2])
+def test_noiseless_unitary_shot_matches_reference(n_pulses):
+    waveform = _pulse_pool(2, seed=5)[n_pulses - 1]
+    for k in (1, 2, 17, 50, 98, 99):
+        fast = measure_sine_coefficient(waveform, k, None)
+        slow = _reference_unitary_shot(waveform, k, None)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12 * max(abs(slow), 1.0))
+
+
+def test_noiseless_unitary_shot_matches_reference_coarse_steps():
+    # a step so large that the midpoint grid is coarser than the waveform's
+    # grid: the interpolant's frequencies fold onto the n step frequencies
+    waveform = _pulse_pool(2, seed=6)[1]
+    for k in (1, 2, 3):  # 25, 50 and 75 steps for 99 frequencies
+        fast = measure_sine_coefficient(waveform, k, None, step=1e-3)
+        slow = _reference_unitary_shot(waveform, k, None, step=1e-3)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12 * max(abs(slow), 1.0))
+
+
+def test_noisy_unitary_shots_equal_reference():
+    # the atom counts must not move, so the noisy shots are bit-equal
+    for index, waveform in enumerate(_pulse_pool(4, seed=9)):
+        noise = NoiseModel(200.0, 1000.0, seed=100 + index)
+        for k, shot_seed in ((3, 1), (17, 4), (60, 11), (99, 2)):
+            assert measure_sine_coefficient(waveform, k, noise, shot_seed) == (
+                _reference_unitary_shot(waveform, k, noise, shot_seed)
+            )
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 1001])
+def test_pairwise_evolve_matches_stepwise(n_steps):
+    rng = np.random.default_rng(n_steps)
+    unitaries = sensor._step_unitaries(
+        rng.normal(scale=1e4, size=n_steps), rng.normal(scale=1e4, size=n_steps), 1e-5
+    )
+    psi0 = np.array([0.6, 0.0, 0.8j])
+    np.testing.assert_allclose(
+        sensor._evolve(psi0, unitaries), _reference_evolve(psi0, unitaries), rtol=0, atol=1e-12
+    )
+
+
+def test_interpolant_of_other_duration_is_called_directly():
+    # a sine interpolant stepped over a duration other than its own cannot use
+    # the DST-III midpoint evaluation; it must give the same state as a plain
+    # callable
+    tgrid, _ = make_grids(100, 50e-6)
+    waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
+    signal = sine_interpolant(waveform)
+    params = SensorParams(0.0, 1000.0, 0.0, 3e-3, 1e-6)
+    np.testing.assert_array_equal(
+        evolve_rotating_frame(signal, params).amplitudes,
+        evolve_rotating_frame(lambda t: signal(t), params).amplitudes,
+    )

@@ -155,6 +155,29 @@ def test_random_subsample_full_and_deterministic():
         random_subsample(100, 100, 0)
 
 
+def _reference_subsample(n_grid, m, seed):
+    """The subset draw as first written: one ``rng.integers`` call per step
+    of the partial Fisher-Yates shuffle."""
+    rng = np.random.default_rng(seed)
+    pool = np.arange(1, n_grid)
+    for i in range(m):
+        j = int(rng.integers(i, pool.size))
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(int(i) for i in pool[:m]))
+
+
+def test_random_subsample_matches_scalar_draws():
+    cases = 0
+    for n_grid in (3, 50, 100, 1000):
+        for m in sorted({1, 2, n_grid // 3, n_grid // 2, n_grid - 2, n_grid - 1} - {0}):
+            for seed in range(25):
+                assert random_subsample(n_grid, m, seed).indices == (
+                    _reference_subsample(n_grid, m, seed)
+                ), (n_grid, m, seed)
+                cases += 1
+    assert cases == 25 * (2 + 6 + 6 + 6)
+
+
 def test_random_subsample_uniform_inclusion():
     counts = np.zeros(99)
     trials = 200
@@ -222,6 +245,55 @@ def test_sine_interpolant_continuous_coefficients():
     for k in (1, 7, 21, 60):
         integral = simpson(np.sin(2.0 * np.pi * k * fgrid.df * t) * signal(t), x=t)
         assert integral / tgrid.duration == pytest.approx(coefs[k - 1], abs=1e-8)
+
+
+def _direct_sum(coefs, duration, t):
+    """The interpolant as first evaluated: 2 sin(outer(t, w)) @ m."""
+    omega = np.pi * np.arange(1, coefs.size + 1) / duration
+    return 2.0 * np.sin(np.multiply.outer(t, omega)) @ coefs
+
+
+@pytest.mark.parametrize("n_grid", [2, 7, 100])
+def test_at_midpoints_matches_direct_sum(n_grid):
+    # every step count, coarser than the grid (aliased k fold onto 1..n) or finer
+    tgrid = TimeGrid(n_grid, 50e-6)
+    waveform = Waveform(np.random.default_rng(n_grid).normal(size=n_grid - 1), tgrid)
+    signal = sine_interpolant(waveform)
+    for n_steps in (1, 2, 3, n_grid // 2 + 1, n_grid - 2, n_grid - 1, n_grid, n_grid + 1, 2 * n_grid + 3, 5000):
+        if n_steps < 1:
+            continue
+        t = (np.arange(n_steps) + 0.5) * tgrid.duration / n_steps
+        expected = _direct_sum(signal.coefs, tgrid.duration, t)
+        np.testing.assert_allclose(
+            signal.at_midpoints(n_steps), expected,
+            rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(expected))),
+        )
+        np.testing.assert_array_equal(signal(t), expected)
+
+
+def test_window_mean_is_exact_integral():
+    tgrid, _ = make_grids(100, 50e-6)
+    waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
+    signal = sine_interpolant(waveform)
+    lo = np.array([0.0, 1.0e-3, 1.07e-3, 4.97e-3])
+    hi = np.array([5.0e-3, 1.06e-3, 1.2e-3, 5.0e-3])
+    means = signal.window_mean(lo, hi)
+    assert means.shape == (4,)
+    for a, b, value in zip(lo, hi, means):
+        t = np.linspace(a, b, 40001)
+        assert value == pytest.approx(simpson(signal(t), x=t) / (b - a), abs=1e-9)
+    # the mean over the whole of [0, T] is sum_k 4 m_k / (w_k T) over odd k
+    coefs = signal.coefs
+    k = np.arange(1, 100)
+    whole = np.sum(np.where(k % 2, 4.0 * coefs / (np.pi * k), 0.0))
+    assert means[0] == pytest.approx(whole, rel=1e-12)
+
+
+def test_measurement_vector_rejects_non_finite():
+    subset = random_subsample(100, 5, 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            MeasurementVector([0.0, 1.0, bad, 2.0, 3.0], subset)
 
 
 def test_subsample_json_round_trip(tmp_path):
