@@ -34,7 +34,7 @@ noise = sm.NoiseModel(200.0, 1000.0, seed=3)
 result = experiments.run_scenario(
     "compressive", waveform, noise, master_seed=3, m=24
 )
-scores = detection.matched_filter(result.recovered.samples, template).scores
+scores = detection.matched_filter(result.recovered.samples, template)
 print(f"matched-filter peak {scores.max():.2e} vs template energy "
       f"{template.energy:.2e}")
 

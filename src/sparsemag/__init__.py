@@ -31,11 +31,11 @@ from .sensor import (
     evolve_lab_frame,
     evolve_rotating_frame,
     extract_coefficient,
-    magnus_coefficients,
     magnus_prediction,
+    magnus_quadratures,
     measure_sine_coefficient,
     ramsey_sample,
-    readout,
+    readout_coefficient,
 )
 from .recovery import (
     FistaConfig,

@@ -34,8 +34,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _parse_pulses(text: str) -> list[PulseSpec]:
-    """Parse ``t0,amp,dur;t0,amp,dur;...`` into pulse specs."""
+def _parse_pulses(text: str) -> list[tuple[float, float, float]]:
+    """Parse ``t0,amp,dur;t0,amp,dur;...`` into (t0, amp, dur) triples.
+    ``cmd_synth`` makes the pulse specs, so a bad value exits 4, not 2."""
     pulses = []
     for token in filter(None, (part.strip() for part in text.split(";"))):
         fields = token.split(",")
@@ -49,7 +50,7 @@ def _parse_pulses(text: str) -> list[PulseSpec]:
             raise argparse.ArgumentTypeError(
                 f"malformed pulse spec {token!r}: non-numeric field"
             )
-        pulses.append(PulseSpec(amplitude=amp, pulse_duration=dur, start_time=t0))
+        pulses.append((t0, amp, dur))
     return pulses
 
 
@@ -108,7 +109,11 @@ def _manifest(args, out_paths):
 
 def cmd_synth(args) -> int:
     grid = TimeGrid(args.n, args.dt)
-    waveform = synth_waveform(grid, args.pulses or [])
+    args.pulses = [
+        PulseSpec(amplitude=amp, pulse_duration=dur, start_time=t0)
+        for t0, amp, dur in args.pulses
+    ]
+    waveform = synth_waveform(grid, args.pulses)
     waveform_to_csv(waveform, args.out)
     _manifest(args, [args.out])
     return EXIT_OK

@@ -50,11 +50,6 @@ def default_template(
 
 
 @dataclass
-class MatchedOutput:
-    scores: np.ndarray
-
-
-@dataclass
 class Classification:
     labels: np.ndarray
 
@@ -84,18 +79,18 @@ class AucScore:
     value: float
 
 
-def matched_filter(signal, template: Template) -> MatchedOutput:
+def matched_filter(signal, template: Template) -> np.ndarray:
     """Scores g_j = sum_k signal[k + j] * template[k], zero-padded."""
     signal = np.asarray(signal, dtype=float)
     if template.samples.size > signal.size:
         raise ValueError("template longer than signal")
     scores = np.correlate(signal, template.samples, mode="full")
-    return MatchedOutput(scores[template.samples.size - 1 :])
+    return scores[template.samples.size - 1 :]
 
 
 def ground_truth_classification(ground_truth, template: Template) -> Classification:
     """Label 1 wherever the matched output reaches half the template energy."""
-    scores = matched_filter(ground_truth, template).scores
+    scores = matched_filter(ground_truth, template)
     return Classification((scores >= template.energy / 2.0).astype(int))
 
 
@@ -126,7 +121,7 @@ def roc_curve(recovered, template: Template, truth: Classification) -> RocCurve:
     if n_negative == 0:
         raise ValueError("degenerate truth: no negatives, fallout undefined")
 
-    scores = matched_filter(recovered, template).scores
+    scores = matched_filter(recovered, template)
     return roc_curve_from_scores(scores, truth)
 
 

@@ -5,10 +5,11 @@ Every driver is a pure function of (spec, master_seed): per-shot seeds derive
 from the master seed through a counter-based ``SeedSequence`` split, so
 results never depend on execution order.
 
-Shot batches here use the first-order Magnus closed form of the sensor
-(``method="magnus"``), for which both quadratures have exact expressions on
-the sine-interpolated waveform; the test suite checks this fast path against
-the stepped unitary simulator.
+Shot batches here use the sensor's first-order Magnus closed form: the exact
+quadratures of the sine-interpolated waveform for every selected index at
+once (``sensor.magnus_quadratures``), then the coherent-state readout
+(``sensor.readout_coefficient``); the test suite checks it against the
+stepped unitary simulator.
 """
 
 from __future__ import annotations
@@ -68,75 +69,35 @@ def derive_seed(master_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence((master_seed, *indices)).generate_state(1)[0])
 
 
-def cosine_coupling_matrix(n_grid: int) -> np.ndarray:
-    """Matrix C with c = C m giving the cosine coefficients c_k of the
-    sine-series interpolant whose sine coefficients are m.
-
-    C[k, l] = (4/pi) * l / (l^2 - k^2) for l + k odd, else 0.
-    """
-    k = np.arange(1, n_grid)[:, None].astype(float)
-    l = np.arange(1, n_grid)[None, :].astype(float)
-    odd = (k + l) % 2 == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(odd, (4.0 / np.pi) * l / (l**2 - k**2), 0.0)
-    return c
-
-
-def magnus_quadratures(
-    coefs: np.ndarray,
-    duration: float,
-    drift_hz: np.ndarray | float = 0.0,
-    coupling: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact first-order Magnus quadratures (a_k, b_k) for every frequency
-    index, given the full DST coefficient vector and a per-shot drift.
-
-    a_k = 2 pi T m_k + drift * 2T(1 - (-1)^k)/k,  b_k = 2 pi T c_k.
-    """
-    n_minus_1 = coefs.size
-    k = np.arange(1, n_minus_1 + 1)
-    if coupling is None:
-        coupling = cosine_coupling_matrix(n_minus_1 + 1)
-    a = 2.0 * np.pi * duration * coefs + np.asarray(drift_hz) * (
-        2.0 * duration * (1.0 - (-1.0) ** k) / k
-    )
-    b = 2.0 * np.pi * duration * (coupling @ coefs)
-    return a, b
-
-
 def simulate_measurements(
     waveform: Waveform,
     subsample: SubsampleSet | None,
     noise: NoiseModel | None,
     master_seed: int = 0,
-    readout_sign: int = 1,
 ) -> MeasurementVector:
     """One simulated shot per selected frequency index (all of 1..N-1 when
-    ``subsample`` is None), using the Magnus closed form."""
+    ``subsample`` is None), using the Magnus closed form.  Shot k draws its
+    drift and its atom counts on the seed derive_seed(master_seed, 0, k)."""
     n_grid = waveform.grid.n_grid
     duration = waveform.grid.duration
     if subsample is None:
         subsample = SubsampleSet(n_grid, tuple(range(1, n_grid)))
+    if subsample.n_grid != n_grid:
+        raise ValueError(
+            f"subset is for N={subsample.n_grid}, the waveform has N={n_grid}"
+        )
+    k = np.asarray(subsample.indices)
+    drift = np.zeros(n_grid - 1)
+    shot_seeds = 0  # the noiseless limit draws nothing
+    if noise is not None:
+        shot_seeds = [derive_seed(master_seed, _TAG_SHOT, int(i)) for i in k]
+        drift[k - 1] = [sensor._shot_drift(noise, seed) for seed in shot_seeds]
     coefs = apply_dst(dst_matrix(n_grid), waveform)
-    a_base, b_all = magnus_quadratures(coefs, duration)
-
-    values = np.empty(subsample.m)
-    for i, k in enumerate(subsample.indices):
-        shot_seed = derive_seed(master_seed, _TAG_SHOT, k)
-        drift = 0.0 if noise is None else sensor._shot_drift(noise, shot_seed)
-        a_k = a_base[k - 1] + drift * 2.0 * duration * (1.0 - (-1.0) ** k) / k
-        state = sensor.magnus_state(MagnusCoefficients(a_k, b_all[k - 1]))
-        probs = sensor._readout_probabilities(state, readout_sign)
-        if noise is None:
-            values[i] = (probs[2] - probs[0]) / (2.0 * np.pi * duration)
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((noise.seed, shot_seed, 1))
-            )
-            total = max(1, int(rng.poisson(noise.mean_atoms)))
-            counts = rng.multinomial(total, probs)
-            values[i] = (counts[2] - counts[0]) / (2.0 * np.pi * duration * total)
-    return MeasurementVector(values, subsample)
+    a, b = sensor.magnus_quadratures(coefs, duration, drift)
+    fx = sensor.magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
+    return MeasurementVector(
+        sensor.readout_coefficient(fx, duration, noise, shot_seeds), subsample
+    )
 
 
 @dataclass(frozen=True)
@@ -262,6 +223,8 @@ class SweepSpec:
         n_grid = self.base_measurements.size + 1
         if any(m > n_grid - 1 or m < 1 for m in self.m_values):
             raise ValueError(f"every m must lie in 1..{n_grid - 1}")
+        if self.subsets_per_m < 1:
+            raise ValueError(f"subsets_per_m must be >= 1, got {self.subsets_per_m}")
 
     @property
     def n_grid(self) -> int:

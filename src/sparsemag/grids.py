@@ -89,6 +89,13 @@ class PulseSpec:
     pulse_duration: float
     start_time: float
 
+    def __post_init__(self):
+        fields = (self.amplitude, self.pulse_duration, self.start_time)
+        if not np.all(np.isfinite(fields)):
+            raise ValueError(f"pulse fields must be finite, got {self}")
+        if self.pulse_duration <= 0:
+            raise ValueError(f"pulse duration must be positive, got {self.pulse_duration}")
+
     def __call__(self, t):
         """Evaluate the pulse at times ``t`` (s); zero outside its support."""
         t = np.asarray(t, dtype=float)

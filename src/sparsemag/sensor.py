@@ -15,13 +15,19 @@ closed form by the test suite):
 * the signal couples with a minus sign on Fz, so that a positive sine
   coefficient drives a positive second-frame <Fx>,
 * the second-frame transform is psi_rr = exp(+i * Omega * T * Fx) psi_rot,
-* the default readout pulse is exp(-i * (pi/2) * Fy), which maps
-  <Fz>_after = -<Fx>_before, so the main estimator
+* the readout pulse is exp(-i * (pi/2) * Fy), which maps
+  <Fz>_after = -<Fx>_before, so the estimator
   (n_minus - n_plus) / (2 pi T total) reads the second-frame <Fx> scaled to
   hertz.  It is linear in <Fx> = sin(r)/r * a (see ``magnus_prediction``),
   so it estimates the coefficient only up to that first-order factor, which
   is 1 only in the weak-field limit.
-  ``readout_sign=-1`` selects the opposite population-difference convention.
+
+Coherent-state readout: every state the sensor makes is |m=-1> evolved under
+a Hamiltonian linear in F, so it is a spin-1 coherent state, and after the
+pi/2 pulse its populations (p_plus, p_zero, p_minus) are fixed by the
+second-frame x = <Fx> alone: (((1-x)/2)^2, (1-x^2)/2, ((1+x)/2)^2).
+``readout_coefficient`` draws the atom counts from that closed form, for one
+shot or a whole batch, with no 3x3 rotation per shot.
 
 Evolution freezes the Hamiltonian at each step midpoint and applies the exact
 spin-1 rotation exp(-i theta n.F) = I - i sin(theta) (n.F)
@@ -37,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grids import Waveform
 from .transform import SineInterpolant, sine_interpolant
@@ -79,10 +84,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bias_drift_std_hz < 0:
-            raise ValueError("bias_drift_std_hz must be non-negative")
-        if self.mean_atoms < 1:
-            raise ValueError("mean_atoms must be >= 1")
+        if not 0 <= self.bias_drift_std_hz < np.inf:
+            raise ValueError("bias_drift_std_hz must be non-negative and finite")
+        if not 1 <= self.mean_atoms < np.inf:
+            raise ValueError("mean_atoms must be >= 1 and finite")
 
 
 @dataclass
@@ -123,7 +128,8 @@ class PopulationCounts:
 @dataclass(frozen=True)
 class MagnusCoefficients:
     """First-order Magnus quadratures (radians): a from the sine component,
-    b from the cosine component of the signal at the Rabi frequency."""
+    b from the cosine component of the signal at the Rabi frequency.  Floats
+    for one shot, or equal-shape arrays for a batch."""
 
     a: float
     b: float
@@ -237,33 +243,42 @@ def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
     return SpinState(psi)
 
 
-def magnus_coefficients(
-    signal, rabi_hz: float, duration: float, step: float | None = None
-) -> MagnusCoefficients:
-    """First-order Magnus quadratures of the signal at the Rabi frequency:
+def cosine_coupling_matrix(n_grid: int) -> np.ndarray:
+    """Matrix C with c = C m giving the cosine coefficients c_k of the
+    sine-series interpolant whose sine coefficients are m.
 
-        a = 2 pi * integral sin(Omega t) gamma_b(t) dt
-        b = 2 pi * integral cos(Omega t) gamma_b(t) dt
-
-    evaluated with composite Simpson quadrature.
+    C[k, l] = (4/pi) * l / (l^2 - k^2) for l + k odd, else 0.
     """
-    if step is None:
-        step = min(1.0 / (50.0 * rabi_hz), duration / 1000.0)
-    n_points = max(8, int(np.ceil(duration / step)))
-    if n_points % 2 == 1:
-        n_points += 1
-    t = np.linspace(0.0, duration, n_points + 1)
-    omega = 2.0 * np.pi * rabi_hz
-    values = np.asarray(signal(t), dtype=float)
-    a = 2.0 * np.pi * simpson(np.sin(omega * t) * values, x=t)
-    b = 2.0 * np.pi * simpson(np.cos(omega * t) * values, x=t)
-    return MagnusCoefficients(float(a), float(b))
+    k = np.arange(1, n_grid)[:, None].astype(float)
+    l = np.arange(1, n_grid)[None, :].astype(float)
+    odd = (k + l) % 2 == 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(odd, (4.0 / np.pi) * l / (l**2 - k**2), 0.0)
+    return c
 
 
-def magnus_prediction(coeffs: MagnusCoefficients) -> float:
-    """Expected second-frame <Fx> = sin(r)/r * a with r = sqrt(a^2 + b^2)."""
-    r = np.hypot(coeffs.a, coeffs.b)
-    return float(np.sinc(r / np.pi) * coeffs.a)
+def magnus_quadratures(
+    coefs: np.ndarray, duration: float, drift_hz: np.ndarray | float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact first-order Magnus quadratures (a_k, b_k) for every frequency
+    index, given the full DST coefficient vector and a drift (one value, or
+    one per index).
+
+    a_k = 2 pi T m_k + drift * 2T(1 - (-1)^k)/k,  b_k = 2 pi T c_k.
+    """
+    k = np.arange(1, coefs.size + 1)
+    a = 2.0 * np.pi * duration * coefs + (
+        np.asarray(drift_hz) * 2.0 * duration * (1.0 - (-1.0) ** k) / k
+    )
+    b = 2.0 * np.pi * duration * (cosine_coupling_matrix(coefs.size + 1) @ coefs)
+    return a, b
+
+
+def magnus_prediction(coeffs: MagnusCoefficients):
+    """Expected second-frame <Fx> = sin(r)/r * a with r = sqrt(a^2 + b^2);
+    a float for float quadratures, an array for arrays."""
+    fx = np.sinc(np.hypot(coeffs.a, coeffs.b) / np.pi) * coeffs.a
+    return float(fx) if np.ndim(fx) == 0 else fx
 
 
 def second_frame_state(state: SpinState, params: SensorParams) -> SpinState:
@@ -281,34 +296,6 @@ def magnus_state(coeffs: MagnusCoefficients) -> SpinState:
         return SpinState(STATE_MINUS_Z.copy())
     axis = np.array([0.0, -coeffs.a, -coeffs.b]) / r
     return SpinState(spin1_rotation(axis, r) @ STATE_MINUS_Z)
-
-
-def _readout_probabilities(state: SpinState, readout_sign: int) -> np.ndarray:
-    """Populations after the ideal instantaneous pi/2 pulse about the second
-    frame's y axis."""
-    angle = 0.5 * np.pi * readout_sign
-    psi = spin1_rotation([0.0, 1.0, 0.0], angle) @ state.amplitudes
-    p = np.abs(psi) ** 2
-    return p / p.sum()
-
-
-def readout(
-    state: SpinState,
-    params: SensorParams,
-    noise: NoiseModel,
-    shot_seed: int,
-    readout_sign: int = 1,
-) -> PopulationCounts:
-    """Second-frame transform, pi/2 pulse, then projective atom counting.
-
-    The atom total is Poisson(mean_atoms) and the split is multinomial in the
-    Fz-basis probabilities; both draws are deterministic per
-    (noise.seed, shot_seed).
-    """
-    if abs(state.norm_sq - 1.0) > 1e-8:
-        raise ValueError(f"state not normalised: |psi|^2 = {state.norm_sq}")
-    probs = _readout_probabilities(second_frame_state(state, params), readout_sign)
-    return _count_atoms(probs, noise, shot_seed)
 
 
 def _count_atoms(probs, noise: NoiseModel, shot_seed: int) -> PopulationCounts:
@@ -329,6 +316,33 @@ def _shot_drift(noise: NoiseModel, shot_seed: int) -> float:
     return float(rng.normal(0.0, noise.bias_drift_std_hz))
 
 
+def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed=0):
+    """Sine-coefficient estimate (Hz) of a shot whose coherent state has
+    second-frame <Fx> = fx.
+
+    ``noise=None`` is the exact noiseless limit fx / (2 pi T).  Otherwise the
+    pi/2-pulse populations (((1-x)/2)^2, (1-x^2)/2, ((1+x)/2)^2) are counted
+    with one seeded draw per shot (``_count_atoms``, stream (noise.seed,
+    shot_seed, 1)).  Array ``fx`` and ``shot_seed`` broadcast and give an
+    array; scalars give a float.
+    """
+    fx, seeds = np.broadcast_arrays(np.asarray(fx, dtype=float), shot_seed)
+    if not np.all(np.abs(fx) <= 1.0 + 1e-9):
+        raise ValueError("<Fx> must lie in [-1, 1]: not a normalised spin-1 state")
+    if noise is None:
+        values = fx / (2.0 * np.pi * duration)
+    else:
+        x = np.clip(fx, -1.0, 1.0)
+        probs = np.stack(
+            (((1.0 - x) / 2.0) ** 2, (1.0 - x**2) / 2.0, ((1.0 + x) / 2.0) ** 2), axis=-1
+        )
+        values = np.empty(fx.shape)
+        for i, seed in np.ndenumerate(seeds):
+            counts = _count_atoms(probs[i], noise, int(seed))
+            values[i] = extract_coefficient(counts, duration)
+    return float(values) if values.ndim == 0 else values
+
+
 def measure_sine_coefficient(
     waveform: Waveform,
     k: int,
@@ -336,7 +350,6 @@ def measure_sine_coefficient(
     shot_seed: int = 0,
     step: float = 1e-6,
     method: str = "unitary",
-    readout_sign: int = 1,
 ) -> float:
     """One full shot measuring the sine coefficient at frequency k*df (Hz).
 
@@ -345,10 +358,12 @@ def measure_sine_coefficient(
     first-order Magnus factor sin(r)/r (``magnus_prediction``), plus
     higher-order corrections; the factor tends to 1 for weak fields but not
     at full amplitude (the largest coefficient of a 1 kHz, 200 us pulse is
-    read 6.5 % low, and the worst deviation over k is 6.6 % of it).  ``noise=None`` is the exact noiseless limit: no drift, and
-    the population difference is taken as an expectation value rather than
-    sampled.  ``method`` selects full unitary stepping ("unitary") or the
-    first-order Magnus closed form ("magnus").
+    read 6.5 % low, and the worst deviation over k is 6.6 % of it).
+    ``noise=None`` is the exact noiseless limit: no drift, and the population
+    difference is taken as an expectation value rather than sampled.
+    ``method`` selects full unitary stepping of at most ``step`` seconds
+    ("unitary") or the first-order Magnus closed form on the exact
+    quadratures ("magnus").
     """
     n_grid = waveform.grid.n_grid
     if not 1 <= k <= n_grid - 1:
@@ -369,18 +384,13 @@ def measure_sine_coefficient(
         state = second_frame_state(
             evolve_rotating_frame(signal, params, drift_hz=drift), params
         )
+        fx = state.expectation(FX)
     elif method == "magnus":
-        coeffs = magnus_coefficients(
-            lambda t: np.asarray(signal(t)) + drift, rabi_hz, duration, step=step
-        )
-        state = magnus_state(coeffs)
+        a, b = magnus_quadratures(signal.coefs, duration, drift)
+        fx = magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    probs = _readout_probabilities(state, readout_sign)
-    if noise is None:
-        return (probs[2] - probs[0]) / (2.0 * np.pi * duration)
-    return extract_coefficient(_count_atoms(probs, noise, shot_seed), duration)
+    return readout_coefficient(fx, duration, noise, shot_seed)
 
 
 def ramsey_sample(

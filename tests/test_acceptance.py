@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sparsemag as sm
+from oracles import magnus_coefficients
 from sparsemag import detection, experiments, recovery, sensor, transform
 
 
@@ -111,7 +112,7 @@ def _second_frame_fx(b0, rabi, duration):
     state = sensor.second_frame_state(
         sensor.evolve_rotating_frame(lambda t: b0 * np.sin(omega * t), params), params
     )
-    coeffs = sensor.magnus_coefficients(
+    coeffs = magnus_coefficients(
         lambda t: b0 * np.sin(omega * t), rabi, duration, step=1e-6
     )
     return state.expectation(sensor.FX), sensor.magnus_prediction(coeffs)

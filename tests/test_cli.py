@@ -1,9 +1,12 @@
 """Command-line interface behaviour and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsemag.cli import main
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform, waveform_from_csv
@@ -51,6 +54,28 @@ def test_synth_pulse_outside_duration(tmp_path, capsys):
     assert "error: numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pulses", ["nan,1000,1e-4", "1e-3,nan,200e-6", "inf,1000,1e-4", "1e-3,1000,0", "1e-3,1000,-1e-4"]
+)
+def test_synth_rejects_non_finite_or_empty_pulse(tmp_path, capsys, pulses):
+    out = tmp_path / "bad.csv"
+    assert run_cli(["synth", "--pulses", pulses, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--drift-std", "nan"], ["--drift-std", "inf"],
+                                   ["--atoms", "inf"], ["--atoms", "nan"]])
+def test_measure_rejects_non_finite_noise(tmp_path, pulse_csv, capsys, flags):
+    out = tmp_path / "m.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--m", 10, *flags, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_synth_malformed_pulse_spec_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["synth", "--pulses", "1.0e-3,1000", "--out", tmp_path / "x.csv"])
@@ -81,6 +106,19 @@ def test_measure_m_out_of_range(tmp_path, pulse_csv, capsys):
                     "--out", tmp_path / "m.csv"])
     assert code == 4
     assert "error: numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_grid, indices", [(200, [1, 150, 199]), (50, [1, 20, 49])])
+def test_measure_rejects_subset_of_other_grid(tmp_path, pulse_csv, capsys, n_grid, indices):
+    subset = tmp_path / "subset.json"
+    subset.write_text(json.dumps({"n_grid": n_grid, "indices": indices}))
+    out = tmp_path / "m.csv"
+    code = run_cli(["measure", "--in", pulse_csv, "--subset", subset, "--out", out])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and f"N={n_grid}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_measure_missing_input(tmp_path, capsys):
@@ -194,6 +232,19 @@ def test_sweep_small(tmp_path, pulse_csv):
     assert len(lines) == 3
 
 
+def test_sweep_rejects_zero_subsets(tmp_path, pulse_csv, capsys):
+    base = tmp_path / "full.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["sweep", "--base", base, "--truth", pulse_csv, "--m-list", "20",
+                    "--subsets", 0, "--out", out])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and "subsets_per_m" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sweep_requires_full_base(tmp_path, pulse_csv):
     partial = tmp_path / "partial.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--m", 60, "--out", partial]) == 0
@@ -236,3 +287,56 @@ def test_cli_rerun_byte_identical_subprocess(tmp_path, run_sparsemag):
     first = run(tmp_path / "a.csv")
     second = run(tmp_path / "b.csv")
     assert first == second
+
+
+def _exit_code(args):
+    """cli.main's return code, or the code argparse exits with."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _assert_finite_csvs(directory):
+    for path in directory.glob("*.csv"):
+        for row in path.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(v)) for v in row.split(",")), (path, row)
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1e-3, 1e-4, 2e-4, 1e-3, 4.99e-3, 1000.0, 1e308]),
+)
+_pulse = st.one_of(
+    st.just("1.025e-3,1000,200e-6"),
+    st.tuples(_numbers, _numbers, _numbers).map(lambda f: ",".join(map(repr, f))),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pulses=st.lists(_pulse, max_size=2).map(";".join),
+    m=st.integers(-2, 101),
+    atoms=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(1000.0)),
+    drift=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(200.0)),
+    subsets=st.integers(-2, 3),
+)
+def test_cli_fuzz_exit_codes(tmp_path_factory, pulses, m, atoms, drift, subsets):
+    # every input either succeeds with finite CSVs or exits 2, 3 or 4; no
+    # exception escapes cli.main
+    d = tmp_path_factory.mktemp("fuzz")
+    wf, full = d / "wf.csv", d / "full.csv"
+    noise = ["--atoms", repr(atoms), "--drift-std", repr(drift)]
+    steps = [
+        ["synth", "--pulses", pulses, "--out", wf],
+        ["measure", "--in", wf, "--m", m, *noise, "--out", d / "m.csv"],
+        ["measure", "--in", wf, "--full", *noise, "--out", full],
+        ["sweep", "--base", full, "--truth", wf, "--m-list", "10,60",
+         "--subsets", subsets, "--out", d / "sweep.csv"],
+    ]
+    for args in steps:
+        code = _exit_code(args)
+        assert code in (0, 2, 3, 4), (args, code)
+        if code == 0:
+            _assert_finite_csvs(d)

@@ -45,7 +45,7 @@ def test_matched_filter_self_match_peak():
     template = Template(np.array([0.0, 1000.0, 0.0, -1000.0]))
     signal = np.zeros(99)
     signal[30:34] = template.samples
-    scores = matched_filter(signal, template).scores
+    scores = matched_filter(signal, template)
     assert scores.shape == (99,)
     assert scores[30] == pytest.approx(template.energy)
     assert np.argmax(scores) == 30
@@ -53,12 +53,12 @@ def test_matched_filter_self_match_peak():
 
 def test_matched_filter_zero_signal_and_two_pulses():
     template = Template(np.array([1.0, -2.0, 3.0]))
-    assert np.all(matched_filter(np.zeros(50), template).scores == 0.0)
+    assert np.all(matched_filter(np.zeros(50), template) == 0.0)
 
     signal = np.zeros(50)
     signal[5:8] = template.samples
     signal[20:23] = template.samples
-    scores = matched_filter(signal, template).scores
+    scores = matched_filter(signal, template)
     brute = np.array(
         [
             sum(
@@ -86,7 +86,7 @@ def test_ground_truth_classification_on_pulse():
     labels = ground_truth_classification(waveform.samples, template).labels
     # the aligned pulse correlates at full energy at its own start index
     assert labels[19] == 1
-    brute = matched_filter(waveform.samples, template).scores >= template.energy / 2
+    brute = matched_filter(waveform.samples, template) >= template.energy / 2
     np.testing.assert_array_equal(labels, brute.astype(int))
 
     assert np.all(ground_truth_classification(np.zeros(99), template).labels == 0)

@@ -5,15 +5,19 @@ import pytest
 
 from sparsemag.detection import default_template
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
-from sparsemag.sensor import NoiseModel, magnus_coefficients, measure_sine_coefficient
+from oracles import magnus_coefficients
+from sparsemag.sensor import (
+    NoiseModel,
+    cosine_coupling_matrix,
+    magnus_quadratures,
+    measure_sine_coefficient,
+)
 from sparsemag.experiments import (
     LambdaGrid,
     SweepSpec,
     TrainingSetSpec,
     compute_bound,
-    cosine_coupling_matrix,
     derive_seed,
-    magnus_quadratures,
     run_scenario,
     scenario_to_csv,
     simulate_measurements,
@@ -162,6 +166,9 @@ def test_sweep_spec_validation(one_pulse):
         SweepSpec(m_values=(100,), base_measurements=base)
     with pytest.raises(ValueError):
         SweepSpec(m_values=(0,), base_measurements=base)
+    for subsets in (0, -1):
+        with pytest.raises(ValueError, match="subsets_per_m"):
+            SweepSpec(m_values=(10,), base_measurements=base, subsets_per_m=subsets)
 
 
 def test_run_scenario_unknown_name(one_pulse):

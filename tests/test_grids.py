@@ -125,6 +125,23 @@ def test_synth_rejects_out_of_range_pulse():
         synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, -1e-6)])
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (np.nan, 200e-6, 1e-3),
+        (1000.0, np.inf, 1e-3),
+        (1000.0, 200e-6, np.nan),
+        (1000.0, 200e-6, -np.inf),
+        (1000.0, 0.0, 1e-3),
+        (1000.0, -200e-6, 1e-3),
+    ],
+)
+def test_pulse_spec_rejects_non_finite_or_empty_pulse(fields):
+    # a NaN start time would pass synth_waveform's [0, T] check and sample to zero
+    with pytest.raises(ValueError):
+        PulseSpec(*fields)
+
+
 def test_waveform_length_checked():
     tgrid = TimeGrid(100, 50e-6)
     with pytest.raises(ValueError):

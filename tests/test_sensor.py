@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
+import oracles
 from sparsemag import sensor
-from sparsemag.experiments import derive_seed
+from sparsemag.experiments import derive_seed, simulate_measurements
 
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.sensor import (
@@ -22,16 +23,16 @@ from sparsemag.sensor import (
     evolve_lab_frame,
     evolve_rotating_frame,
     extract_coefficient,
-    magnus_coefficients,
     magnus_prediction,
+    magnus_quadratures,
     magnus_state,
     measure_sine_coefficient,
     ramsey_sample,
-    readout,
+    readout_coefficient,
     second_frame_state,
     spin1_rotation,
 )
-from sparsemag.transform import apply_dst, dst_matrix, sine_interpolant
+from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix, sine_interpolant
 
 
 def zero_signal(t):
@@ -88,18 +89,19 @@ def test_norm_preserved_with_signal():
 
 
 def test_magnus_coefficients_quadratures():
+    # the Simpson oracle of the closed-form quadratures, on analytic integrals
     rabi = 1000.0
     duration = 5e-3
     omega = 2.0 * np.pi * rabi
 
-    sine = magnus_coefficients(lambda t: 100.0 * np.sin(omega * t), rabi, duration)
+    sine = oracles.magnus_coefficients(lambda t: 100.0 * np.sin(omega * t), rabi, duration)
     assert sine.a == pytest.approx(2.0 * np.pi * 100.0 * duration / 2.0, rel=1e-6)
     assert sine.b == pytest.approx(0.0, abs=1e-6)
 
-    zero = magnus_coefficients(zero_signal, rabi, duration)
+    zero = oracles.magnus_coefficients(zero_signal, rabi, duration)
     assert (zero.a, zero.b) == (0.0, 0.0)
 
-    cosine = magnus_coefficients(lambda t: 100.0 * np.cos(omega * t), rabi, duration)
+    cosine = oracles.magnus_coefficients(lambda t: 100.0 * np.cos(omega * t), rabi, duration)
     assert cosine.a == pytest.approx(0.0, abs=1e-6)
     assert cosine.b == pytest.approx(2.0 * np.pi * 100.0 * duration / 2.0, rel=1e-6)
 
@@ -123,9 +125,9 @@ def test_simulation_matches_magnus_on_pulse():
     rabi = 1000.0
     params = SensorParams(0.0, rabi, 0.0, tgrid.duration, 1e-6)
     state = second_frame_state(evolve_rotating_frame(signal, params), params)
-    predicted = magnus_prediction(
-        magnus_coefficients(signal, rabi, tgrid.duration, step=1e-6)
-    )
+    k = int(round(2.0 * rabi * tgrid.duration))
+    a, b = magnus_quadratures(signal.coefs, tgrid.duration)
+    predicted = magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
     assert state.expectation(FX) == pytest.approx(predicted, abs=1e-3)
 
 
@@ -138,36 +140,35 @@ def test_magnus_state_expectation_consistency():
 
 def test_readout_determinism_and_null_signal():
     noise = NoiseModel(0.0, 1e7, seed=3)
-    null_state = magnus_state(MagnusCoefficients(0.0, 0.0))
-    # T is an integer number of Rabi periods, so the second-frame transform
-    # is the identity and the readout sees the a = b = 0 state directly
-    params = SensorParams(0.0, 1000.0, 0.0, 5e-3, 1e-5)
-    counts1 = readout(null_state, params, noise, shot_seed=5)
-    counts2 = readout(null_state, params, noise, shot_seed=5)
-    assert counts1 == counts2
-    value = extract_coefficient(counts1, 5e-3)
-    assert value == pytest.approx(0.0, abs=0.05)
+    fx = magnus_prediction(MagnusCoefficients(0.0, 0.0))
+    value1 = readout_coefficient(fx, 5e-3, noise, shot_seed=5)
+    value2 = readout_coefficient(fx, 5e-3, noise, shot_seed=5)
+    assert isinstance(value1, float)
+    assert value1 == value2
+    assert value1 == pytest.approx(0.0, abs=0.05)
+    assert readout_coefficient(fx, 5e-3, None) == 0.0
 
 
 def test_readout_statistical_mean():
     # state with known second-frame <Fx> = 0.2 measured with 1e6 atoms
     a = float(np.arcsin(0.2))
-    state = magnus_state(MagnusCoefficients(a, 0.0))
+    fx = magnus_state(MagnusCoefficients(a, 0.0)).expectation(FX)
     duration = 5e-3
-    params = SensorParams(0.0, 1000.0, 0.0, duration, 1e-5)
-    # rabi*T = 5 full periods: the second-frame transform is the identity
     noise = NoiseModel(0.0, 1e6, seed=9)
-    counts = readout(state, params, noise, shot_seed=1)
-    estimate = extract_coefficient(counts, duration)
+    estimate = readout_coefficient(fx, duration, noise, shot_seed=1)
     expected = 0.2 / (2.0 * np.pi * duration)
     sigma = np.sqrt(0.5 / 1e6) / (2.0 * np.pi * duration)
     assert abs(estimate - expected) < 3.0 * sigma
 
 
 def test_readout_rejects_unnormalised_state():
-    params = SensorParams(0.0, 1000.0, 0.0, 5e-3, 1e-5)
-    with pytest.raises(ValueError):
-        readout(SpinState(np.array([1.0, 1.0, 0.0])), params, NoiseModel(), 0)
+    # |psi|^2 = 2 gives <Fx> = sqrt(2), which no spin-1 state reaches
+    fx = SpinState(np.array([1.0, 1.0, 0.0])).expectation(FX)
+    for noise in (NoiseModel(), None):
+        with pytest.raises(ValueError):
+            readout_coefficient(fx, 5e-3, noise, 0)
+        with pytest.raises(ValueError):
+            readout_coefficient([0.5, np.nan], 5e-3, noise, [0, 1])
 
 
 def test_extract_coefficient_values():
@@ -349,6 +350,9 @@ def test_noise_model_validation():
         NoiseModel(-1.0, 1000.0)
     with pytest.raises(ValueError):
         NoiseModel(200.0, 0.5)
+    for drift, atoms in ((np.nan, 1000.0), (np.inf, 1000.0), (200.0, np.nan), (200.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(drift, atoms)
 
 
 # ------------------------------------------------ the kernels as first written
@@ -396,8 +400,8 @@ def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
     )
     state = SpinState(_reference_evolve(STATE_MINUS_Z, unitaries))
     if noise is not None:
-        return extract_coefficient(readout(state, params, noise, shot_seed), duration)
-    p = sensor._readout_probabilities(second_frame_state(state, params), 1)
+        return extract_coefficient(oracles.readout(state, params, noise, shot_seed), duration)
+    p = oracles.readout_probabilities(second_frame_state(state, params))
     return (p[2] - p[0]) / (2.0 * np.pi * duration)
 
 
@@ -507,3 +511,90 @@ def test_interpolant_of_other_duration_is_called_directly():
         evolve_rotating_frame(signal, params).amplitudes,
         evolve_rotating_frame(lambda t: signal(t), params).amplitudes,
     )
+
+
+# ------------------------------------------- the coherent-state readout
+#
+# Oracles: the pi/2 pulse as a 3x3 rotation with normalised |psi|^2
+# populations, and the per-shot simulate_measurements loop (tests/oracles.py).
+# The atom counts must not move, so noisy values are compared for equality;
+# noiseless values differ by the old p_minus - p_plus cancellation error only.
+
+NOISELESS_HZ = 3e-14
+
+
+def test_coherent_readout_matches_matrix_readout():
+    rng = np.random.default_rng(17)
+    duration = 5e-3
+    noise = NoiseModel(200.0, 1000.0, seed=8)
+    params = SensorParams(0.0, 1000.0, 0.0, duration, 1e-5)  # identity frame change
+    for shot_seed in range(300):
+        a, b = rng.uniform(-4.0, 4.0, size=2) * rng.choice([1e-3, 1.0])
+        state = magnus_state(MagnusCoefficients(a, b))
+        fx = state.expectation(FX)
+        p = oracles.readout_probabilities(state)
+        noiseless = (p[2] - p[0]) / (2.0 * np.pi * duration)
+        assert abs(readout_coefficient(fx, duration, None) - noiseless) <= NOISELESS_HZ
+        expected = extract_coefficient(
+            oracles.readout(state, params, noise, shot_seed), duration
+        )
+        assert readout_coefficient(fx, duration, noise, shot_seed) == expected
+
+
+def test_readout_vector_call_equals_scalar_calls():
+    fx = np.array([-1.0, -0.3, 0.0, 0.41, 1.0])
+    seeds = np.arange(20, 25)
+    noise = NoiseModel(200.0, 700.0, seed=2)
+    for model in (None, noise):
+        vector = readout_coefficient(fx, 5e-3, model, seeds)
+        assert vector.shape == (5,)
+        for value, x, seed in zip(vector, fx, seeds):
+            assert readout_coefficient(float(x), 5e-3, model, int(seed)) == value
+    np.testing.assert_array_equal(readout_coefficient(fx, 5e-3, None), fx / (2 * np.pi * 5e-3))
+
+
+@pytest.mark.parametrize("amplitude", [1000.0, 2000.0, 3000.0])
+def test_simulate_measurements_matches_per_shot_loop(amplitude):
+    tgrid, _ = make_grids(100, 50e-6)
+    for master_seed in (0, 7, 123):
+        rng = np.random.default_rng(master_seed)
+        starts = rng.uniform(tgrid.dt, tgrid.duration - 200e-6, size=1 + master_seed % 2)
+        waveform = synth_waveform(tgrid, [PulseSpec(amplitude, 200e-6, t0) for t0 in starts])
+        noise = NoiseModel(200.0, 1000.0, seed=master_seed % 5)
+        indices = rng.choice(np.arange(1, 100), size=40, replace=False)
+        for subset in (SubsampleSet(100, tuple(sorted(indices.tolist()))), None):
+            np.testing.assert_array_equal(
+                simulate_measurements(waveform, subset, noise, master_seed).values,
+                oracles.simulate_measurements(waveform, subset, noise, master_seed),
+            )
+            fast = simulate_measurements(waveform, subset, None, master_seed).values
+            slow = oracles.simulate_measurements(waveform, subset, None, master_seed)
+            assert np.max(np.abs(fast - slow)) <= NOISELESS_HZ
+
+
+def test_magnus_shot_matches_per_shot_loop():
+    # one Magnus shot is the loop's shot k with the loop's shot seed
+    for index, waveform in enumerate(_pulse_pool(4, seed=13)):
+        noise = NoiseModel(200.0, 1000.0, seed=index)
+        for k in (1, 2, 17, 60, 99):
+            single = SubsampleSet(100, (k,))
+            shot_seed = derive_seed(index, 0, k)
+            assert measure_sine_coefficient(
+                waveform, k, noise, shot_seed, method="magnus"
+            ) == oracles.simulate_measurements(waveform, single, noise, index)[0]
+            noiseless = measure_sine_coefficient(waveform, k, None, method="magnus")
+            oracle = oracles.simulate_measurements(waveform, single, None)[0]
+            assert abs(noiseless - oracle) <= NOISELESS_HZ
+
+
+def test_magnus_shot_matches_simpson_quadratures():
+    # the exact quadratures move the Simpson shot only by the quadrature error
+    waveform = _pulse_pool(2, seed=4)[1]
+    duration = waveform.grid.duration
+    signal = sine_interpolant(waveform)
+    for k in (1, 9, 50, 99):
+        coeffs = oracles.magnus_coefficients(signal, k / (2.0 * duration), duration, step=1e-6)
+        p = oracles.readout_probabilities(magnus_state(coeffs))
+        simpson_shot = (p[2] - p[0]) / (2.0 * np.pi * duration)
+        fast = measure_sine_coefficient(waveform, k, None, method="magnus")
+        assert fast == pytest.approx(simpson_shot, abs=1e-5)
