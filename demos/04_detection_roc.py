@@ -42,12 +42,11 @@ curve = detection.roc_curve(result.recovered.samples, template, truth)
 score = detection.auc(curve)
 print(f"m = 24 recovery: AUC = {score.value:.4f} over {len(curve.points)} ROC points")
 
-predicted = detection.Classification(
-    (scores >= template.energy / 2.0).astype(int)
-)
-counts = detection.confusion_counts(predicted, truth)
-print(f"at the half-energy threshold: tp={counts.tp} fp={counts.fp} "
-      f"fn={counts.fn} tn={counts.tn}")
+predicted = scores >= template.energy / 2.0
+actual = truth.labels == 1
+tp, fp = int(np.sum(predicted & actual)), int(np.sum(predicted & ~actual))
+fn, tn = int(np.sum(~predicted & actual)), int(np.sum(~predicted & ~actual))
+print(f"at the half-energy threshold: tp={tp} fp={fp} fn={fn} tn={tn}")
 
 detection.roc_to_csv(curve, out_dir / "roc.csv")
 detection.auc_to_json(score, out_dir / "auc.json")

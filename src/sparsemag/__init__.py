@@ -25,12 +25,10 @@ from .transform import (
 from .sensor import (
     MagnusCoefficients,
     NoiseModel,
-    PopulationCounts,
     SensorParams,
     SpinState,
     evolve_lab_frame,
     evolve_rotating_frame,
-    extract_coefficient,
     magnus_prediction,
     magnus_quadratures,
     measure_sine_coefficient,
@@ -43,13 +41,10 @@ from .recovery import (
     RecoveryResult,
     default_lambda,
     fista_solve,
-    objective,
-    soft_threshold,
 )
 from .detection import (
     AucScore,
     Classification,
-    ConfusionCounts,
     RocCurve,
     Template,
     auc,

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/dimension error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -20,8 +19,8 @@ from . import detection, experiments, recovery, transform
 from .grids import (
     PulseSpec,
     TimeGrid,
-    Waveform,
     make_grids,
+    read_csv_rows,
     synth_waveform,
     waveform_from_csv,
     waveform_to_csv,
@@ -122,14 +121,11 @@ def cmd_synth(args) -> int:
 def cmd_measure(args) -> int:
     waveform = waveform_from_csv(args.infile)
     n_grid = waveform.grid.n_grid
-    if args.full:
-        subset = None
-    elif args.subset is not None:
+    subset = None  # --full, or no subset given: every index
+    if args.subset is not None:
         subset = transform.subsample_from_json(args.subset)
     elif args.m is not None:
         subset = transform.random_subsample(n_grid, args.m, args.seed)
-    else:
-        subset = None
     noise = _noise_from_args(args)
     measured = experiments.simulate_measurements(
         waveform, subset, noise, master_seed=args.seed
@@ -154,21 +150,10 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _read_recovered_csv(path) -> np.ndarray:
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] not in ("recovered_hz", "gamma_b_hz"):
-            raise ValueError(f"unexpected recovered CSV header: {header}")
-        for row in reader:
-            values.append(float(row[-1]))
-    return np.array(values)
-
-
 def cmd_roc(args) -> int:
     truth = waveform_from_csv(args.truth)
-    recovered = _read_recovered_csv(args.recovered)
+    headers = (["time_s", "recovered_hz"], ["time_s", "gamma_b_hz"])
+    recovered = np.array([float(x) for _, x in read_csv_rows(args.recovered, *headers)])
     if recovered.size != truth.samples.size:
         raise ValueError(
             f"recovered length {recovered.size} does not match truth "

@@ -9,13 +9,12 @@ exact for the resulting staircase.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TimeGrid
+from .grids import TimeGrid, write_csv_rows
 
 
 @dataclass
@@ -59,14 +58,6 @@ class Classification:
             raise ValueError("labels must be binary")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
 @dataclass
 class RocCurve:
     """(fallout, recall) points sorted by fallout; includes (0,0) and (1,1)."""
@@ -94,19 +85,6 @@ def ground_truth_classification(ground_truth, template: Template) -> Classificat
     return Classification((scores >= template.energy / 2.0).astype(int))
 
 
-def confusion_counts(predicted: Classification, truth: Classification) -> ConfusionCounts:
-    p = predicted.labels
-    t = truth.labels
-    if p.shape != t.shape:
-        raise ValueError("label vectors differ in length")
-    return ConfusionCounts(
-        tp=int(np.sum(p * t)),
-        fp=int(np.sum(p * (1 - t))),
-        fn=int(np.sum((1 - p) * t)),
-        tn=int(np.sum((1 - p) * (1 - t))),
-    )
-
-
 def roc_curve(recovered, template: Template, truth: Classification) -> RocCurve:
     """ROC of the recovered signal's matched output against a ground-truth
     classification, swept over all distinct score values.
@@ -114,15 +92,7 @@ def roc_curve(recovered, template: Template, truth: Classification) -> RocCurve:
     Raises ``ValueError`` when the truth has no positives (recall undefined)
     or no negatives (fallout undefined).
     """
-    n_positive = int(truth.labels.sum())
-    n_negative = int(truth.labels.size - n_positive)
-    if n_positive == 0:
-        raise ValueError("degenerate truth: no positives, recall undefined")
-    if n_negative == 0:
-        raise ValueError("degenerate truth: no negatives, fallout undefined")
-
-    scores = matched_filter(recovered, template)
-    return roc_curve_from_scores(scores, truth)
+    return roc_curve_from_scores(matched_filter(recovered, template), truth)
 
 
 def roc_curve_from_scores(scores, truth: Classification) -> RocCurve:
@@ -142,6 +112,10 @@ def roc_curve_from_scores(scores, truth: Classification) -> RocCurve:
     positive = truth.labels == 1
     n_positive = int(positive.sum())
     n_negative = int(positive.size - n_positive)
+    if n_positive == 0:
+        raise ValueError("degenerate truth: no positives, recall undefined")
+    if n_negative == 0:
+        raise ValueError("degenerate truth: no negatives, fallout undefined")
     distinct, inverse = np.unique(scores, return_inverse=True)
 
     def at_or_above(selected):
@@ -162,11 +136,7 @@ def auc(curve: RocCurve) -> AucScore:
 
 
 def roc_to_csv(curve: RocCurve, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fallout", "recall"])
-        for fallout, recall in curve.points:
-            writer.writerow([repr(float(fallout)), repr(float(recall))])
+    write_csv_rows(path, ["fallout", "recall"], curve.points)
 
 
 def auc_to_json(score: AucScore, path):

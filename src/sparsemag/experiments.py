@@ -1,8 +1,9 @@
 """Study drivers: regularisation tuning, sample-count sweeps against
 compressive-sensing bounds, and end-to-end recovery scenarios.
 
-Every driver is a pure function of (spec, master_seed): per-shot seeds derive
-from the master seed through a counter-based ``SeedSequence`` split, so
+Every driver is a pure function of (spec, master_seed): per-shot seeds and
+noise streams are counter-based ``SeedSequence`` keys, computed exactly for a
+whole batch of keys at once (``sensor._seed_state``, ``sensor._streams``), so
 results never depend on execution order.
 
 Shot batches here use the sensor's first-order Magnus closed form: the exact
@@ -14,7 +15,6 @@ stepped unitary simulator.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -24,14 +24,13 @@ import numpy as np
 
 from . import sensor
 from .detection import (
-    Classification,
     Template,
     auc,
     default_template,
     ground_truth_classification,
     roc_curve,
 )
-from .grids import PulseSpec, TimeGrid, Waveform, make_grids, synth_waveform
+from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows
 from .recovery import (
     FistaConfig,
     LassoProblem,
@@ -42,7 +41,6 @@ from .recovery import (
 )
 from .sensor import MagnusCoefficients, NoiseModel
 from .transform import (
-    DstMatrix,
     MeasurementVector,
     SubsampleSet,
     apply_dst,
@@ -64,9 +62,11 @@ _TAG_SEQUENCE = 3
 _SWEEP_BLOCK_COLUMNS = 256
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
-    """Deterministic child seed for a (master, counter...) key."""
-    return int(np.random.SeedSequence((master_seed, *indices)).generate_state(1)[0])
+def derive_seed(master_seed: int, *indices):
+    """Deterministic child seed for a (master, counter...) key: an int, or a
+    uint32 array with one seed per key when the counters are arrays."""
+    seeds = sensor._seed_state((master_seed, *indices))[0]
+    return int(seeds) if seeds.ndim == 0 else seeds
 
 
 def simulate_measurements(
@@ -90,8 +90,11 @@ def simulate_measurements(
     drift = np.zeros(n_grid - 1)
     shot_seeds = 0  # the noiseless limit draws nothing
     if noise is not None:
-        shot_seeds = [derive_seed(master_seed, _TAG_SHOT, int(i)) for i in k]
-        drift[k - 1] = [sensor._shot_drift(noise, seed) for seed in shot_seeds]
+        shot_seeds = derive_seed(master_seed, _TAG_SHOT, k)
+        drift[k - 1] = [
+            rng.normal(0.0, noise.bias_drift_std_hz)
+            for rng in sensor._streams(noise.seed, shot_seeds, 0)
+        ]
     coefs = apply_dst(dst_matrix(n_grid), waveform)
     a, b = sensor.magnus_quadratures(coefs, duration, drift)
     fx = sensor.magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
@@ -246,14 +249,14 @@ def sweep_sample_count(
     matrix = dst_matrix(spec.n_grid)
     truth_labels = ground_truth_classification(truth, template)
     pairs = [(m, rep) for m in spec.m_values for rep in range(spec.subsets_per_m)]
+    m_of, rep_of = np.array(pairs, dtype=int).reshape(-1, 2).T
+    seeds = derive_seed(spec.master_seed, _TAG_SUBSET, m_of, rep_of)
     scores = np.empty(len(pairs))
     for start in range(0, len(pairs), _SWEEP_BLOCK_COLUMNS):
         chunk = pairs[start : start + _SWEEP_BLOCK_COLUMNS]
         masks = np.zeros((len(chunk), spec.n_grid - 1), dtype=bool)
-        for j, (m, rep) in enumerate(chunk):
-            subset = random_subsample(
-                spec.n_grid, m, derive_seed(spec.master_seed, _TAG_SUBSET, m, rep)
-            )
+        for j, (m, _) in enumerate(chunk):
+            subset = random_subsample(spec.n_grid, m, int(seeds[start + j]))
             masks[j, np.asarray(subset.indices) - 1] = True
         results = fista_solve_block(
             matrix.entries,
@@ -310,7 +313,7 @@ def run_scenario(
     recovery = None
     if name == "ramsey":
         times = tgrid.times
-        seeds = [derive_seed(master_seed, _TAG_RAMSEY, j) for j in range(times.size)]
+        seeds = derive_seed(master_seed, _TAG_RAMSEY, np.arange(times.size))
         samples = sensor.ramsey_sample(waveform, times, ramsey_window, noise, seeds)
         recovered = Waveform(samples, tgrid)
         record = {"protocol": "ramsey", "samples": samples.tolist()}
@@ -340,29 +343,19 @@ def run_scenario(
 
 def scenario_to_csv(result: ScenarioResult, truth: Waveform, path):
     """Write ``time_s,truth_hz,recovered_hz`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "truth_hz", "recovered_hz"])
-        for t, x, y in zip(truth.grid.times, truth.samples, result.recovered.samples):
-            writer.writerow([repr(float(t)), repr(float(x)), repr(float(y))])
+    rows = zip(truth.grid.times, truth.samples, result.recovered.samples)
+    write_csv_rows(path, ["time_s", "truth_hz", "recovered_hz"], rows)
 
 
 def sweep_to_csv(rows, path):
     """Write ``m,mean_auc,std_auc`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "mean_auc", "std_auc"])
-        for m, mean_auc, std_auc in rows:
-            writer.writerow([m, repr(mean_auc), repr(std_auc)])
+    write_csv_rows(path, ["m", "mean_auc", "std_auc"], rows)
 
 
 def tune_to_csv(result: TuneResult, path):
     """Write ``lambda_hz,mean_l1_error`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_hz", "mean_l1_error"])
-        for lam, err in zip(result.lambdas, result.mean_l1_error):
-            writer.writerow([repr(float(lam)), repr(float(err))])
+    rows = zip(result.lambdas, result.mean_l1_error)
+    write_csv_rows(path, ["lambda_hz", "mean_l1_error"], rows)
 
 
 def write_manifest(path, command: str, parameters: dict, master_seed: int, outputs):

@@ -140,13 +140,35 @@ def synth_waveform(grid: TimeGrid, pulses: list[PulseSpec]) -> Waveform:
     return Waveform(samples, grid)
 
 
-def waveform_to_csv(waveform: Waveform, path):
-    """Write ``time_s,gamma_b_hz`` rows."""
+def write_csv_rows(path, header: list[str], rows):
+    """Write a header and rows: integers as they are, every other value as
+    the repr of a float, so equal data always give equal bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time_s", "gamma_b_hz"])
-        for t, x in zip(waveform.grid.times, waveform.samples):
-            writer.writerow([repr(float(t)), repr(float(x))])
+        writer.writerow(header)
+        writer.writerows(
+            [v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+            for row in rows
+        )
+
+
+def read_csv_rows(path, *headers: list[str]) -> list[list[str]]:
+    """The rows under a CSV file's header.  The header must be one of
+    ``headers`` and every row as wide as it, or ``ValueError`` is raised."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] not in headers:
+        raise ValueError(f"CSV {path}: unexpected header {rows[0] if rows else None}")
+    for row in rows[1:]:
+        if len(row) != len(rows[0]):
+            raise ValueError(f"CSV {path}: row {row} does not have {len(rows[0])} fields")
+    return rows[1:]
+
+
+def waveform_to_csv(waveform: Waveform, path):
+    """Write ``time_s,gamma_b_hz`` rows."""
+    rows = zip(waveform.grid.times, waveform.samples)
+    write_csv_rows(path, ["time_s", "gamma_b_hz"], rows)
 
 
 def waveform_from_csv(path, dt: float | None = None) -> Waveform:
@@ -156,17 +178,11 @@ def waveform_from_csv(path, dt: float | None = None) -> Waveform:
     either way the time column must read j*dt, j = 1..N-1, to a relative
     1e-9, or a ``ValueError`` is raised.
     """
-    times, samples = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["time_s", "gamma_b_hz"]:
-            raise ValueError(f"unexpected waveform CSV header: {header}")
-        for row in reader:
-            times.append(float(row[0]))
-            samples.append(float(row[1]))
-    if not samples:
+    rows = read_csv_rows(path, ["time_s", "gamma_b_hz"])
+    if not rows:
         raise ValueError(f"waveform CSV {path} holds no samples")
+    times = [float(t) for t, _ in rows]
+    samples = [float(x) for _, x in rows]
     if dt is None:
         dt = times[0]
     grid = TimeGrid(len(samples) + 1, dt)

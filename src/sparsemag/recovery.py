@@ -19,13 +19,13 @@ the others go on.  :func:`fista_solve` is a block of one.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import write_csv_rows
 from .transform import operator_norm_bound
 
 
@@ -70,26 +70,6 @@ class RecoveryResult:
     objective_trace: np.ndarray = field(repr=False)
     iterations_used: int
     converged: bool
-
-
-def soft_threshold(x, tau: float) -> np.ndarray:
-    """Elementwise sign(x) * max(|x| - tau, 0)."""
-    if tau < 0:
-        raise ValueError("threshold must be non-negative")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-
-
-def objective(problem: LassoProblem, x) -> float:
-    """||A x - m||_2^2 + lambda ||x||_1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.operator.shape[1],):
-        raise ValueError(
-            f"x length {x.shape} does not match operator columns "
-            f"{problem.operator.shape[1]}"
-        )
-    residual = problem.operator @ x - problem.measurements
-    return float(residual @ residual + problem.lam * np.abs(x).sum())
 
 
 def fista_solve(problem: LassoProblem, config: FistaConfig | None = None) -> RecoveryResult:
@@ -248,11 +228,7 @@ def _checked_block(operator, measurements, lams, row_masks):
 
 def result_to_csv(result: RecoveryResult, times, path):
     """Write the recovered waveform as ``time_s,recovered_hz`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "recovered_hz"])
-        for t, x in zip(times, result.waveform):
-            writer.writerow([repr(float(t)), repr(float(x))])
+    write_csv_rows(path, ["time_s", "recovered_hz"], zip(times, result.waveform))
 
 
 def result_metadata_to_json(result: RecoveryResult, lam: float, path):

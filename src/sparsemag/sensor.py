@@ -115,17 +115,6 @@ class SpinState:
 
 
 @dataclass(frozen=True)
-class PopulationCounts:
-    n_plus: int
-    n_zero: int
-    n_minus: int
-
-    @property
-    def total(self) -> int:
-        return self.n_plus + self.n_zero + self.n_minus
-
-
-@dataclass(frozen=True)
 class MagnusCoefficients:
     """First-order Magnus quadratures (radians): a from the sine component,
     b from the cosine component of the signal at the Rabi frequency.  Floats
@@ -298,22 +287,100 @@ def magnus_state(coeffs: MagnusCoefficients) -> SpinState:
     return SpinState(spin1_rotation(axis, r) @ STATE_MINUS_Z)
 
 
-def _count_atoms(probs, noise: NoiseModel, shot_seed: int) -> PopulationCounts:
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 1)))
-    total = max(1, int(rng.poisson(noise.mean_atoms)))
-    return PopulationCounts(*(int(c) for c in rng.multinomial(total, probs)))
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def extract_coefficient(counts: PopulationCounts, duration: float) -> float:
-    """Sine-coefficient estimate (n_minus - n_plus) / (2 pi T total), in Hz."""
-    if counts.total <= 0:
-        raise ValueError("cannot extract a coefficient from zero atoms")
-    return (counts.n_minus - counts.n_plus) / (2.0 * np.pi * duration * counts.total)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^i mod 2^32 for i = 0..count, as a column: the i-th hash
+    xors with constant i and multiplies by constant i + 1."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)[:, None]
 
 
-def _shot_drift(noise: NoiseModel, shot_seed: int) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 0)))
-    return float(rng.normal(0.0, noise.bias_drift_std_hz))
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# mixing round s hashes pool word s once for each other word, in word order,
+# with hash constants 4 + 3s, 5 + 3s and 6 + 3s; word s itself takes a spare
+# constant and is put back after the round
+_ROUND = np.array([[4, 4, 5, 6], [7, 8, 8, 9], [10, 11, 12, 12], [13, 14, 15, 16]])
+_ROUND_IN, _ROUND_OUT = _HASH_A[_ROUND], _HASH_A[_ROUND + 1]
+
+
+def _hashmix(values, const_in, const_out):
+    v = (values ^ const_in) * const_out
+    return v ^ (v >> 16)
+
+
+def _mix(x, y):
+    r = 0xCA01F9DD * x - 0x4973F715 * y
+    return r ^ (r >> 16)
+
+
+def _seed_state(key, n_words: int = 1) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(n_words)``, n_words <= 8,
+    for a batch of keys at once, with shape (n_words, *batch shape).
+
+    The key's entries are non-negative integers or integer arrays that
+    broadcast together.  Each key is the little-endian 32-bit words of its
+    entries, at least one word each, as SeedSequence splits it.  The hash
+    constants do not depend on the data, so each step of the pool mixing is
+    one operation on a block of pool words of every key.
+    """
+    shape = np.broadcast(*map(np.asarray, key)).shape
+    rows, same_length = [], True
+    for entry in map(np.atleast_1d, key):
+        if (entry < 0).any():
+            raise ValueError("expected non-negative integer")
+        rows.append(entry & _MASK32)
+        while (entry := entry >> 32).any():
+            same_length &= bool(entry.all())
+            rows.append(entry & _MASK32)
+    if not same_length:  # keys of different word counts: one key at a time
+        keys = zip(*(np.broadcast_to(e, shape).ravel().tolist() for e in key))
+        state = [_seed_state(k, n_words) for k in keys]
+        return np.stack(state, axis=-1).reshape((n_words,) + shape)
+    # a key shorter than the pool is padded with zero words
+    words = np.zeros((max(4, len(rows)),) + (shape or (1,)), dtype=np.uint32)
+    for i, row in enumerate(rows):
+        words[i] = row
+    words = words.reshape(len(words), -1)
+
+    pool = _hashmix(words[:4], _HASH_A[:4], _HASH_A[1:5])
+    for s in range(4):
+        mixed = _mix(pool, _hashmix(pool[s], _ROUND_IN[s], _ROUND_OUT[s]))
+        mixed[s] = pool[s]
+        pool = mixed
+    for s in range(4, len(words)):  # each word past the pool mixes into all 4
+        c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * s + 4)[4 * s :]
+        pool = _mix(pool, _hashmix(words[s], c[:-1], c[1:]))
+    b = _HASH_B[: n_words + 1]
+    state = _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:])
+    return state.reshape((n_words,) + shape)
+
+
+def _streams(*key):
+    """Yield one ``Generator`` per key of a broadcast batch, in C order, each
+    in the state of ``np.random.default_rng(np.random.SeedSequence(key))``.
+
+    PCG64 takes its 128-bit initstate and initseq from
+    ``generate_state(4, np.uint64)``; then inc = (initseq << 1) | 1 and
+    state = ((inc + initstate) M + inc) mod 2^128, M its multiplier.  One
+    Generator, local to the call, is reused: draw from each key's stream
+    before taking the next.
+    """
+    words = _seed_state(key, 8).reshape(8, -1).astype(np.uint64)
+    seeds = (words[0::2] | words[1::2] << 32).T.tolist()
+    rng = np.random.Generator(np.random.PCG64())
+    for state_hi, state_lo, seq_hi, seq_lo in seeds:
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        yield rng
 
 
 def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed=0):
@@ -322,9 +389,10 @@ def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed
 
     ``noise=None`` is the exact noiseless limit fx / (2 pi T).  Otherwise the
     pi/2-pulse populations (((1-x)/2)^2, (1-x^2)/2, ((1+x)/2)^2) are counted
-    with one seeded draw per shot (``_count_atoms``, stream (noise.seed,
-    shot_seed, 1)).  Array ``fx`` and ``shot_seed`` broadcast and give an
-    array; scalars give a float.
+    with one Poisson atom number and one multinomial draw per shot, on stream
+    (noise.seed, shot_seed, 1), and read as (n_minus - n_plus) / (2 pi T
+    atoms).  Array ``fx`` and ``shot_seed`` broadcast and give an array;
+    scalars give a float.
     """
     fx, seeds = np.broadcast_arrays(np.asarray(fx, dtype=float), shot_seed)
     if not np.all(np.abs(fx) <= 1.0 + 1e-9):
@@ -337,9 +405,10 @@ def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed
             (((1.0 - x) / 2.0) ** 2, (1.0 - x**2) / 2.0, ((1.0 + x) / 2.0) ** 2), axis=-1
         )
         values = np.empty(fx.shape)
-        for i, seed in np.ndenumerate(seeds):
-            counts = _count_atoms(probs[i], noise, int(seed))
-            values[i] = extract_coefficient(counts, duration)
+        for i, rng in zip(np.ndindex(fx.shape), _streams(noise.seed, seeds, 1)):
+            atoms = max(1, int(rng.poisson(noise.mean_atoms)))
+            n_plus, _, n_minus = (int(c) for c in rng.multinomial(atoms, probs[i]))
+            values[i] = (n_minus - n_plus) / (2.0 * np.pi * duration * atoms)
     return float(values) if values.ndim == 0 else values
 
 
@@ -370,7 +439,10 @@ def measure_sine_coefficient(
         raise ValueError(f"k must lie in 1..{n_grid - 1}, got {k}")
     duration = waveform.grid.duration
     rabi_hz = k / (2.0 * duration)
-    drift = 0.0 if noise is None else _shot_drift(noise, shot_seed)
+    drift = 0.0
+    if noise is not None:  # stream (noise.seed, shot_seed, 0)
+        rng = next(_streams(noise.seed, shot_seed, 0))
+        drift = rng.normal(0.0, noise.bias_drift_std_hz)
     signal = sine_interpolant(waveform)
 
     if method == "unitary":
@@ -418,9 +490,7 @@ def ramsey_sample(
     values = np.array(sine_interpolant(waveform).window_mean(lo, hi))
     if noise is not None:
         shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
-        for i, seed in np.ndenumerate(seeds):
-            seq = np.random.SeedSequence((noise.seed, int(seed), 2))
-            rng = np.random.default_rng(seq)
+        for i, rng in zip(np.ndindex(values.shape), _streams(noise.seed, seeds, 2)):
             drift = rng.normal(0.0, noise.bias_drift_std_hz)
             values[i] = values[i] + drift + rng.normal(0.0, shot_std)
     return float(values) if values.ndim == 0 else values

@@ -12,14 +12,13 @@ form keeps row subsampling trivial, and the cost is O(N^2).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .grids import FrequencyGrid, TimeGrid, Waveform
+from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_rows, write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -189,28 +188,23 @@ def subsample_to_json(subsample: SubsampleSet, path):
 def subsample_from_json(path) -> SubsampleSet:
     with open(path) as fh:
         data = json.load(fh)
-    return SubsampleSet(int(data["n_grid"]), tuple(int(i) for i in data["indices"]))
+    try:
+        return SubsampleSet(int(data["n_grid"]), tuple(int(i) for i in data["indices"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"subset JSON {path} needs n_grid and a list of indices") from exc
 
 
 def measurements_to_csv(measurement: MeasurementVector, fgrid: FrequencyGrid, path):
     """Write ``k,freq_hz,coef_hz`` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "freq_hz", "coef_hz"])
-        for k, value in zip(measurement.subsample.indices, measurement.values):
-            writer.writerow([int(k), repr(float(k * fgrid.df)), repr(float(value))])
+    pairs = zip(measurement.subsample.indices, measurement.values)
+    rows = ((k, k * fgrid.df, value) for k, value in pairs)
+    write_csv_rows(path, ["k", "freq_hz", "coef_hz"], rows)
 
 
 def measurements_from_csv(path, n_grid: int) -> MeasurementVector:
-    indices, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "freq_hz", "coef_hz"]:
-            raise ValueError(f"unexpected measurement CSV header: {header}")
-        for row in reader:
-            indices.append(int(row[0]))
-            values.append(float(row[2]))
+    rows = read_csv_rows(path, ["k", "freq_hz", "coef_hz"])
+    indices = [int(k) for k, _, _ in rows]
+    values = [float(value) for _, _, value in rows]
     order = np.argsort(indices)
     subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
     return MeasurementVector(np.array(values)[order], subsample)

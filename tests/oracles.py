@@ -6,14 +6,18 @@
   ``spin1_rotation`` applied to the state, populations |psi|^2 normalised.
 * ``simulate_measurements``: the per-shot loop, one ``magnus_state`` rotation
   and one matrix readout per shot, with the atom-count draw written out.
+* ``derive_seed``, ``shot_drift`` and ``count_atoms``: the per-shot seeds and
+  noise streams, each built directly on ``np.random.SeedSequence`` and
+  ``default_rng``, one key at a time.
+* ``soft_threshold`` and ``objective``: the LASSO pieces of the scalar FISTA
+  loop, which the block engine inlines.
 """
 
 import numpy as np
 from scipy.integrate import simpson
 
 from sparsemag import sensor
-from sparsemag.experiments import derive_seed
-from sparsemag.sensor import MagnusCoefficients, PopulationCounts
+from sparsemag.sensor import MagnusCoefficients
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix
 
 
@@ -40,10 +44,26 @@ def readout_probabilities(state):
     return p / p.sum()
 
 
+def derive_seed(master_seed, *indices):
+    return int(np.random.SeedSequence((master_seed, *indices)).generate_state(1)[0])
+
+
+def shot_drift(noise, shot_seed):
+    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 0)))
+    return float(rng.normal(0.0, noise.bias_drift_std_hz))
+
+
 def count_atoms(probs, noise, shot_seed):
+    """Atom counts (n_plus, n_zero, n_minus) of one shot."""
     rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 1)))
     total = max(1, int(rng.poisson(noise.mean_atoms)))
-    return PopulationCounts(*(int(c) for c in rng.multinomial(total, probs)))
+    return tuple(int(c) for c in rng.multinomial(total, probs))
+
+
+def extract_coefficient(counts, duration):
+    """Sine-coefficient estimate (n_minus - n_plus) / (2 pi T total), in Hz."""
+    n_plus, n_zero, n_minus = counts
+    return (n_minus - n_plus) / (2.0 * np.pi * duration * (n_plus + n_zero + n_minus))
 
 
 def readout(state, params, noise, shot_seed):
@@ -66,15 +86,32 @@ def simulate_measurements(waveform, subsample, noise, master_seed=0):
     values = np.empty(subsample.m)
     for i, k in enumerate(subsample.indices):
         shot_seed = derive_seed(master_seed, 0, k)
-        drift = 0.0 if noise is None else sensor._shot_drift(noise, shot_seed)
+        drift = 0.0 if noise is None else shot_drift(noise, shot_seed)
         a_k = a_base[k - 1] + drift * 2.0 * duration * (1.0 - (-1.0) ** k) / k
         state = sensor.magnus_state(MagnusCoefficients(a_k, b_all[k - 1]))
         probs = readout_probabilities(state)
         if noise is None:
             values[i] = (probs[2] - probs[0]) / (2.0 * np.pi * duration)
         else:
-            counts = count_atoms(probs, noise, shot_seed)
-            values[i] = (counts.n_minus - counts.n_plus) / (
-                2.0 * np.pi * duration * counts.total
-            )
+            values[i] = extract_coefficient(count_atoms(probs, noise, shot_seed), duration)
     return values
+
+
+def soft_threshold(x, tau):
+    """Elementwise sign(x) * max(|x| - tau, 0)."""
+    if tau < 0:
+        raise ValueError("threshold must be non-negative")
+    x = np.asarray(x, dtype=float)
+    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+
+
+def objective(problem, x):
+    """||A x - m||_2^2 + lambda ||x||_1."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.operator.shape[1],):
+        raise ValueError(
+            f"x length {x.shape} does not match operator columns "
+            f"{problem.operator.shape[1]}"
+        )
+    residual = problem.operator @ x - problem.measurements
+    return float(residual @ residual + problem.lam * np.abs(x).sum())

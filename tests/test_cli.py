@@ -213,6 +213,57 @@ def test_roc_length_mismatch(tmp_path, pulse_csv, capsys):
     assert code == 4
 
 
+def _assert_numeric_error(code, capsys, *words):
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and all(w in err for w in words), err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_measure_subset_json_without_indices(tmp_path, pulse_csv, capsys):
+    subset = tmp_path / "subset.json"
+    subset.write_text(json.dumps({"n_grid": 100}))
+    code = run_cli(["measure", "--in", pulse_csv, "--subset", subset,
+                    "--out", tmp_path / "m.csv"])
+    _assert_numeric_error(code, capsys, "indices")
+
+
+def test_recover_short_measurement_row(tmp_path, capsys):
+    m_csv = tmp_path / "m.csv"
+    m_csv.write_text("k,freq_hz,coef_hz\n1,100.0\n")
+    code = run_cli(["recover", "--measurements", m_csv, "--out", tmp_path / "rec.csv"])
+    _assert_numeric_error(code, capsys, "3 fields")
+
+
+def test_measure_short_waveform_row(tmp_path, capsys):
+    wf = tmp_path / "wf.csv"
+    wf.write_text("time_s,gamma_b_hz\n5e-05\n")
+    code = run_cli(["measure", "--in", wf, "--out", tmp_path / "m.csv"])
+    _assert_numeric_error(code, capsys, "2 fields")
+
+
+def test_recover_empty_measurement_file(tmp_path, capsys):
+    empty = tmp_path / "m.csv"
+    empty.write_text("")
+    code = run_cli(["recover", "--measurements", empty, "--out", tmp_path / "rec.csv"])
+    _assert_numeric_error(code, capsys, "unexpected header")
+
+
+def test_roc_blank_row_in_recovered(tmp_path, pulse_csv, capsys):
+    recovered = tmp_path / "rec.csv"
+    recovered.write_text("time_s,recovered_hz\n5e-05,0.0\n\n")
+    code = run_cli(["roc", "--recovered", recovered, "--truth", pulse_csv,
+                    "--out", tmp_path / "roc.csv"])
+    _assert_numeric_error(code, capsys, "2 fields")
+
+
+@pytest.mark.parametrize("flags", [["--seed", -1], ["--full", "--seed", -1],
+                                   ["--full", "--noise-seed", -1]])
+def test_measure_negative_seed(tmp_path, pulse_csv, capsys, flags):
+    code = run_cli(["measure", "--in", pulse_csv, *flags, "--out", tmp_path / "m.csv"])
+    _assert_numeric_error(code, capsys, "non-negative")
+
+
 def test_bound_prints_reference_values(capsys):
     assert run_cli(["bound", "--sparsity", 4, "--n", 100]) == 0
     assert capsys.readouterr().out.strip() == "34"

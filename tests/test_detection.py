@@ -13,7 +13,6 @@ from sparsemag.detection import (
     Template,
     auc,
     auc_to_json,
-    confusion_counts,
     default_template,
     ground_truth_classification,
     matched_filter,
@@ -93,16 +92,6 @@ def test_ground_truth_classification_on_pulse():
 
     inverted = -waveform.samples
     assert ground_truth_classification(inverted, template).labels[19] == 0
-
-
-def test_confusion_counts():
-    predicted = Classification(np.array([1, 1, 0, 0, 1]))
-    truth = Classification(np.array([1, 0, 0, 1, 1]))
-    counts = confusion_counts(predicted, truth)
-    assert (counts.tp, counts.fp, counts.fn, counts.tn) == (2, 1, 1, 1)
-    assert counts.tp + counts.fp + counts.fn + counts.tn == 5
-    with pytest.raises(ValueError):
-        confusion_counts(predicted, Classification(np.array([1, 0])))
 
 
 def test_classification_validation():
@@ -188,6 +177,8 @@ def test_roc_degenerate_truth_errors():
         roc_curve(np.zeros(5), template, Classification(np.zeros(5, dtype=int)))
     with pytest.raises(ValueError, match="fallout"):
         roc_curve(np.zeros(5), template, Classification(np.ones(5, dtype=int)))
+    with pytest.raises(ValueError, match="recall"):
+        roc_curve_from_scores(np.arange(5.0), Classification(np.zeros(5, dtype=int)))
 
 
 def test_roc_endpoints_and_ranges():

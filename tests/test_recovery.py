@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import objective, soft_threshold
 from sparsemag.experiments import LambdaGrid, simulate_measurements
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.recovery import (
@@ -15,11 +16,9 @@ from sparsemag.recovery import (
     default_lambda,
     fista_solve,
     fista_solve_block,
-    objective,
     result_metadata_to_json,
     result_to_csv,
     safe_step,
-    soft_threshold,
 )
 from sparsemag.sensor import NoiseModel
 from sparsemag.transform import (

@@ -1,5 +1,7 @@
 """Shot-level spin-1 sensor simulation and its Magnus closed form."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -17,12 +19,10 @@ from sparsemag.sensor import (
     STATE_MINUS_Z,
     MagnusCoefficients,
     NoiseModel,
-    PopulationCounts,
     SensorParams,
     SpinState,
     evolve_lab_frame,
     evolve_rotating_frame,
-    extract_coefficient,
     magnus_prediction,
     magnus_quadratures,
     magnus_state,
@@ -169,15 +169,6 @@ def test_readout_rejects_unnormalised_state():
             readout_coefficient(fx, 5e-3, noise, 0)
         with pytest.raises(ValueError):
             readout_coefficient([0.5, np.nan], 5e-3, noise, [0, 1])
-
-
-def test_extract_coefficient_values():
-    assert extract_coefficient(PopulationCounts(10, 37, 10), 5e-3) == 0.0
-    value = extract_coefficient(PopulationCounts(0, 0, 1000), 5e-3)
-    assert value == pytest.approx(1.0 / (2.0 * np.pi * 5e-3), rel=1e-12)
-    assert value == pytest.approx(31.83, abs=0.01)
-    with pytest.raises(ValueError):
-        extract_coefficient(PopulationCounts(0, 0, 0), 5e-3)
 
 
 def test_measure_zero_waveform_is_zero():
@@ -393,14 +384,16 @@ def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
     n_steps = max(1, int(round(duration / params.step)))
     dt = duration / n_steps
     t = (np.arange(n_steps) + 0.5) * dt
-    drift = 0.0 if noise is None else sensor._shot_drift(noise, shot_seed)
+    drift = 0.0 if noise is None else oracles.shot_drift(noise, shot_seed)
     field = 2.0 * np.sin(np.multiply.outer(t, omega)) @ coefs
     unitaries = sensor._step_unitaries(
         np.full(n_steps, 2.0 * np.pi * rabi_hz), -2.0 * np.pi * (field + drift), dt
     )
     state = SpinState(_reference_evolve(STATE_MINUS_Z, unitaries))
     if noise is not None:
-        return extract_coefficient(oracles.readout(state, params, noise, shot_seed), duration)
+        return oracles.extract_coefficient(
+            oracles.readout(state, params, noise, shot_seed), duration
+        )
     p = oracles.readout_probabilities(second_frame_state(state, params))
     return (p[2] - p[0]) / (2.0 * np.pi * duration)
 
@@ -426,7 +419,7 @@ def test_ramsey_matches_simpson_reference():
     for index, waveform in enumerate(_pulse_pool(16)):
         noise = None if index % 4 == 0 else NoiseModel(200.0, 1000.0, seed=index)
         times = waveform.grid.times
-        seeds = [derive_seed(index, 2, j) for j in range(times.size)]
+        seeds = [oracles.derive_seed(index, 2, j) for j in range(times.size)]
         fast = ramsey_sample(waveform, times, 60e-6, noise, seeds)
         slow = np.array(
             [_reference_ramsey(waveform, t, 60e-6, noise, s) for t, s in zip(times, seeds)]
@@ -535,7 +528,7 @@ def test_coherent_readout_matches_matrix_readout():
         p = oracles.readout_probabilities(state)
         noiseless = (p[2] - p[0]) / (2.0 * np.pi * duration)
         assert abs(readout_coefficient(fx, duration, None) - noiseless) <= NOISELESS_HZ
-        expected = extract_coefficient(
+        expected = oracles.extract_coefficient(
             oracles.readout(state, params, noise, shot_seed), duration
         )
         assert readout_coefficient(fx, duration, noise, shot_seed) == expected
@@ -578,7 +571,7 @@ def test_magnus_shot_matches_per_shot_loop():
         noise = NoiseModel(200.0, 1000.0, seed=index)
         for k in (1, 2, 17, 60, 99):
             single = SubsampleSet(100, (k,))
-            shot_seed = derive_seed(index, 0, k)
+            shot_seed = oracles.derive_seed(index, 0, k)
             assert measure_sine_coefficient(
                 waveform, k, noise, shot_seed, method="magnus"
             ) == oracles.simulate_measurements(waveform, single, noise, index)[0]
@@ -598,3 +591,80 @@ def test_magnus_shot_matches_simpson_quadratures():
         simpson_shot = (p[2] - p[0]) / (2.0 * np.pi * duration)
         fast = measure_sine_coefficient(waveform, k, None, method="magnus")
         assert fast == pytest.approx(simpson_shot, abs=1e-5)
+
+
+# ------------------------------------------------- exact seed streams
+#
+# sensor._seed_state and sensor._streams recompute numpy's SeedSequence
+# mixing and PCG64 seeding for a batch of keys.  They are checked against
+# numpy itself, so a numpy that changes either algorithm fails here instead
+# of silently shifting every sampled value.
+
+# values needing 1, 2 and 3 uint32 words
+WIDE = (0, 2**32 - 1, 2**32, 2**64 + 1)
+
+
+def _reference_words(key, n_words):
+    return np.random.SeedSequence(key).generate_state(n_words)
+
+
+def test_seed_state_matches_seed_sequence_in_every_position():
+    keys = [key for n in (1, 2, 3) for key in itertools.product(WIDE, repeat=n)]
+    for key in keys:
+        np.testing.assert_array_equal(sensor._seed_state(key, 8), _reference_words(key, 8))
+    # one batch mixing every layout: 2 to 9 words per key
+    batch = np.array(list(itertools.product(WIDE, repeat=3)), dtype=object).T
+    state = sensor._seed_state(tuple(batch), 8)
+    for j, key in enumerate(batch.T.tolist()):
+        np.testing.assert_array_equal(state[:, j], _reference_words(key, 8))
+
+
+def test_seed_state_broadcasts_shot_seed_arrays():
+    shot_seeds = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.uint32)
+    for master in (0, 5, 2**32 - 1, 2**32, 2**64 + 1):
+        for tag in (0, 1, 2):
+            state = sensor._seed_state((master, shot_seeds, tag))
+            assert state.shape == (1, shot_seeds.size)
+            expected = [_reference_words((master, int(s), tag), 1)[0] for s in shot_seeds]
+            np.testing.assert_array_equal(state[0], expected)
+    # two array entries broadcast to a grid of keys
+    grid = sensor._seed_state((3, np.arange(3)[:, None], np.arange(2)))
+    assert grid.shape == (1, 3, 2)
+    assert grid[0, 2, 1] == _reference_words((3, 2, 1), 1)[0]
+    assert sensor._seed_state((np.array(4), 9)).shape == (1,)
+
+
+def test_derive_seed_batch_equals_scalar_oracle():
+    seeds = derive_seed(0, 0, np.arange(1, 100))
+    assert seeds.dtype == np.uint32
+    assert seeds.tolist() == [oracles.derive_seed(0, 0, k) for k in range(1, 100)]
+    assert derive_seed(2**40, 3) == oracles.derive_seed(2**40, 3)
+
+
+def test_streams_match_pcg64_states_and_first_draws():
+    shot_seeds = np.array([0, 3, 2**31, 2**32 - 1], dtype=np.uint32)
+    probs = [0.2, 0.3, 0.5]
+    for noise_seed in (0, 2**32, 2**64 + 1):
+        for tag in (0, 1, 2):
+            streams = sensor._streams(noise_seed, shot_seeds, tag)
+            for seed, rng in zip(shot_seeds, streams):
+                seq = np.random.SeedSequence((noise_seed, int(seed), tag))
+                assert rng.bit_generator.state == np.random.PCG64(seq).state
+                reference = np.random.default_rng(seq)
+                assert rng.normal(0.0, 200.0) == reference.normal(0.0, 200.0)
+                assert rng.poisson(1000.0) == reference.poisson(1000.0)
+                np.testing.assert_array_equal(
+                    rng.multinomial(1000, probs), reference.multinomial(1000, probs)
+                )
+
+
+def test_seed_helpers_reject_negative_and_non_integer_seeds():
+    for key in ((-1, 0), (0, np.array([3, -1]), 1), (2**64, -(2**40))):
+        with pytest.raises(ValueError):
+            sensor._seed_state(key)
+    with pytest.raises(ValueError):
+        derive_seed(-1, 0, 5)
+    with pytest.raises(ValueError):
+        readout_coefficient(0.1, 5e-3, NoiseModel(seed=-1), 0)
+    with pytest.raises(TypeError):
+        sensor._seed_state((0, 1.5))
