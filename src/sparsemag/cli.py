@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/dimension error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -138,10 +139,8 @@ def cmd_measure(args) -> int:
 
 def cmd_recover(args) -> int:
     measured = transform.measurements_from_csv(args.measurements, args.n)
-    matrix = transform.dst_matrix(args.n)
-    operator = transform.subsample_rows(matrix, measured.subsample)
-    problem = recovery.LassoProblem(operator, measured.values, args.lam)
-    result = recovery.fista_solve(problem)
+    rows = transform.subsample_rows(transform.dst_matrix(args.n), measured.subsample)
+    result = recovery.fista_solve(recovery.LassoProblem(rows, measured.values, args.lam))
     grid = TimeGrid(args.n, args.dt)
     recovery.result_to_csv(result, grid.times, args.out)
     meta_path = args.out + ".meta.json"
@@ -176,7 +175,7 @@ def cmd_tune(args) -> int:
         n_grid=args.n,
         dt=args.dt,
         m=args.m,
-        noise=NoiseModel(args.drift_std, args.atoms, args.noise_seed),
+        noise=_noise_from_args(args),
         master_seed=args.seed,
     )
     grid = experiments.LambdaGrid(args.lambda_low, args.lambda_high, args.lambda_count)
@@ -215,6 +214,7 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsemag",
@@ -299,13 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -6,12 +6,13 @@ m(f) = (1/T) integral sin(2 pi f t) x(t) dt on the paired grids
 (df * dt = 1/(2N)).  A is a scaled orthogonal matrix: A^T A = I/(2N), so every
 singular value is 1/sqrt(2N) and the inverse transform is x = 2N A^T m.
 
-The matrix is kept dense on purpose: N is at most a few hundred here, dense
-form keeps row subsampling trivial, and the cost is O(N^2).
+The matrix is dense on purpose (N is at most a few hundred, and rows subsample
+trivially); it is built once per N and shared, so its entries are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -33,12 +34,14 @@ class DstMatrix:
             raise ValueError("entries shape inconsistent with n_grid")
 
 
+@functools.lru_cache(maxsize=4)
 def dst_matrix(n_grid: int) -> DstMatrix:
-    """Build the DST-I sampler with entries sin(pi k j / N) / N."""
+    """The shared, read-only DST-I sampler with entries sin(pi k j / N) / N."""
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     idx = np.arange(1, n_grid)
     entries = np.sin(np.pi * np.outer(idx, idx) / n_grid) / n_grid
+    entries.flags.writeable = False
     return DstMatrix(n_grid, entries)
 
 
@@ -173,11 +176,10 @@ class SineInterpolant:
         return 2.0 * (np.sin(centre) * np.sinc(half / np.pi)) @ self.coefs
 
 
-def sine_interpolant(waveform: Waveform, matrix: DstMatrix | None = None):
+def sine_interpolant(waveform: Waveform) -> SineInterpolant:
     """The :class:`SineInterpolant` of a waveform."""
-    if matrix is None:
-        matrix = dst_matrix(waveform.grid.n_grid)
-    return SineInterpolant(apply_dst(matrix, waveform), waveform.grid.duration)
+    coefs = apply_dst(dst_matrix(waveform.grid.n_grid), waveform)
+    return SineInterpolant(coefs, waveform.grid.duration)
 
 
 def subsample_to_json(subsample: SubsampleSet, path):
@@ -189,9 +191,12 @@ def subsample_from_json(path) -> SubsampleSet:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        return SubsampleSet(int(data["n_grid"]), tuple(int(i) for i in data["indices"]))
+        n_grid, indices = data["n_grid"], tuple(data["indices"])
+        if any(type(v) is not int for v in (n_grid, *indices)):  # no bool, float or str
+            raise TypeError
+        return SubsampleSet(n_grid, indices)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"subset JSON {path} needs n_grid and a list of indices") from exc
+        raise ValueError(f"subset JSON {path} needs integer n_grid and indices") from exc
 
 
 def measurements_to_csv(measurement: MeasurementVector, fgrid: FrequencyGrid, path):

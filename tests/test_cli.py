@@ -228,6 +228,21 @@ def test_measure_subset_json_without_indices(tmp_path, pulse_csv, capsys):
     _assert_numeric_error(code, capsys, "indices")
 
 
+@pytest.mark.parametrize("data", [
+    {"n_grid": 100.9, "indices": [1, 5, 9]},
+    {"n_grid": 100, "indices": [1.7, 5.2, 9.9]},
+    {"n_grid": 100, "indices": [True, 5, 9]},
+    {"n_grid": 100, "indices": ["1", "5", "9"]},
+])
+def test_measure_rejects_non_integer_subset_json(tmp_path, pulse_csv, capsys, data):
+    subset = tmp_path / "subset.json"
+    subset.write_text(json.dumps(data))
+    out = tmp_path / "m.csv"
+    code = run_cli(["measure", "--in", pulse_csv, "--subset", subset, "--out", out])
+    _assert_numeric_error(code, capsys, "integer")
+    assert not out.exists()
+
+
 def test_recover_short_measurement_row(tmp_path, capsys):
     m_csv = tmp_path / "m.csv"
     m_csv.write_text("k,freq_hz,coef_hz\n1,100.0\n")
@@ -313,6 +328,19 @@ def test_tune_tiny(tmp_path, capsys):
     assert "best_lambda_hz" in capsys.readouterr().out
 
 
+def test_tune_no_noise_is_noiseless(tmp_path):
+    def tune(name, *flags):
+        out = tmp_path / name
+        assert run_cli(["tune", "--count", 2, "--lambda-count", 5, *flags,
+                        "--out", out]) == 0
+        return out.read_bytes()
+
+    noisy, noiseless = tune("noisy.csv"), tune("noiseless.csv", "--no-noise")
+    assert noisy != noiseless
+    # the noise flags reach the noiseless run through its manifest only
+    assert tune("noiseless_drift.csv", "--no-noise", "--drift-std", 900) == noiseless
+
+
 def test_help_lists_subcommands():
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["--help"])
@@ -338,6 +366,53 @@ def test_cli_rerun_byte_identical_subprocess(tmp_path, run_sparsemag):
     first = run(tmp_path / "a.csv")
     second = run(tmp_path / "b.csv")
     assert first == second
+
+
+def test_cli_session_in_one_process_matches_fresh_processes(
+    tmp_path, monkeypatch, run_sparsemag
+):
+    # one process reuses one parser for every call: the files and manifests
+    # must match fresh processes, with no value carried over between calls,
+    # and failed calls between the steps must change nothing
+    steps = [
+        ["synth", "--pulses", "1.025e-3,1000,200e-6", "--out", "wf.csv"],
+        ["synth", "--out", "zero.csv"],
+        ["measure", "--in", "wf.csv", "--m", "60", "--seed", "7", "--out", "m60.csv"],
+        ["measure", "--in", "wf.csv", "--full", "--out", "full.csv"],
+        ["measure", "--in", "wf.csv", "--subset", "subset.json", "--out", "sub.csv"],
+        ["recover", "--measurements", "m60.csv", "--lambda", "2.0", "--out", "rec2.csv"],
+        ["recover", "--measurements", "m60.csv", "--out", "rec.csv"],
+        ["roc", "--recovered", "rec.csv", "--truth", "wf.csv", "--out", "roc.csv"],
+    ]
+    failing = {
+        1: (["synth", "--pulses", "1e-3,1000", "--out", "bad.csv"], 2),
+        4: (["measure", "--in", "wf.csv", "--m", "200", "--out", "bad.csv"], 4),
+        6: (["recover", "--measurements", "m60.csv", "--lambda", "x", "--out", "bad.csv"], 2),
+    }
+    session, fresh = tmp_path / "session", tmp_path / "fresh"
+    for directory in (session, fresh):
+        directory.mkdir()
+        (directory / "subset.json").write_text('{"n_grid": 100, "indices": [2, 3, 50]}')
+
+    monkeypatch.chdir(session)
+    for i, args in enumerate(steps):
+        if i in failing:
+            bad_args, expected = failing[i]
+            assert _exit_code(bad_args) == expected
+        assert run_cli(args) == 0
+    for args in steps:
+        run_sparsemag(args, cwd=fresh)
+
+    names = sorted(path.name for path in session.iterdir())
+    assert names == sorted(path.name for path in fresh.iterdir())
+    assert "bad.csv" not in names
+    assert len([n for n in names if n.endswith(".manifest.json")]) == len(steps)
+    for name in names:
+        assert (session / name).read_bytes() == (fresh / name).read_bytes(), name
+    zero = json.loads((session / "zero.csv.manifest.json").read_text())
+    assert zero["parameters"]["pulses"] == []
+    rec = json.loads((session / "rec.csv.manifest.json").read_text())
+    assert rec["parameters"]["lam"] == 1.04
 
 
 def _exit_code(args):

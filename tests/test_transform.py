@@ -36,6 +36,32 @@ def test_dst_matrix_entry_values():
     )
 
 
+@pytest.mark.parametrize("n_grid", [2, 4, 16, 100, 1000])
+def test_dst_matrix_shared_read_only_and_exact(n_grid):
+    matrix = dst_matrix(n_grid)
+    assert dst_matrix(n_grid) is matrix
+    with pytest.raises(ValueError):
+        matrix.entries[0, 0] = 1.0
+    idx = np.arange(1, n_grid)
+    uncached = np.sin(np.pi * np.outer(idx, idx) / n_grid) / n_grid
+    np.testing.assert_array_equal(matrix.entries, uncached)
+
+
+def test_subsample_rows_of_shared_matrix_is_writeable_copy():
+    matrix = dst_matrix(100)
+    rows = subsample_rows(matrix, SubsampleSet(100, (1, 50, 99)))
+    assert rows.flags.writeable
+    rows[:] = 0.0
+    assert matrix.entries[49, 0] == pytest.approx(0.01, abs=1e-15)
+
+
+@pytest.mark.parametrize("n_grid", [1, 0, -5])
+def test_dst_matrix_rejects_small_grid(n_grid):
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ValueError, match="n_grid"):
+            dst_matrix(n_grid)
+
+
 @pytest.mark.parametrize("n_grid", [2, 4, 16, 100])
 def test_dst_orthogonality_and_singular_values(n_grid):
     a = dst_matrix(n_grid).entries
