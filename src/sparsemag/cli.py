@@ -96,7 +96,7 @@ def _manifest(args, out_paths):
     parameters = {
         key: _jsonable(value)
         for key, value in sorted(vars(args).items())
-        if key not in ("func", "command") and not callable(value)
+        if key != "command"
     }
     experiments.write_manifest(
         str(out_paths[0]) + ".manifest.json",
@@ -139,8 +139,10 @@ def cmd_measure(args) -> int:
 
 def cmd_recover(args) -> int:
     measured = transform.measurements_from_csv(args.measurements, args.n)
-    rows = transform.subsample_rows(transform.dst_matrix(args.n), measured.subsample)
-    result = recovery.fista_solve(recovery.LassoProblem(rows, measured.values, args.lam))
+    matrix = transform.dst_matrix(args.n)
+    operator = transform.subsample_rows(matrix, measured.subsample)
+    problem = recovery.LassoProblem(operator, measured.values, args.lam)
+    result = recovery.fista_solve(problem)
     grid = TimeGrid(args.n, args.dt)
     recovery.result_to_csv(result, grid.times, args.out)
     meta_path = args.out + ".meta.json"
@@ -231,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='pulse list "t0,amplitude_hz,duration_s;..."',
     )
     p.add_argument("--out", default="waveform.csv", help="output CSV path")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("measure", help="simulate sine-coefficient shots")
     p.add_argument("--in", dest="infile", required=True, help="waveform CSV")
@@ -242,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     _add_noise_flags(p)
     p.add_argument("--out", default="measurements.csv", help="output CSV path")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("recover", help="FISTA sparse recovery")
     p.add_argument("--measurements", required=True, help="measurement CSV")
@@ -253,13 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="regularisation weight (Hz)",
     )
     p.add_argument("--out", default="recovered.csv", help="output CSV path")
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("roc", help="matched-filter ROC/AUC of a recovery")
     p.add_argument("--recovered", required=True, help="recovered CSV")
     p.add_argument("--truth", required=True, help="ground-truth waveform CSV")
     p.add_argument("--out", default="roc.csv", help="output CSV path")
-    p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("tune", help="tune lambda on simulated training data")
     p.add_argument("--count", type=int, default=1000, help="training sequences")
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     _add_noise_flags(p)
     p.add_argument("--out", default="tune.csv", help="output CSV path")
-    p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("sweep", help="measurement-count AUC sweep")
     p.add_argument("--base", required=True, help="full-coefficient CSV")
@@ -288,20 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default="sweep.csv", help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bound", help="compressive sample-count bound")
     p.add_argument("--sparsity", type=int, required=True, help="signal sparsity s")
     p.add_argument("--n", type=int, default=100, help="grid size N")
-    p.set_defaults(func=cmd_bound)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The command is looked up by name on every call, not bound into the
+    # cached parser, so a replaced module-level cmd_* is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO

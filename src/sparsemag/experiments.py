@@ -246,6 +246,7 @@ def sweep_sample_count(
     matrix, solved ``_SWEEP_BLOCK_COLUMNS`` columns at a time.  Failed
     recoveries keep their (possibly poor) AUC; nothing is dropped.
     """
+    matrix = dst_matrix(spec.n_grid)
     truth_labels = ground_truth_classification(truth, template)
     pairs = [(m, rep) for m in spec.m_values for rep in range(spec.subsets_per_m)]
     m_of, rep_of = np.array(pairs, dtype=int).reshape(-1, 2).T
@@ -258,7 +259,7 @@ def sweep_sample_count(
             subset = random_subsample(spec.n_grid, m, int(seeds[start + j]))
             masks[j, np.asarray(subset.indices) - 1] = True
         results = fista_solve_block(
-            dst_matrix(spec.n_grid).entries,
+            matrix.entries,
             spec.base_measurements,
             np.full(len(chunk), spec.lam),
             row_masks=masks,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sparsemag import cli
 from sparsemag.cli import main
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform, waveform_from_csv
 from sparsemag.transform import apply_dst, dst_matrix, measurements_from_csv
@@ -339,6 +340,20 @@ def test_tune_no_noise_is_noiseless(tmp_path):
     assert noisy != noiseless
     # the noise flags reach the noiseless run through its manifest only
     assert tune("noiseless_drift.csv", "--no-noise", "--drift-std", 900) == noiseless
+
+
+@pytest.mark.parametrize("command", ["synth", "measure", "recover", "roc", "bound"])
+def test_main_runs_the_command_bound_when_it_is_called(monkeypatch, command):
+    # the parser is built once per process, so a cmd_* replaced after the
+    # build (a wrapper, say) must still be the function main runs
+    required = {"measure": ["--in", "x"], "recover": ["--measurements", "x"],
+                "roc": ["--recovered", "x", "--truth", "x"], "bound": ["--sparsity", 3]}
+    argv = [command, *required.get(command, [])]
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args) or 7)
+    assert run_cli(argv) == 7
+    assert [args.command for args in calls] == [command]
 
 
 def test_help_lists_subcommands():
