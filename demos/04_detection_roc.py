@@ -27,7 +27,7 @@ waveform = sm.synth_waveform(
 )
 template = detection.default_template(tgrid)
 truth = detection.ground_truth_classification(waveform.samples, template)
-print(f"ground truth: {truth.labels.sum()} positive locations of {truth.labels.size}")
+print(f"ground truth: {truth.sum()} positive locations of {truth.size}")
 
 # a deliberately under-sampled recovery so the ROC is interesting
 noise = sm.NoiseModel(200.0, 1000.0, seed=3)
@@ -40,10 +40,10 @@ print(f"matched-filter peak {scores.max():.2e} vs template energy "
 
 curve = detection.roc_curve(result.recovered.samples, template, truth)
 score = detection.auc(curve)
-print(f"m = 24 recovery: AUC = {score.value:.4f} over {len(curve.points)} ROC points")
+print(f"m = 24 recovery: AUC = {score:.4f} over {len(curve)} ROC points")
 
 predicted = scores >= template.energy / 2.0
-actual = truth.labels == 1
+actual = truth == 1
 tp, fp = int(np.sum(predicted & actual)), int(np.sum(predicted & ~actual))
 fn, tn = int(np.sum(~predicted & actual)), int(np.sum(~predicted & ~actual))
 print(f"at the half-energy threshold: tp={tp} fp={fp} fn={fn} tn={tn}")

@@ -11,7 +11,6 @@ from .grids import (
     synth_waveform,
 )
 from .transform import (
-    DstMatrix,
     MeasurementVector,
     SubsampleSet,
     apply_dst,
@@ -23,7 +22,6 @@ from .transform import (
     subsample_rows,
 )
 from .sensor import (
-    MagnusCoefficients,
     NoiseModel,
     SensorParams,
     SpinState,
@@ -43,9 +41,6 @@ from .recovery import (
     fista_solve,
 )
 from .detection import (
-    AucScore,
-    Classification,
-    RocCurve,
     Template,
     auc,
     default_template,

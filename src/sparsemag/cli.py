@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/dimension error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import sys
 
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, OverflowError, csv.Error) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -48,28 +48,6 @@ def default_template(
     return Template(amplitude * np.sin(2.0 * np.pi * k * grid.dt / pulse_duration))
 
 
-@dataclass
-class Classification:
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=int)
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be binary")
-
-
-@dataclass
-class RocCurve:
-    """(fallout, recall) points sorted by fallout; includes (0,0) and (1,1)."""
-
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
-class AucScore:
-    value: float
-
-
 def matched_filter(signal, template: Template) -> np.ndarray:
     """Scores g_j = sum_k signal[k + j] * template[k], zero-padded."""
     signal = np.asarray(signal, dtype=float)
@@ -79,37 +57,41 @@ def matched_filter(signal, template: Template) -> np.ndarray:
     return scores[template.samples.size - 1 :]
 
 
-def ground_truth_classification(ground_truth, template: Template) -> Classification:
-    """Label 1 wherever the matched output reaches half the template energy."""
+def ground_truth_classification(ground_truth, template: Template) -> np.ndarray:
+    """Int 0/1 labels: 1 wherever the matched output reaches half the
+    template energy."""
     scores = matched_filter(ground_truth, template)
-    return Classification((scores >= template.energy / 2.0).astype(int))
+    return (scores >= template.energy / 2.0).astype(int)
 
 
-def roc_curve(recovered, template: Template, truth: Classification) -> RocCurve:
-    """ROC of the recovered signal's matched output against a ground-truth
-    classification, swept over all distinct score values.
+def roc_curve(recovered, template: Template, labels) -> np.ndarray:
+    """ROC of the recovered signal's matched output against ground-truth
+    0/1 labels, swept over all distinct score values.
 
     Raises ``ValueError`` when the truth has no positives (recall undefined)
     or no negatives (fallout undefined).
     """
-    return roc_curve_from_scores(matched_filter(recovered, template), truth)
+    return roc_curve_from_scores(matched_filter(recovered, template), labels)
 
 
-def roc_curve_from_scores(scores, truth: Classification) -> RocCurve:
-    """ROC from raw detection scores (one per location).
+def roc_curve_from_scores(scores, labels) -> np.ndarray:
+    """ROC from raw detection scores (one per location) and 0/1 labels: an
+    (n, 2) array of (fallout, recall) points sorted by fallout, from (0, 0)
+    to (1, 1).
 
     A threshold between consecutive distinct scores flags every location
     scoring at or above the upper one, so the true- and false-positive counts
     at each threshold are reversed cumulative sums of the per-score counts.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != truth.labels.shape:
-        raise ValueError(
-            f"{scores.shape} scores do not match {truth.labels.shape} labels"
-        )
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise ValueError(f"{scores.shape} scores do not match {labels.shape} labels")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be binary")
     if not np.all(np.isfinite(scores)):
         raise ValueError("detection scores have non-finite values")
-    positive = truth.labels == 1
+    positive = labels == 1
     n_positive = int(positive.sum())
     n_negative = int(positive.size - n_positive)
     if n_positive == 0:
@@ -126,19 +108,19 @@ def roc_curve_from_scores(scores, truth: Classification) -> RocCurve:
 
     tp = at_or_above(positive)
     fp = at_or_above(~positive)
-    return RocCurve(np.column_stack((fp[::-1] / n_negative, tp[::-1] / n_positive)))
+    return np.column_stack((fp[::-1] / n_negative, tp[::-1] / n_positive))
 
 
-def auc(curve: RocCurve) -> AucScore:
-    """Trapezoidal area under the (fallout, recall) curve."""
-    pts = np.asarray(curve.points, dtype=float)
-    return AucScore(float(np.trapezoid(pts[:, 1], pts[:, 0])))
+def auc(curve) -> float:
+    """Trapezoidal area under an (n, 2) array of (fallout, recall) points."""
+    pts = np.asarray(curve, dtype=float)
+    return float(np.trapezoid(pts[:, 1], pts[:, 0]))
 
 
-def roc_to_csv(curve: RocCurve, path):
-    write_csv_rows(path, ["fallout", "recall"], curve.points)
+def roc_to_csv(curve, path):
+    write_csv_rows(path, ["fallout", "recall"], curve)
 
 
-def auc_to_json(score: AucScore, path):
+def auc_to_json(value: float, path):
     with open(path, "w") as fh:
-        json.dump({"auc": score.value}, fh)
+        json.dump({"auc": value}, fh)

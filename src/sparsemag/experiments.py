@@ -32,14 +32,13 @@ from .detection import (
 )
 from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows
 from .recovery import (
-    FistaConfig,
     LassoProblem,
     RecoveryResult,
     default_lambda,
     fista_solve,
     fista_solve_block,
 )
-from .sensor import MagnusCoefficients, NoiseModel
+from .sensor import NoiseModel
 from .transform import (
     MeasurementVector,
     SubsampleSet,
@@ -97,7 +96,7 @@ def simulate_measurements(
         ]
     coefs = apply_dst(dst_matrix(n_grid), waveform)
     a, b = sensor.magnus_quadratures(coefs, duration, drift)
-    fx = sensor.magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
+    fx = sensor.magnus_prediction(a[k - 1], b[k - 1])
     return MeasurementVector(
         sensor.readout_coefficient(fx, duration, noise, shot_seeds), subsample
     )
@@ -131,8 +130,8 @@ class LambdaGrid:
     count: int = 200
 
     def __post_init__(self):
-        if not self.low < self.high:
-            raise ValueError("low must be below high")
+        if not 0 < self.low < self.high < np.inf:
+            raise ValueError("lambda grid needs 0 < low < high < inf")
         if self.count < 2:
             raise ValueError("count must be >= 2")
 
@@ -168,11 +167,10 @@ def _training_sequence(spec: TrainingSetSpec, index: int) -> Waveform:
     return synth_waveform(tgrid, pulses)
 
 
-def tune_lambda(
-    spec: TrainingSetSpec, grid: LambdaGrid, config: FistaConfig | None = None
-) -> TuneResult:
+def tune_lambda(spec: TrainingSetSpec, grid: LambdaGrid) -> TuneResult:
     """Mean l1 recovery error over the training set for each lambda; the
-    minimiser is the tuned regularisation weight."""
+    minimiser is the tuned regularisation weight.  Solves that hit max_iters
+    are counted in ``failed_solves``."""
     matrix = dst_matrix(spec.n_grid)
     lambdas = grid.values
     errors = np.zeros(lambdas.size)
@@ -185,22 +183,21 @@ def tune_lambda(
         measured = simulate_measurements(
             waveform, subset, spec.noise, master_seed=derive_seed(spec.master_seed, index)
         )
-        results = fista_solve_block(
-            subsample_rows(matrix, subset), measured.values, lambdas, config=config
-        )
+        operator = subsample_rows(matrix, subset)
+        results = fista_solve_block(operator, measured.values, lambdas)
         failures += sum(not result.converged for result in results)
         recovered = np.array([result.waveform for result in results])
         errors += np.abs(recovered - waveform.samples).sum(axis=1)
     errors /= spec.count
-    if failures:
-        warnings.warn(f"{failures} FISTA solves hit max_iters during tuning")
     best = lambdas[int(np.argmin(errors))]
     return TuneResult(float(best), lambdas, errors, failures)
 
 
 def compute_bound(sparsity: int, n_grid: int) -> int:
     """Minimum measurement count ceil(2 s ln(e N / s)) guaranteeing sparse
-    recovery at sparsity s on a grid of size N."""
+    recovery at sparsity s on a grid of size N >= 2."""
+    if n_grid < 2:
+        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     if not 1 <= sparsity <= n_grid:
         raise ValueError(f"sparsity must lie in 1..{n_grid}, got {sparsity}")
     bound = math.ceil(2.0 * sparsity * math.log(math.e * n_grid / sparsity))
@@ -238,7 +235,6 @@ def sweep_sample_count(
     spec: SweepSpec,
     template: Template,
     truth: np.ndarray,
-    config: FistaConfig | None = None,
 ) -> list[tuple[int, float, float]]:
     """(m, mean AUC, std AUC) over seeded random subsets for each m.
 
@@ -259,15 +255,14 @@ def sweep_sample_count(
             subset = random_subsample(spec.n_grid, m, int(seeds[start + j]))
             masks[j, np.asarray(subset.indices) - 1] = True
         results = fista_solve_block(
-            matrix.entries,
+            matrix,
             spec.base_measurements,
             np.full(len(chunk), spec.lam),
             row_masks=masks,
-            config=config,
         )
         for j, result in enumerate(results):
             curve = roc_curve(result.waveform, template, truth_labels)
-            scores[start + j] = auc(curve).value
+            scores[start + j] = auc(curve)
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
     return [
         (int(m), float(row.mean()), float(row.std()))
@@ -294,13 +289,11 @@ def run_scenario(
     master_seed: int = 0,
     m: int = 60,
     lam: float | None = None,
-    ramsey_window: float = 60e-6,
     template: Template | None = None,
-    config: FistaConfig | None = None,
 ) -> ScenarioResult:
     """Measure a waveform with one of the three protocols and grade the
-    recovery: Ramsey time sampling, complete inverse DST, or compressive
-    FISTA recovery from m random sine coefficients."""
+    recovery: Ramsey time sampling in 60 us windows, complete inverse DST, or
+    compressive FISTA recovery from m random sine coefficients."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     tgrid = waveform.grid
@@ -314,7 +307,7 @@ def run_scenario(
     if name == "ramsey":
         times = tgrid.times
         seeds = derive_seed(master_seed, _TAG_RAMSEY, np.arange(times.size))
-        samples = sensor.ramsey_sample(waveform, times, ramsey_window, noise, seeds)
+        samples = sensor.ramsey_sample(waveform, times, 60e-6, noise, seeds)
         recovered = Waveform(samples, tgrid)
         record = {"protocol": "ramsey", "samples": samples.tolist()}
     elif name == "full_dst":
@@ -326,9 +319,8 @@ def run_scenario(
             tgrid.n_grid, m, derive_seed(master_seed, _TAG_SUBSET)
         )
         measured = simulate_measurements(waveform, subset, noise, master_seed)
-        recovery = fista_solve(
-            LassoProblem(subsample_rows(matrix, subset), measured.values, lam), config
-        )
+        operator = subsample_rows(matrix, subset)
+        recovery = fista_solve(LassoProblem(operator, measured.values, lam))
         recovered = Waveform(recovery.waveform, tgrid)
         record = {
             "protocol": "compressive",
@@ -338,7 +330,7 @@ def run_scenario(
 
     truth_labels = ground_truth_classification(waveform.samples, template)
     curve = roc_curve(recovered.samples, template, truth_labels)
-    return ScenarioResult(name, recovered, auc(curve).value, record, recovery)
+    return ScenarioResult(name, recovered, auc(curve), record, recovery)
 
 
 def scenario_to_csv(result: ScenarioResult, truth: Waveform, path):

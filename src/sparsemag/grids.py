@@ -2,8 +2,8 @@
 
 All field quantities are stored as Rabi-equivalent ordinary frequencies
 (gamma * B, in hertz).  Factors of 2*pi appear only inside evolution and
-quadrature formulas, never in stored data.  The fixed conversion
-1 kHz <-> 143 nT handles display in tesla.
+quadrature formulas, never in stored data.  For this sensor 1 kHz of
+Rabi-equivalent frequency corresponds to 143 nT of field.
 """
 
 from __future__ import annotations
@@ -12,20 +12,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-# 1 kHz of Rabi-equivalent frequency corresponds to 143 nT of field,
-# i.e. gamma ~ 6.993 Hz/nT for this sensor.
-GAMMA_HZ_PER_NT = 1000.0 / 143.0
-
-
-def hz_to_nanotesla(value_hz):
-    """Convert a Rabi-equivalent frequency (Hz) to field amplitude (nT)."""
-    return np.asarray(value_hz) / GAMMA_HZ_PER_NT
-
-
-def nanotesla_to_hz(value_nt):
-    """Convert a field amplitude (nT) to Rabi-equivalent frequency (Hz)."""
-    return np.asarray(value_nt) * GAMMA_HZ_PER_NT
 
 
 @dataclass(frozen=True)

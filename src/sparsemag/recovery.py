@@ -3,7 +3,7 @@
 Minimises ||A x - m||_2^2 + lambda ||x||_1 (no 1/2 on the data term).  The
 gradient Lipschitz constant is therefore 2 sigma_max^2; with
 sigma_max <= 1/sqrt(2N) for any row-subsampled DST the largest safe step is
-N, and the default keeps a 0.9 margin.
+N, and the solver keeps a 0.9 margin.
 
 One engine, :func:`fista_solve_block`, runs every solve (Beck & Teboulle,
 SIAM J. Imaging Sci. 2009).  It iterates a block of problems that share one
@@ -47,21 +47,17 @@ class LassoProblem:
         self.measurements = np.asarray(self.measurements, dtype=float)
         _checked_block(self.operator, self.measurements, [self.lam], None)
 
-    @property
-    def n_grid(self) -> int:
-        return self.operator.shape[1] + 1
-
 
 @dataclass
 class FistaConfig:
-    step: float | None = None
     max_iters: int = 5000
     rel_tolerance: float = 1e-8
 
 
-def safe_step(n_grid: int, margin: float = 0.9) -> float:
-    """Largest safe FISTA step 1/(2 sigma_max^2) = N, scaled by ``margin``."""
-    return margin / (2.0 * operator_norm_bound(n_grid) ** 2)
+def safe_step(n_grid: int) -> float:
+    """The FISTA step: the largest safe step 1/(2 sigma_max^2) = N, with a
+    0.9 margin."""
+    return 0.9 / (2.0 * operator_norm_bound(n_grid) ** 2)
 
 
 @dataclass
@@ -106,9 +102,7 @@ def fista_solve_block(
     operator, measurements, lams, mask = _checked_block(
         operator, measurements, lams, row_masks
     )
-    step = config.step if config.step is not None else safe_step(operator.shape[1] + 1)
-    if step < 0:
-        raise ValueError("FISTA step must be non-negative")
+    step = safe_step(operator.shape[1] + 1)
     count, n_unknowns = lams.size, operator.shape[1]
     # One row per column of the block: row j of x is column j's waveform, so
     # per-column sums and the rows dropped on stalling stay contiguous.  The
@@ -209,8 +203,8 @@ def _checked_block(operator, measurements, lams, row_masks):
             f"measurement length {measurements.shape} does not match "
             f"operator rows {operator.shape[0]}"
         )
-    if not np.all(np.isfinite(measurements)):
-        raise ValueError("measurements have non-finite values")
+    if not np.all(np.abs(measurements) < 1e100):  # so that squares cannot overflow
+        raise ValueError("measurements have non-finite values or values beyond 1e100")
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lambdas must be a non-empty vector")
     if not np.all(np.isfinite(lams)) or np.any(lams <= 0):

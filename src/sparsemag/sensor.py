@@ -40,6 +40,7 @@ pairwise, ceil(log2 n) batched levels, before the product meets |m=-1>.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,16 +113,6 @@ class SpinState:
     def populations(self) -> np.ndarray:
         """Probabilities (p_plus, p_zero, p_minus)."""
         return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class MagnusCoefficients:
-    """First-order Magnus quadratures (radians): a from the sine component,
-    b from the cosine component of the signal at the Rabi frequency.  Floats
-    for one shot, or equal-shape arrays for a batch."""
-
-    a: float
-    b: float
 
 
 def spin1_rotation(axis, angle: float) -> np.ndarray:
@@ -232,17 +223,20 @@ def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
     return SpinState(psi)
 
 
+@functools.lru_cache(maxsize=4)
 def cosine_coupling_matrix(n_grid: int) -> np.ndarray:
     """Matrix C with c = C m giving the cosine coefficients c_k of the
     sine-series interpolant whose sine coefficients are m.
 
-    C[k, l] = (4/pi) * l / (l^2 - k^2) for l + k odd, else 0.
+    C[k, l] = (4/pi) * l / (l^2 - k^2) for l + k odd, else 0.  Built once
+    per N and shared, like ``transform.dst_matrix``, so it is read-only.
     """
     k = np.arange(1, n_grid)[:, None].astype(float)
     l = np.arange(1, n_grid)[None, :].astype(float)
     odd = (k + l) % 2 == 1
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(odd, (4.0 / np.pi) * l / (l**2 - k**2), 0.0)
+    c.flags.writeable = False
     return c
 
 
@@ -263,10 +257,11 @@ def magnus_quadratures(
     return a, b
 
 
-def magnus_prediction(coeffs: MagnusCoefficients):
-    """Expected second-frame <Fx> = sin(r)/r * a with r = sqrt(a^2 + b^2);
-    a float for float quadratures, an array for arrays."""
-    fx = np.sinc(np.hypot(coeffs.a, coeffs.b) / np.pi) * coeffs.a
+def magnus_prediction(a, b):
+    """Expected second-frame <Fx> = sin(r)/r * a, r = sqrt(a^2 + b^2), for the
+    first-order Magnus quadratures (radians) a and b of the signal's sine and
+    cosine components; a float for floats, an array for equal-shape arrays."""
+    fx = np.sinc(np.hypot(a, b) / np.pi) * a
     return float(fx) if np.ndim(fx) == 0 else fx
 
 
@@ -277,13 +272,13 @@ def second_frame_state(state: SpinState, params: SensorParams) -> SpinState:
     return SpinState(spin1_rotation([1.0, 0.0, 0.0], -angle) @ state.amplitudes)
 
 
-def magnus_state(coeffs: MagnusCoefficients) -> SpinState:
+def magnus_state(a: float, b: float) -> SpinState:
     """Second-frame state predicted by first-order Magnus, starting in |m=-1>:
     psi_rr = exp(+i (a Fy + b Fz)) |m=-1>."""
-    r = np.hypot(coeffs.a, coeffs.b)
+    r = np.hypot(a, b)
     if r == 0.0:
         return SpinState(STATE_MINUS_Z.copy())
-    axis = np.array([0.0, -coeffs.a, -coeffs.b]) / r
+    axis = np.array([0.0, -a, -b]) / r
     return SpinState(spin1_rotation(axis, r) @ STATE_MINUS_Z)
 
 
@@ -459,7 +454,7 @@ def measure_sine_coefficient(
         fx = state.expectation(FX)
     elif method == "magnus":
         a, b = magnus_quadratures(signal.coefs, duration, drift)
-        fx = magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
+        fx = magnus_prediction(a[k - 1], b[k - 1])
     else:
         raise ValueError(f"unknown method {method!r}")
     return readout_coefficient(fx, duration, noise, shot_seed)

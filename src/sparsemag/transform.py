@@ -22,49 +22,38 @@ import scipy.fft
 from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_rows, write_csv_rows
 
 
-@dataclass(frozen=True)
-class DstMatrix:
-    """Dense DST-I sampler for a grid of size ``n_grid``."""
-
-    n_grid: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.n_grid - 1, self.n_grid - 1):
-            raise ValueError("entries shape inconsistent with n_grid")
-
-
 @functools.lru_cache(maxsize=4)
-def dst_matrix(n_grid: int) -> DstMatrix:
-    """The shared, read-only DST-I sampler with entries sin(pi k j / N) / N."""
+def dst_matrix(n_grid: int) -> np.ndarray:
+    """The shared, read-only (N-1)x(N-1) DST-I sampler with entries
+    sin(pi k j / N) / N.  Functions taking it read N as ``len(matrix) + 1``."""
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     idx = np.arange(1, n_grid)
     entries = np.sin(np.pi * np.outer(idx, idx) / n_grid) / n_grid
     entries.flags.writeable = False
-    return DstMatrix(n_grid, entries)
+    return entries
 
 
-def apply_dst(matrix: DstMatrix, waveform: Waveform) -> np.ndarray:
+def apply_dst(matrix: np.ndarray, waveform: Waveform) -> np.ndarray:
     """Full measurement vector m_k = sum_j sin(pi k j / N) x_j / N."""
-    if waveform.grid.n_grid != matrix.n_grid:
+    if waveform.grid.n_grid != len(matrix) + 1:
         raise ValueError(
             f"waveform grid N={waveform.grid.n_grid} does not match "
-            f"matrix N={matrix.n_grid}"
+            f"matrix N={len(matrix) + 1}"
         )
-    return matrix.entries @ waveform.samples
+    return matrix @ waveform.samples
 
 
-def apply_inverse_dst(matrix: DstMatrix, full_measurements, grid: TimeGrid) -> Waveform:
+def apply_inverse_dst(
+    matrix: np.ndarray, full_measurements, grid: TimeGrid
+) -> Waveform:
     """Exact inverse of :func:`apply_dst`: x = 2N A^T m."""
     m = np.asarray(full_measurements, dtype=float)
-    if m.shape != (matrix.n_grid - 1,):
-        raise ValueError(
-            f"expected full-length vector of {matrix.n_grid - 1}, got {m.shape}"
-        )
-    if grid.n_grid != matrix.n_grid:
+    if m.shape != (len(matrix),):
+        raise ValueError(f"expected full-length vector of {len(matrix)}, got {m.shape}")
+    if grid.n_grid != len(matrix) + 1:
         raise ValueError("grid does not match matrix")
-    samples = 2.0 * matrix.n_grid * (matrix.entries.T @ m)
+    samples = 2.0 * (len(matrix) + 1) * (matrix.T @ m)
     return Waveform(samples, grid)
 
 
@@ -111,12 +100,12 @@ def random_subsample(n_grid: int, m: int, seed: int) -> SubsampleSet:
     return SubsampleSet(n_grid, tuple(sorted(int(i) for i in pool[:m])))
 
 
-def subsample_rows(matrix: DstMatrix, subsample: SubsampleSet) -> np.ndarray:
+def subsample_rows(matrix: np.ndarray, subsample: SubsampleSet) -> np.ndarray:
     """Rows of A at the chosen frequency indices, in index order (M x (N-1))."""
-    if subsample.n_grid != matrix.n_grid:
+    if subsample.n_grid != len(matrix) + 1:
         raise ValueError("subsample set does not match matrix size")
     rows = np.asarray(subsample.indices, dtype=int) - 1
-    return matrix.entries[rows, :]
+    return matrix[rows, :]
 
 
 @dataclass
@@ -180,11 +169,6 @@ def sine_interpolant(waveform: Waveform) -> SineInterpolant:
     """The :class:`SineInterpolant` of a waveform."""
     coefs = apply_dst(dst_matrix(waveform.grid.n_grid), waveform)
     return SineInterpolant(coefs, waveform.grid.duration)
-
-
-def subsample_to_json(subsample: SubsampleSet, path):
-    with open(path, "w") as fh:
-        json.dump({"n_grid": subsample.n_grid, "indices": list(subsample.indices)}, fh)
 
 
 def subsample_from_json(path) -> SubsampleSet:

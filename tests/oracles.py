@@ -17,12 +17,11 @@ import numpy as np
 from scipy.integrate import simpson
 
 from sparsemag import sensor
-from sparsemag.sensor import MagnusCoefficients
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix
 
 
 def magnus_coefficients(signal, rabi_hz, duration, step=None):
-    """a = 2 pi * integral sin(Omega t) gamma_b(t) dt and
+    """(a, b): a = 2 pi * integral sin(Omega t) gamma_b(t) dt and
     b = 2 pi * integral cos(Omega t) gamma_b(t) dt by composite Simpson."""
     if step is None:
         step = min(1.0 / (50.0 * rabi_hz), duration / 1000.0)
@@ -34,7 +33,7 @@ def magnus_coefficients(signal, rabi_hz, duration, step=None):
     values = np.asarray(signal(t), dtype=float)
     a = 2.0 * np.pi * simpson(np.sin(omega * t) * values, x=t)
     b = 2.0 * np.pi * simpson(np.cos(omega * t) * values, x=t)
-    return MagnusCoefficients(float(a), float(b))
+    return float(a), float(b)
 
 
 def readout_probabilities(state):
@@ -88,7 +87,7 @@ def simulate_measurements(waveform, subsample, noise, master_seed=0):
         shot_seed = derive_seed(master_seed, 0, k)
         drift = 0.0 if noise is None else shot_drift(noise, shot_seed)
         a_k = a_base[k - 1] + drift * 2.0 * duration * (1.0 - (-1.0) ** k) / k
-        state = sensor.magnus_state(MagnusCoefficients(a_k, b_all[k - 1]))
+        state = sensor.magnus_state(a_k, b_all[k - 1])
         probs = readout_probabilities(state)
         if noise is None:
             values[i] = (probs[2] - probs[0]) / (2.0 * np.pi * duration)

@@ -32,8 +32,7 @@ def test_criterion_1_transform_correctness(capsys):
     worst_sv = 0.0
     worst_round = 0.0
     for n in (2, 4, 16, 100):
-        matrix = transform.dst_matrix(n)
-        a = matrix.entries
+        a = matrix = transform.dst_matrix(n)
         worst_gram = max(
             worst_gram, np.max(np.abs(a.T @ a - np.eye(n - 1) / (2 * n)))
         )
@@ -115,7 +114,7 @@ def _second_frame_fx(b0, rabi, duration):
     coeffs = magnus_coefficients(
         lambda t: b0 * np.sin(omega * t), rabi, duration, step=1e-6
     )
-    return state.expectation(sensor.FX), sensor.magnus_prediction(coeffs)
+    return state.expectation(sensor.FX), sensor.magnus_prediction(*coeffs)
 
 
 def test_criterion_3_magnus_closed_form(capsys):
@@ -334,19 +333,19 @@ def test_criterion_10_detection_unit_suite(capsys):
 
     perfect = detection.auc(
         detection.roc_curve(waveform.samples, template, truth)
-    ).value
+    )
 
     constant = detection.auc(
         detection.roc_curve_from_scores(np.full(99, 1.0), truth)
-    ).value
+    )
 
     rng = np.random.default_rng(1)
     scores = rng.normal(size=99)
-    base = detection.auc(detection.roc_curve_from_scores(scores, truth)).value
+    base = detection.auc(detection.roc_curve_from_scores(scores, truth))
     warped = detection.auc(
         detection.roc_curve_from_scores(np.exp(scores), truth)
-    ).value
-    negated = detection.auc(detection.roc_curve_from_scores(-scores, truth)).value
+    )
+    negated = detection.auc(detection.roc_curve_from_scores(-scores, truth))
 
     ok = (
         perfect == 1.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,14 @@ def test_bound_prints_reference_values(capsys):
     assert capsys.readouterr().out.strip() == "57"
 
 
+def test_bound_rejects_grid_without_coefficients(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "exceeds the 0 available" warning
+        code = run_cli(["bound", "--sparsity", 1, "--n", 1])
+    _assert_numeric_error(code, capsys, "n_grid must be >= 2")
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_small(tmp_path, pulse_csv):
     base = tmp_path / "full.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
@@ -340,6 +349,42 @@ def test_tune_no_noise_is_noiseless(tmp_path):
     assert noisy != noiseless
     # the noise flags reach the noiseless run through its manifest only
     assert tune("noiseless_drift.csv", "--no-noise", "--drift-std", 900) == noiseless
+
+
+@pytest.mark.parametrize("flags", [["--lambda-low", -1], ["--lambda-high", "inf"]])
+def test_tune_rejects_bad_lambda_range(tmp_path, capsys, flags):
+    out = tmp_path / "tune.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second line
+        code = run_cli(["tune", "--count", 1, *flags, "--out", out])
+    _assert_numeric_error(code, capsys, "0 < low < high < inf")
+    assert not out.exists()
+
+
+def test_recover_rejects_overflowing_measurement(tmp_path, capsys):
+    # 1e308 is finite, but its square is not: the solve would end in NaN
+    m_csv = tmp_path / "m.csv"
+    m_csv.write_text("k,freq_hz,coef_hz\n1,100.0,1e308\n2,200.0,0.0\n")
+    rec_csv = tmp_path / "rec.csv"
+    code = run_cli(["recover", "--measurements", m_csv, "--out", rec_csv])
+    _assert_numeric_error(code, capsys, "1e100")
+    assert not rec_csv.exists()
+
+
+def test_measure_rejects_subset_index_beyond_int64(tmp_path, pulse_csv, capsys):
+    subset = tmp_path / "subset.json"
+    subset.write_text(json.dumps({"n_grid": 100, "indices": [1, 2**64]}))
+    out = tmp_path / "m.csv"
+    code = run_cli(["measure", "--in", pulse_csv, "--subset", subset, "--out", out])
+    _assert_numeric_error(code, capsys)
+    assert not out.exists()
+
+
+def test_measure_rejects_oversized_csv_field(tmp_path, capsys):
+    wf = tmp_path / "wf.csv"
+    wf.write_text("time_s,gamma_b_hz\n5e-05," + "1" * 200_000 + "\n")
+    code = run_cli(["measure", "--in", wf, "--full", "--out", tmp_path / "m.csv"])
+    _assert_numeric_error(code, capsys, "field limit")
 
 
 @pytest.mark.parametrize("command", ["synth", "measure", "recover", "roc", "bound"])
@@ -481,3 +526,122 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, pulses, m, atoms, drift, subsets)
         assert code in (0, 2, 3, 4), (args, code)
         if code == 0:
             _assert_finite_csvs(d)
+
+
+def _finite(value):
+    """True when every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """The text of one consistent set of CLI input files, made by the CLI."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "subset.json").write_text('{"n_grid": 100, "indices": [2, 3, 50, 71]}')
+    for args in (
+        ["synth", "--pulses", "1.025e-3,1000,200e-6", "--out", d / "wf.csv"],
+        ["measure", "--in", d / "wf.csv", "--m", 60, "--out", d / "m.csv"],
+        ["measure", "--in", d / "wf.csv", "--full", "--out", d / "full.csv"],
+        ["recover", "--measurements", d / "m.csv", "--out", d / "rec.csv"],
+    ):
+        assert run_cli(args) == 0
+    names = ("wf.csv", "m.csv", "full.csv", "rec.csv", "subset.json")
+    return {name: (d / name).read_text() for name in names}
+
+
+def _edit_csv(text, edits):
+    """Apply line edits to a CSV text; indices wrap around the line count."""
+    lines = text.splitlines()
+    for kind, i, j, cell in edits:
+        i %= len(lines) + 1
+        row = lines[i].split(",") if i < len(lines) else []
+        if kind == "truncate_row" and row:
+            lines[i] = ",".join(row[:-1])
+        elif kind == "extra_column" and row:
+            lines[i] = ",".join([*row, cell])
+        elif kind == "cell" and row:
+            row[j % len(row)] = cell
+            lines[i] = ",".join(row)
+        elif kind == "drop_row" and row:
+            del lines[i]
+        elif kind == "cut":
+            del lines[i:]
+        elif kind == "blank":
+            lines.insert(i, "")
+    return "".join(line + "\n" for line in lines)
+
+
+_cells = st.sampled_from([
+    "", "x", "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "0", "-1", "1.5",
+    "100", "True", "18446744073709551616",
+])
+_csv_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["truncate_row", "extra_column", "cell", "drop_row", "cut", "blank"]),
+        st.integers(0, 120), st.integers(0, 3), _cells,
+    ),
+    max_size=2,
+)
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**65), st.floats(), st.text(max_size=3)
+)
+_json_value = st.one_of(_json_scalar, st.lists(_json_scalar, max_size=4))
+_subset_json = st.one_of(
+    st.fixed_dictionaries({
+        "n_grid": st.one_of(st.sampled_from([2, 99, 100, 101]), _json_value),
+        "indices": st.one_of(
+            st.lists(st.integers(-1, 101) | st.sampled_from([2**63, -(2**63) - 1]), max_size=5),
+            _json_value,
+        ),
+    }),
+    st.dictionaries(st.sampled_from(["n_grid", "indices", "m"]), _json_value, max_size=3),
+    _json_value,
+).map(json.dumps) | st.sampled_from(["", "{", "[1, 2"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.fixed_dictionaries(
+        {name: _csv_edits for name in ("wf.csv", "m.csv", "full.csv", "rec.csv")}
+    ),
+    subset=st.none() | _subset_json,
+)
+def test_cli_fuzz_file_inputs(tmp_path_factory, capsys, valid_inputs, edits, subset):
+    # corrupted input files make each command succeed with finite outputs or
+    # exit 2, 3 or 4, with a one-line message for 3 and 4; no exception
+    # escapes cli.main.  Each command reads its own inputs, so one example
+    # tests every command.
+    d = tmp_path_factory.mktemp("files")
+    out = d / "out"  # outputs apart from the corrupted inputs
+    out.mkdir()
+    for name, text in valid_inputs.items():
+        if name in edits:
+            text = _edit_csv(text, edits[name])
+        elif subset is not None:
+            text = subset
+        (d / name).write_text(text)
+    steps = [
+        ["measure", "--in", d / "wf.csv", "--m", 10, "--out", out / "m.csv"],
+        ["measure", "--in", d / "wf.csv", "--subset", d / "subset.json",
+         "--out", out / "subset.csv"],
+        ["recover", "--measurements", d / "m.csv", "--out", out / "rec.csv"],
+        ["roc", "--recovered", d / "rec.csv", "--truth", d / "wf.csv",
+         "--out", out / "roc.csv"],
+        ["sweep", "--base", d / "full.csv", "--truth", d / "wf.csv", "--m-list", "10,60",
+         "--subsets", 1, "--out", out / "sweep.csv"],
+    ]
+    for args in steps:
+        code = _exit_code(args)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (args, code)
+        assert "Traceback" not in err
+        if code in (3, 4):
+            assert len(err.strip().splitlines()) == 1, (args, err)
+    _assert_finite_csvs(out)
+    for path in out.glob("*.json"):
+        assert _finite(json.loads(path.read_text())), path

@@ -7,9 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparsemag.detection import (
-    AucScore,
-    Classification,
-    RocCurve,
     Template,
     auc,
     auc_to_json,
@@ -82,52 +79,52 @@ def test_ground_truth_classification_on_pulse():
     tgrid, _ = make_grids(100, 50e-6)
     template = default_template(tgrid)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.0e-3)])
-    labels = ground_truth_classification(waveform.samples, template).labels
+    labels = ground_truth_classification(waveform.samples, template)
     # the aligned pulse correlates at full energy at its own start index
     assert labels[19] == 1
     brute = matched_filter(waveform.samples, template) >= template.energy / 2
     np.testing.assert_array_equal(labels, brute.astype(int))
 
-    assert np.all(ground_truth_classification(np.zeros(99), template).labels == 0)
+    assert np.all(ground_truth_classification(np.zeros(99), template) == 0)
 
     inverted = -waveform.samples
-    assert ground_truth_classification(inverted, template).labels[19] == 0
+    assert ground_truth_classification(inverted, template)[19] == 0
 
 
 def test_classification_validation():
-    with pytest.raises(ValueError):
-        Classification(np.array([0, 2, 1]))
+    with pytest.raises(ValueError, match="binary"):
+        roc_curve_from_scores(np.arange(3.0), np.array([0, 2, 1]))
 
 
 def test_roc_perfect_classifier_contains_0_1():
-    truth = Classification(np.array([1, 1, 0, 0, 0]))
+    truth = np.array([1, 1, 0, 0, 0])
     curve = roc_curve_from_scores(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), truth)
-    assert any(np.allclose(p, (0.0, 1.0)) for p in curve.points)
-    assert auc(curve).value == pytest.approx(1.0)
+    assert any(np.allclose(p, (0.0, 1.0)) for p in curve)
+    assert auc(curve) == pytest.approx(1.0)
     # hand-enumerated staircase: passes through (0, 0.5) as well
-    assert any(np.allclose(p, (0.0, 0.5)) for p in curve.points)
+    assert any(np.allclose(p, (0.0, 0.5)) for p in curve)
 
 
 def test_roc_constant_scores():
-    truth = Classification(np.array([1, 0, 1, 0]))
+    truth = np.array([1, 0, 1, 0])
     curve = roc_curve_from_scores(np.full(4, 2.5), truth)
-    np.testing.assert_allclose(curve.points, [(0.0, 0.0), (1.0, 1.0)])
-    assert auc(curve).value == pytest.approx(0.5)
+    np.testing.assert_allclose(curve, [(0.0, 0.0), (1.0, 1.0)])
+    assert auc(curve) == pytest.approx(0.5)
 
 
 def _reference_roc_points(scores, truth):
     """The per-threshold loop ``roc_curve_from_scores`` replaced."""
     scores = np.asarray(scores, dtype=float)
-    n_positive = int(truth.labels.sum())
-    n_negative = int(truth.labels.size - n_positive)
+    n_positive = int(truth.sum())
+    n_negative = int(truth.size - n_positive)
     distinct = np.unique(scores)
     midpoints = (distinct[:-1] + distinct[1:]) / 2.0
     thresholds = np.concatenate(([distinct[0] - 1.0], midpoints, [distinct[-1] + 1.0]))
     points = []
     for threshold in thresholds:
         predicted = scores >= threshold
-        recall = np.sum(predicted & (truth.labels == 1)) / n_positive
-        fallout = np.sum(predicted & (truth.labels == 0)) / n_negative
+        recall = np.sum(predicted & (truth == 1)) / n_positive
+        fallout = np.sum(predicted & (truth == 0)) / n_negative
         points.append((fallout, recall))
     points = np.unique(np.array(points), axis=0)
     order = np.lexsort((points[:, 1], points[:, 0]))
@@ -144,9 +141,9 @@ def test_roc_matches_reference_loop():
         labels[(labels.nonzero()[0][0] + 1) % size] = 0
         decimals = int(rng.integers(0, 4))
         scores = np.round(rng.normal(scale=10.0 ** rng.integers(-2, 4), size=size), decimals)
-        truth = Classification(labels)
+        truth = labels
         expected = _reference_roc_points(scores, truth)
-        points = roc_curve_from_scores(scores, truth).points
+        points = roc_curve_from_scores(scores, truth)
         assert points.shape == expected.shape, case
         assert np.array_equal(points, expected), case
 
@@ -156,14 +153,14 @@ def test_roc_adjacent_scores_keep_every_step():
     # threshold must still separate them
     low = 1.0
     high = np.nextafter(low, 2.0)
-    truth = Classification(np.array([0, 1]))
+    truth = np.array([0, 1])
     curve = roc_curve_from_scores(np.array([low, high]), truth)
-    np.testing.assert_array_equal(curve.points, [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-    assert auc(curve).value == 1.0
+    np.testing.assert_array_equal(curve, [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    assert auc(curve) == 1.0
 
 
 def test_roc_rejects_bad_scores():
-    truth = Classification(np.array([1, 0, 1, 0]))
+    truth = np.array([1, 0, 1, 0])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             roc_curve_from_scores(np.array([1.0, bad, 0.5, 0.2]), truth)
@@ -174,18 +171,18 @@ def test_roc_rejects_bad_scores():
 def test_roc_degenerate_truth_errors():
     template = Template(np.array([1.0]))
     with pytest.raises(ValueError, match="recall"):
-        roc_curve(np.zeros(5), template, Classification(np.zeros(5, dtype=int)))
+        roc_curve(np.zeros(5), template, np.zeros(5, dtype=int))
     with pytest.raises(ValueError, match="fallout"):
-        roc_curve(np.zeros(5), template, Classification(np.ones(5, dtype=int)))
+        roc_curve(np.zeros(5), template, np.ones(5, dtype=int))
     with pytest.raises(ValueError, match="recall"):
-        roc_curve_from_scores(np.arange(5.0), Classification(np.zeros(5, dtype=int)))
+        roc_curve_from_scores(np.arange(5.0), np.zeros(5, dtype=int))
 
 
 def test_roc_endpoints_and_ranges():
     rng = np.random.default_rng(8)
-    truth = Classification((rng.random(40) < 0.3).astype(int))
+    truth = (rng.random(40) < 0.3).astype(int)
     curve = roc_curve_from_scores(rng.normal(size=40), truth)
-    pts = np.asarray(curve.points)
+    pts = np.asarray(curve)
     assert np.allclose(pts[0], (0.0, 0.0))
     assert np.allclose(pts[-1], (1.0, 1.0))
     assert np.all((pts >= 0.0) & (pts <= 1.0))
@@ -195,10 +192,10 @@ def test_roc_endpoints_and_ranges():
 
 
 def test_auc_trapezoid_examples():
-    assert auc(RocCurve(np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))).value == 1.0
-    assert auc(RocCurve(np.array([(0.0, 0.0), (1.0, 1.0)]))).value == 0.5
-    toy = RocCurve(np.array([(0.0, 0.0), (0.25, 0.5), (1.0, 1.0)]))
-    assert auc(toy).value == pytest.approx(0.625)
+    assert auc(np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])) == 1.0
+    assert auc(np.array([(0.0, 0.0), (1.0, 1.0)])) == 0.5
+    toy = np.array([(0.0, 0.0), (0.25, 0.5), (1.0, 1.0)])
+    assert auc(toy) == pytest.approx(0.625)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -207,10 +204,10 @@ def test_auc_invariant_under_monotone_transform(seed):
     labels = (rng.random(25) < 0.4).astype(int)
     if labels.sum() in (0, labels.size):
         return
-    truth = Classification(labels)
+    truth = labels
     scores = rng.normal(size=25)
-    base = auc(roc_curve_from_scores(scores, truth)).value
-    warped = auc(roc_curve_from_scores(np.exp(0.5 * scores) + 3.0, truth)).value
+    base = auc(roc_curve_from_scores(scores, truth))
+    warped = auc(roc_curve_from_scores(np.exp(0.5 * scores) + 3.0, truth))
     assert warped == pytest.approx(base, abs=1e-12)
 
 
@@ -220,10 +217,10 @@ def test_auc_negation_antisymmetry(seed):
     labels = (rng.random(25) < 0.4).astype(int)
     if labels.sum() in (0, labels.size):
         return
-    truth = Classification(labels)
+    truth = labels
     scores = rng.normal(size=25)
-    forward = auc(roc_curve_from_scores(scores, truth)).value
-    backward = auc(roc_curve_from_scores(-scores, truth)).value
+    forward = auc(roc_curve_from_scores(scores, truth))
+    backward = auc(roc_curve_from_scores(-scores, truth))
     assert forward + backward == pytest.approx(1.0, abs=1e-12)
 
 
@@ -233,11 +230,11 @@ def test_roc_end_to_end_perfect_recovery():
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     truth = ground_truth_classification(waveform.samples, template)
     curve = roc_curve(waveform.samples, template, truth)
-    assert auc(curve).value == 1.0
+    assert auc(curve) == 1.0
 
 
 def test_roc_serialization(tmp_path):
-    curve = RocCurve(np.array([(0.0, 0.0), (0.25, 0.5), (1.0, 1.0)]))
+    curve = np.array([(0.0, 0.0), (0.25, 0.5), (1.0, 1.0)])
     csv_path = tmp_path / "roc.csv"
     roc_to_csv(curve, csv_path)
     lines = csv_path.read_text().strip().splitlines()
@@ -245,5 +242,5 @@ def test_roc_serialization(tmp_path):
     assert len(lines) == 4
 
     json_path = tmp_path / "auc.json"
-    auc_to_json(AucScore(0.625), json_path)
+    auc_to_json(0.625, json_path)
     assert json.loads(json_path.read_text()) == {"auc": 0.625}

@@ -52,11 +52,11 @@ def test_magnus_quadratures_match_simpson(one_pulse):
     signal = sine_interpolant(one_pulse)
     for k in (1, 2, 17, 60, 99):
         rabi = k / (2.0 * tgrid.duration)
-        oracle = magnus_coefficients(
+        oracle_a, oracle_b = magnus_coefficients(
             lambda t: np.asarray(signal(t)) + drift, rabi, tgrid.duration, step=1e-6
         )
-        assert a[k - 1] == pytest.approx(oracle.a, abs=5e-8)
-        assert b[k - 1] == pytest.approx(oracle.b, abs=5e-8)
+        assert a[k - 1] == pytest.approx(oracle_a, abs=5e-8)
+        assert b[k - 1] == pytest.approx(oracle_b, abs=5e-8)
 
 
 def test_cosine_coupling_matrix_structure():
@@ -65,6 +65,19 @@ def test_cosine_coupling_matrix_structure():
     l = np.arange(1, 6)[None, :]
     assert np.all(c[(k + l) % 2 == 0] == 0.0)
     assert c[0, 1] == pytest.approx((4.0 / np.pi) * 2.0 / (4.0 - 1.0))
+
+
+@pytest.mark.parametrize("n_grid", [2, 4, 100])
+def test_cosine_coupling_matrix_shared_read_only_and_exact(n_grid):
+    c = cosine_coupling_matrix(n_grid)
+    assert cosine_coupling_matrix(n_grid) is c
+    with pytest.raises(ValueError):
+        c[0, 0] = 1.0
+    k = np.arange(1, n_grid)[:, None].astype(float)
+    l = np.arange(1, n_grid)[None, :].astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uncached = np.where((k + l) % 2 == 1, (4.0 / np.pi) * l / (l**2 - k**2), 0.0)
+    np.testing.assert_array_equal(c, uncached)
 
 
 def test_simulate_measurements_matches_per_shot(one_pulse):
@@ -105,6 +118,8 @@ def test_compute_bound_anchors_and_monotonicity():
         compute_bound(0, 100)
     with pytest.raises(ValueError):
         compute_bound(101, 100)
+    with pytest.raises(ValueError, match="n_grid"):
+        compute_bound(1, 1)  # no coefficient to measure
     with pytest.warns(UserWarning):
         compute_bound(50, 100)  # bound 240 exceeds the 99 coefficients
 
@@ -128,6 +143,9 @@ def test_lambda_grid_validation():
         LambdaGrid(low=2.0, high=1.0)
     with pytest.raises(ValueError):
         LambdaGrid(count=1)
+    for low, high in ((-1.0, 10.0), (0.0, 10.0), (0.1, np.inf), (np.nan, 10.0)):
+        with pytest.raises(ValueError, match="0 < low < high < inf"):
+            LambdaGrid(low=low, high=high)
     values = LambdaGrid(0.1, 10.0, 200).values
     assert values.size == 200
     ratios = values[1:] / values[:-1]

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from sparsemag.grids import (
-    GAMMA_HZ_PER_NT,
     PulseSpec,
     TimeGrid,
     Waveform,
-    hz_to_nanotesla,
     make_grids,
-    nanotesla_to_hz,
     synth_waveform,
     waveform_from_csv,
     waveform_to_csv,
@@ -160,15 +157,6 @@ def test_waveform_rejects_non_finite_samples(bad):
 def test_time_grid_rejects_bad_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         TimeGrid(100, dt)
-
-
-def test_unit_conversion_round_trip():
-    # fixed sensor calibration: 1 kHz of gamma*B corresponds to 143 nT
-    assert hz_to_nanotesla(1000.0) == pytest.approx(143.0, rel=1e-12)
-    assert nanotesla_to_hz(143.0) == pytest.approx(1000.0, rel=1e-12)
-    assert GAMMA_HZ_PER_NT == pytest.approx(6.993, rel=1e-3)
-    values = np.array([0.0, 17.5, -250.0])
-    np.testing.assert_allclose(nanotesla_to_hz(hz_to_nanotesla(values)), values)
 
 
 def test_waveform_csv_round_trip(tmp_path):

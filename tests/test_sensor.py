@@ -17,7 +17,6 @@ from sparsemag.sensor import (
     FY,
     FZ,
     STATE_MINUS_Z,
-    MagnusCoefficients,
     NoiseModel,
     SensorParams,
     SpinState,
@@ -94,27 +93,23 @@ def test_magnus_coefficients_quadratures():
     duration = 5e-3
     omega = 2.0 * np.pi * rabi
 
-    sine = oracles.magnus_coefficients(lambda t: 100.0 * np.sin(omega * t), rabi, duration)
-    assert sine.a == pytest.approx(2.0 * np.pi * 100.0 * duration / 2.0, rel=1e-6)
-    assert sine.b == pytest.approx(0.0, abs=1e-6)
+    a, b = oracles.magnus_coefficients(lambda t: 100.0 * np.sin(omega * t), rabi, duration)
+    assert a == pytest.approx(2.0 * np.pi * 100.0 * duration / 2.0, rel=1e-6)
+    assert b == pytest.approx(0.0, abs=1e-6)
 
-    zero = oracles.magnus_coefficients(zero_signal, rabi, duration)
-    assert (zero.a, zero.b) == (0.0, 0.0)
+    assert oracles.magnus_coefficients(zero_signal, rabi, duration) == (0.0, 0.0)
 
-    cosine = oracles.magnus_coefficients(lambda t: 100.0 * np.cos(omega * t), rabi, duration)
-    assert cosine.a == pytest.approx(0.0, abs=1e-6)
-    assert cosine.b == pytest.approx(2.0 * np.pi * 100.0 * duration / 2.0, rel=1e-6)
+    a, b = oracles.magnus_coefficients(lambda t: 100.0 * np.cos(omega * t), rabi, duration)
+    assert a == pytest.approx(0.0, abs=1e-6)
+    assert b == pytest.approx(2.0 * np.pi * 100.0 * duration / 2.0, rel=1e-6)
 
 
 def test_magnus_prediction_closed_form():
-    assert magnus_prediction(MagnusCoefficients(0.0, 0.0)) == 0.0
-    assert magnus_prediction(MagnusCoefficients(np.pi / 2.0, 0.0)) == pytest.approx(1.0)
-    assert magnus_prediction(MagnusCoefficients(0.1, 0.0)) == pytest.approx(
-        np.sin(0.1), rel=1e-12
-    )
+    assert magnus_prediction(0.0, 0.0) == 0.0
+    assert magnus_prediction(np.pi / 2.0, 0.0) == pytest.approx(1.0)
+    assert magnus_prediction(0.1, 0.0) == pytest.approx(np.sin(0.1), rel=1e-12)
     # mixed quadratures: sin(r)/r * a
-    coeffs = MagnusCoefficients(0.3, 0.4)
-    assert magnus_prediction(coeffs) == pytest.approx(np.sin(0.5) / 0.5 * 0.3)
+    assert magnus_prediction(0.3, 0.4) == pytest.approx(np.sin(0.5) / 0.5 * 0.3)
 
 
 def test_simulation_matches_magnus_on_pulse():
@@ -127,20 +122,19 @@ def test_simulation_matches_magnus_on_pulse():
     state = second_frame_state(evolve_rotating_frame(signal, params), params)
     k = int(round(2.0 * rabi * tgrid.duration))
     a, b = magnus_quadratures(signal.coefs, tgrid.duration)
-    predicted = magnus_prediction(MagnusCoefficients(a[k - 1], b[k - 1]))
+    predicted = magnus_prediction(a[k - 1], b[k - 1])
     assert state.expectation(FX) == pytest.approx(predicted, abs=1e-3)
 
 
 def test_magnus_state_expectation_consistency():
-    coeffs = MagnusCoefficients(0.7, -0.4)
-    state = magnus_state(coeffs)
-    assert state.expectation(FX) == pytest.approx(magnus_prediction(coeffs), abs=1e-12)
+    state = magnus_state(0.7, -0.4)
+    assert state.expectation(FX) == pytest.approx(magnus_prediction(0.7, -0.4), abs=1e-12)
     assert abs(state.norm_sq - 1.0) < 1e-12
 
 
 def test_readout_determinism_and_null_signal():
     noise = NoiseModel(0.0, 1e7, seed=3)
-    fx = magnus_prediction(MagnusCoefficients(0.0, 0.0))
+    fx = magnus_prediction(0.0, 0.0)
     value1 = readout_coefficient(fx, 5e-3, noise, shot_seed=5)
     value2 = readout_coefficient(fx, 5e-3, noise, shot_seed=5)
     assert isinstance(value1, float)
@@ -152,7 +146,7 @@ def test_readout_determinism_and_null_signal():
 def test_readout_statistical_mean():
     # state with known second-frame <Fx> = 0.2 measured with 1e6 atoms
     a = float(np.arcsin(0.2))
-    fx = magnus_state(MagnusCoefficients(a, 0.0)).expectation(FX)
+    fx = magnus_state(a, 0.0).expectation(FX)
     duration = 5e-3
     noise = NoiseModel(0.0, 1e6, seed=9)
     estimate = readout_coefficient(fx, duration, noise, shot_seed=1)
@@ -523,7 +517,7 @@ def test_coherent_readout_matches_matrix_readout():
     params = SensorParams(0.0, 1000.0, 0.0, duration, 1e-5)  # identity frame change
     for shot_seed in range(300):
         a, b = rng.uniform(-4.0, 4.0, size=2) * rng.choice([1e-3, 1.0])
-        state = magnus_state(MagnusCoefficients(a, b))
+        state = magnus_state(a, b)
         fx = state.expectation(FX)
         p = oracles.readout_probabilities(state)
         noiseless = (p[2] - p[0]) / (2.0 * np.pi * duration)
@@ -587,7 +581,7 @@ def test_magnus_shot_matches_simpson_quadratures():
     signal = sine_interpolant(waveform)
     for k in (1, 9, 50, 99):
         coeffs = oracles.magnus_coefficients(signal, k / (2.0 * duration), duration, step=1e-6)
-        p = oracles.readout_probabilities(magnus_state(coeffs))
+        p = oracles.readout_probabilities(magnus_state(*coeffs))
         simpson_shot = (p[2] - p[0]) / (2.0 * np.pi * duration)
         fast = measure_sine_coefficient(waveform, k, None, method="magnus")
         assert fast == pytest.approx(simpson_shot, abs=1e-5)

@@ -1,5 +1,7 @@
 """DST-I sampler, subsampling and the sine-series interpolant."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -18,19 +20,18 @@ from sparsemag.transform import (
     sine_interpolant,
     subsample_from_json,
     subsample_rows,
-    subsample_to_json,
 )
 
 
 def test_dst_matrix_smallest_case():
-    assert dst_matrix(2).entries == pytest.approx(np.array([[0.5]]))
+    assert dst_matrix(2) == pytest.approx(np.array([[0.5]]))
 
 
 def test_dst_matrix_entry_values():
     matrix = dst_matrix(100)
     # entry (k=50, j=1): sin(pi/2)/100
-    assert matrix.entries[49, 0] == pytest.approx(0.01, abs=1e-15)
-    first_row_n4 = dst_matrix(4).entries[0]
+    assert matrix[49, 0] == pytest.approx(0.01, abs=1e-15)
+    first_row_n4 = dst_matrix(4)[0]
     np.testing.assert_allclose(
         first_row_n4, np.array([np.sin(np.pi / 4), 1.0, np.sin(3 * np.pi / 4)]) / 4.0
     )
@@ -41,10 +42,10 @@ def test_dst_matrix_shared_read_only_and_exact(n_grid):
     matrix = dst_matrix(n_grid)
     assert dst_matrix(n_grid) is matrix
     with pytest.raises(ValueError):
-        matrix.entries[0, 0] = 1.0
+        matrix[0, 0] = 1.0
     idx = np.arange(1, n_grid)
     uncached = np.sin(np.pi * np.outer(idx, idx) / n_grid) / n_grid
-    np.testing.assert_array_equal(matrix.entries, uncached)
+    np.testing.assert_array_equal(matrix, uncached)
 
 
 def test_subsample_rows_of_shared_matrix_is_writeable_copy():
@@ -52,7 +53,7 @@ def test_subsample_rows_of_shared_matrix_is_writeable_copy():
     rows = subsample_rows(matrix, SubsampleSet(100, (1, 50, 99)))
     assert rows.flags.writeable
     rows[:] = 0.0
-    assert matrix.entries[49, 0] == pytest.approx(0.01, abs=1e-15)
+    assert matrix[49, 0] == pytest.approx(0.01, abs=1e-15)
 
 
 @pytest.mark.parametrize("n_grid", [1, 0, -5])
@@ -64,7 +65,7 @@ def test_dst_matrix_rejects_small_grid(n_grid):
 
 @pytest.mark.parametrize("n_grid", [2, 4, 16, 100])
 def test_dst_orthogonality_and_singular_values(n_grid):
-    a = dst_matrix(n_grid).entries
+    a = dst_matrix(n_grid)
     gram = a.T @ a
     assert np.max(np.abs(gram - np.eye(n_grid - 1) / (2 * n_grid))) < 1e-12
     singular = np.linalg.svd(a, compute_uv=False)
@@ -159,7 +160,7 @@ def test_inverse_dst_dimension_checks():
 @pytest.mark.parametrize("n_grid,value", [(100, 1 / np.sqrt(200)), (2, 0.5), (4, 1 / np.sqrt(8))])
 def test_operator_norm_bound_values(n_grid, value):
     assert operator_norm_bound(n_grid) == pytest.approx(value, rel=1e-12)
-    full_norm = np.linalg.norm(dst_matrix(n_grid).entries, ord=2)
+    full_norm = np.linalg.norm(dst_matrix(n_grid), ord=2)
     assert full_norm == pytest.approx(value, abs=1e-12)
 
 
@@ -218,7 +219,7 @@ def test_random_subsample_uniform_inclusion():
 def test_subsample_rows_extraction():
     matrix = dst_matrix(100)
     full = SubsampleSet(100, tuple(range(1, 100)))
-    np.testing.assert_array_equal(subsample_rows(matrix, full), matrix.entries)
+    np.testing.assert_array_equal(subsample_rows(matrix, full), matrix)
     single = subsample_rows(matrix, SubsampleSet(100, (1,)))
     j = np.arange(1, 100)
     np.testing.assert_allclose(single[0], np.sin(np.pi * j / 100) / 100)
@@ -325,7 +326,7 @@ def test_measurement_vector_rejects_non_finite():
 def test_subsample_json_round_trip(tmp_path):
     subset = random_subsample(100, 60, 7)
     path = tmp_path / "subset.json"
-    subsample_to_json(subset, path)
+    path.write_text(json.dumps({"n_grid": 100, "indices": list(subset.indices)}))
     assert subsample_from_json(path) == subset
 
 
