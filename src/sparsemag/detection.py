@@ -64,6 +64,20 @@ def ground_truth_classification(ground_truth, template: Template) -> np.ndarray:
     return (scores >= template.energy / 2.0).astype(int)
 
 
+def positive_labels(labels) -> np.ndarray:
+    """Positive mask of 0/1 ground-truth labels; ``ValueError`` unless both
+    classes occur, as recall and fallout each need one of them."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be binary")
+    positive = labels == 1
+    if not positive.any():
+        raise ValueError("degenerate truth: no positives, recall undefined")
+    if positive.all():
+        raise ValueError("degenerate truth: no negatives, fallout undefined")
+    return positive
+
+
 def roc_curve(recovered, template: Template, labels) -> np.ndarray:
     """ROC of the recovered signal's matched output against ground-truth
     0/1 labels, swept over all distinct score values.
@@ -84,20 +98,13 @@ def roc_curve_from_scores(scores, labels) -> np.ndarray:
     at each threshold are reversed cumulative sums of the per-score counts.
     """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
-        raise ValueError(f"{scores.shape} scores do not match {labels.shape} labels")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("labels must be binary")
+    if scores.shape != np.shape(labels):
+        raise ValueError(f"{scores.shape} scores do not match {np.shape(labels)} labels")
+    positive = positive_labels(labels)
     if not np.all(np.isfinite(scores)):
         raise ValueError("detection scores have non-finite values")
-    positive = labels == 1
     n_positive = int(positive.sum())
     n_negative = int(positive.size - n_positive)
-    if n_positive == 0:
-        raise ValueError("degenerate truth: no positives, recall undefined")
-    if n_negative == 0:
-        raise ValueError("degenerate truth: no negatives, fallout undefined")
     distinct, inverse = np.unique(scores, return_inverse=True)
 
     def at_or_above(selected):

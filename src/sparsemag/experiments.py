@@ -28,6 +28,7 @@ from .detection import (
     auc,
     default_template,
     ground_truth_classification,
+    positive_labels,
     roc_curve,
 )
 from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows
@@ -242,8 +243,9 @@ def sweep_sample_count(
     matrix, solved ``_SWEEP_BLOCK_COLUMNS`` columns at a time.  Failed
     recoveries keep their (possibly poor) AUC; nothing is dropped.
     """
-    matrix = dst_matrix(spec.n_grid)
     truth_labels = ground_truth_classification(truth, template)
+    positive_labels(truth_labels)  # a degenerate truth fails before any solve
+    matrix = dst_matrix(spec.n_grid)
     pairs = [(m, rep) for m in spec.m_values for rep in range(spec.subsets_per_m)]
     m_of, rep_of = np.array(pairs, dtype=int).reshape(-1, 2).T
     seeds = derive_seed(spec.master_seed, _TAG_SUBSET, m_of, rep_of)
@@ -302,6 +304,8 @@ def run_scenario(
         template = default_template(tgrid)
     if lam is None:
         lam = default_lambda()
+    truth_labels = ground_truth_classification(waveform.samples, template)
+    positive_labels(truth_labels)  # a degenerate truth fails before any shot
 
     recovery = None
     if name == "ramsey":
@@ -328,7 +332,6 @@ def run_scenario(
             "coef_hz": measured.values.tolist(),
         }
 
-    truth_labels = ground_truth_classification(waveform.samples, template)
     curve = roc_curve(recovered.samples, template, truth_labels)
     return ScenarioResult(name, recovered, auc(curve), record, recovery)
 

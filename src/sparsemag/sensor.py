@@ -29,13 +29,14 @@ second-frame x = <Fx> alone: (((1-x)/2)^2, (1-x^2)/2, ((1+x)/2)^2).
 ``readout_coefficient`` draws the atom counts from that closed form, for one
 shot or a whole batch, with no 3x3 rotation per shot.
 
-Evolution freezes the Hamiltonian at each step midpoint and applies the exact
-spin-1 rotation exp(-i theta n.F) = I - i sin(theta) (n.F)
-+ (cos(theta) - 1) (n.F)^2, which preserves the norm exactly and is
-second-order accurate.  The midpoints (i + 1/2) T / n are uniform, so a sine
-interpolant is evaluated on all of them at once by one DST-III
-(``SineInterpolant.at_midpoints``), and the n step rotations are multiplied
-pairwise, ceil(log2 n) batched levels, before the product meets |m=-1>.
+Evolution freezes the Hamiltonian at each step midpoint, which is
+second-order accurate.  H is linear in F, so each step is an SU(2) rotation
+exp(-i theta n.F) in its spin-1 representation, kept as its spin-1/2
+Cayley-Klein pair (alpha, beta); that preserves the norm exactly.  The
+midpoints (i + 1/2) T / n are uniform, so a sine interpolant is evaluated on
+all of them at once by one DST-III (``SineInterpolant.at_midpoints``), and
+the n pairs are combined pairwise, ceil(log2 n) batched levels, before the
+one product pair is mapped to the spin-1 state.
 """
 
 from __future__ import annotations
@@ -117,58 +118,46 @@ class SpinState:
 
 def spin1_rotation(axis, angle: float) -> np.ndarray:
     """exp(-i * angle * axis.F) for a unit 3-vector axis."""
-    n = np.asarray(axis, dtype=float)
-    generator = n[0] * FX + n[1] * FY + n[2] * FZ
-    return (
-        np.eye(3, dtype=complex)
-        - 1j * np.sin(angle) * generator
-        + (np.cos(angle) - 1.0) * (generator @ generator)
-    )
+    nx, ny, nz = np.sin(angle / 2.0) * np.asarray(axis, dtype=float)
+    return _spin1_matrix(np.cos(angle / 2.0) - 1j * nz, ny - 1j * nx)
 
 
-def _step_unitaries(omega_x: np.ndarray, omega_z: np.ndarray, dt: float) -> np.ndarray:
-    """Stack of per-step rotations exp(-i dt (wx Fx + wz Fz)), vectorised.
+def _evolve(omega_x: np.ndarray, omega_z: np.ndarray, dt: float):
+    """Cayley-Klein pair (alpha, beta) of U_{n-1} ... U_1 U_0, the product of
+    the step rotations U_i = exp(-i dt (wx_i Fx + wz_i Fz)), w in rad/s.
 
-    omega_x and omega_z are angular-frequency components (rad/s), one entry
-    per step.
+    A pair stands for the SU(2) element [[alpha, -conj(beta)], [beta,
+    conj(alpha)]].  Step i has alpha = cos(theta/2) - i sin(theta/2) nz and
+    beta = -i sin(theta/2) nx, theta = |w| dt; sin(theta/2) n is written
+    (dt/2) sinc(theta/2) w, so w = 0 is exact.  Neighbouring steps are
+    combined pairwise, the later one on the left, and an odd last step is
+    carried up a level.
     """
-    magnitude = np.hypot(omega_x, omega_z)
-    theta = magnitude * dt
-    safe = np.where(magnitude == 0.0, 1.0, magnitude)
-    nx = omega_x / safe
-    nz = omega_z / safe
-
-    sin_t = np.sin(theta)
-    cos_m1 = np.cos(theta) - 1.0
-    n_steps = omega_x.size
-    u = np.zeros((n_steps, 3, 3), dtype=complex)
-
-    # generator M = nx Fx + nz Fz and its square, written out explicitly
-    m01 = nx / SQRT2
-    u[:, 0, 0] = 1.0 - 1j * sin_t * nz + cos_m1 * (nz**2 + m01**2)
-    u[:, 0, 1] = -1j * sin_t * m01 + cos_m1 * (m01 * nz)
-    u[:, 0, 2] = cos_m1 * m01**2
-    u[:, 1, 0] = -1j * sin_t * m01 + cos_m1 * (m01 * nz)
-    u[:, 1, 1] = 1.0 + cos_m1 * (2.0 * m01**2)
-    u[:, 1, 2] = -1j * sin_t * m01 - cos_m1 * (m01 * nz)
-    u[:, 2, 0] = cos_m1 * m01**2
-    u[:, 2, 1] = -1j * sin_t * m01 - cos_m1 * (m01 * nz)
-    u[:, 2, 2] = 1.0 + 1j * sin_t * nz + cos_m1 * (nz**2 + m01**2)
-    return u
+    half = 0.5 * dt * np.hypot(omega_x, omega_z)
+    scale = 0.5 * dt * np.sinc(half / np.pi)
+    alpha, beta = np.cos(half) - 1j * scale * omega_z, -1j * scale * omega_x
+    while alpha.size > 1:
+        even = alpha.size - alpha.size % 2
+        a0, a1, b0, b1 = alpha[0:even:2], alpha[1:even:2], beta[0:even:2], beta[1:even:2]
+        alpha = np.concatenate((a1 * a0 - b1.conj() * b0, alpha[even:]))
+        beta = np.concatenate((b1 * a0 + a1.conj() * b0, beta[even:]))
+    return alpha[0], beta[0]
 
 
-def _evolve(psi0: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """U_{n-1} ... U_1 U_0 psi0: neighbouring steps are multiplied pairwise,
-    the later one on the left, and an odd last step is carried up a level."""
-    u = unitaries
-    while len(u) > 1:
-        even = len(u) - len(u) % 2
-        u = np.concatenate((u[1:even:2] @ u[0:even:2], u[even:]))
-    return u[0] @ psi0
+def _spin1_matrix(alpha, beta) -> np.ndarray:
+    """The spin-1 rotation of the SU(2) pair (alpha, beta), in the Fz basis."""
+    ac, bc = np.conj(alpha), np.conj(beta)
+    return np.array([
+        [alpha**2, -SQRT2 * alpha * bc, bc**2],
+        [SQRT2 * alpha * beta, abs(alpha) ** 2 - abs(beta) ** 2, -SQRT2 * ac * bc],
+        [beta**2, SQRT2 * ac * beta, ac**2],
+    ])
 
 
 def _time_steps(duration: float, step: float):
-    n_steps = max(1, int(round(duration / step)))
+    """Midpoints and width of the fewest equal steps no wider than ``step``;
+    a duration within round-off of a multiple of ``step`` keeps that count."""
+    n_steps = max(1, int(np.ceil(duration / step * (1.0 - 1e-9))))
     dt = duration / n_steps
     midpoints = (np.arange(n_steps) + 0.5) * dt
     return midpoints, dt
@@ -182,11 +171,7 @@ def _signal_at(signal, midpoints: np.ndarray, duration: float) -> np.ndarray:
     return np.asarray(signal(midpoints), dtype=float)
 
 
-def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -> SpinState:
-    """Evolve |m=-1> under H_rot = Omega Fx - 2 pi (gamma_b(t) + drift) Fz.
-
-    ``signal`` is a callable returning gamma*B in Hz at times in [0, T].
-    """
+def _rotating_frame_pair(signal, params: SensorParams, drift_hz: float):
     if params.step > 1.0 / (50.0 * params.rabi_hz):
         raise ValueError(
             f"step {params.step} too large for rabi_hz={params.rabi_hz}; "
@@ -195,8 +180,16 @@ def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -
     midpoints, dt = _time_steps(params.duration, params.step)
     omega_x = np.full(midpoints.size, 2.0 * np.pi * params.rabi_hz)
     omega_z = -2.0 * np.pi * (_signal_at(signal, midpoints, params.duration) + drift_hz)
-    psi = _evolve(STATE_MINUS_Z, _step_unitaries(omega_x, omega_z, dt))
-    return SpinState(psi)
+    return _evolve(omega_x, omega_z, dt)
+
+
+def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -> SpinState:
+    """Evolve |m=-1> under H_rot = Omega Fx - 2 pi (gamma_b(t) + drift) Fz.
+
+    ``signal`` is a callable returning gamma*B in Hz at times in [0, T].
+    """
+    pair = _rotating_frame_pair(signal, params, drift_hz)
+    return SpinState(_spin1_matrix(*pair) @ STATE_MINUS_Z)
 
 
 def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
@@ -211,16 +204,11 @@ def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
             f"need step <= {1.0 / (50.0 * params.larmor_hz):.3g}"
         )
     midpoints, dt = _time_steps(params.duration, params.step)
-    omega_x = (
-        2.0
-        * (2.0 * np.pi * params.rabi_hz)
-        * np.cos(2.0 * np.pi * params.rf_hz * midpoints)
-    )
+    omega_x = 4.0 * np.pi * params.rabi_hz * np.cos(2.0 * np.pi * params.rf_hz * midpoints)
     omega_z = 2.0 * np.pi * params.larmor_hz - 2.0 * np.pi * _signal_at(
         signal, midpoints, params.duration
     )
-    psi = _evolve(STATE_MINUS_Z, _step_unitaries(omega_x, omega_z, dt))
-    return SpinState(psi)
+    return SpinState(_spin1_matrix(*_evolve(omega_x, omega_z, dt)) @ STATE_MINUS_Z)
 
 
 @functools.lru_cache(maxsize=4)
@@ -448,10 +436,10 @@ def measure_sine_coefficient(
             duration=duration,
             step=min(step, 1.0 / (50.0 * rabi_hz)),
         )
-        state = second_frame_state(
-            evolve_rotating_frame(signal, params, drift_hz=drift), params
-        )
-        fx = state.expectation(FX)
+        # the coherent state of spinor (u, v) = (-conj(beta), conj(alpha)) has
+        # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
+        alpha, beta = _rotating_frame_pair(signal, params, drift)
+        fx = -2.0 * float(np.real(np.conj(alpha) * beta))
     elif method == "magnus":
         a, b = magnus_quadratures(signal.coefs, duration, drift)
         fx = magnus_prediction(a[k - 1], b[k - 1])

@@ -9,6 +9,8 @@
 * ``derive_seed``, ``shot_drift`` and ``count_atoms``: the per-shot seeds and
   noise streams, each built directly on ``np.random.SeedSequence`` and
   ``default_rng``, one key at a time.
+* ``step_unitaries`` and ``evolve_pairwise``: the stepped unitary shot as
+  3x3 complex matrices, one spin-1 rotation per step, multiplied pairwise.
 * ``soft_threshold`` and ``objective``: the LASSO pieces of the scalar FISTA
   loop, which the block engine inlines.
 """
@@ -94,6 +96,47 @@ def simulate_measurements(waveform, subsample, noise, master_seed=0):
         else:
             values[i] = extract_coefficient(count_atoms(probs, noise, shot_seed), duration)
     return values
+
+
+def step_unitaries(omega_x, omega_z, dt):
+    """Stack of per-step rotations exp(-i dt (wx Fx + wz Fz)), vectorised.
+
+    omega_x and omega_z are angular-frequency components (rad/s), one entry
+    per step.
+    """
+    magnitude = np.hypot(omega_x, omega_z)
+    theta = magnitude * dt
+    safe = np.where(magnitude == 0.0, 1.0, magnitude)
+    nx = omega_x / safe
+    nz = omega_z / safe
+
+    sin_t = np.sin(theta)
+    cos_m1 = np.cos(theta) - 1.0
+    n_steps = omega_x.size
+    u = np.zeros((n_steps, 3, 3), dtype=complex)
+
+    # generator M = nx Fx + nz Fz and its square, written out explicitly
+    m01 = nx / sensor.SQRT2
+    u[:, 0, 0] = 1.0 - 1j * sin_t * nz + cos_m1 * (nz**2 + m01**2)
+    u[:, 0, 1] = -1j * sin_t * m01 + cos_m1 * (m01 * nz)
+    u[:, 0, 2] = cos_m1 * m01**2
+    u[:, 1, 0] = -1j * sin_t * m01 + cos_m1 * (m01 * nz)
+    u[:, 1, 1] = 1.0 + cos_m1 * (2.0 * m01**2)
+    u[:, 1, 2] = -1j * sin_t * m01 - cos_m1 * (m01 * nz)
+    u[:, 2, 0] = cos_m1 * m01**2
+    u[:, 2, 1] = -1j * sin_t * m01 - cos_m1 * (m01 * nz)
+    u[:, 2, 2] = 1.0 + 1j * sin_t * nz + cos_m1 * (nz**2 + m01**2)
+    return u
+
+
+def evolve_pairwise(psi0, unitaries):
+    """U_{n-1} ... U_1 U_0 psi0: neighbouring steps are multiplied pairwise,
+    the later one on the left, and an odd last step is carried up a level."""
+    u = unitaries
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        u = np.concatenate((u[1:even:2] @ u[0:even:2], u[even:]))
+    return u[0] @ psi0
 
 
 def soft_threshold(x, tau):

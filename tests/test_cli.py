@@ -321,6 +321,22 @@ def test_sweep_rejects_zero_subsets(tmp_path, pulse_csv, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_degenerate_truth(tmp_path, pulse_csv, capsys):
+    base = tmp_path / "full.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
+    zero = tmp_path / "zero.csv"
+    assert run_cli(["synth", "--out", zero]) == 0
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    code = run_cli(["sweep", "--base", base, "--truth", zero, "--m-list", "20,60",
+                    "--subsets", 3, "--out", out])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric: degenerate truth")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sweep_requires_full_base(tmp_path, pulse_csv):
     partial = tmp_path / "partial.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--m", 60, "--out", partial]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsemag import experiments, sensor
 from sparsemag.detection import default_template
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from oracles import magnus_coefficients
@@ -112,7 +113,8 @@ def test_compute_bound_anchors_and_monotonicity():
     assert compute_bound(4, 100) == 34
     assert compute_bound(8, 100) == 57
     assert compute_bound(1, 100) == 12
-    values = [compute_bound(s, 100) for s in range(1, 51)]
+    with pytest.warns(UserWarning, match="exceeds"):  # s >= 19 exceeds 99
+        values = [compute_bound(s, 100) for s in range(1, 51)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         compute_bound(0, 100)
@@ -187,6 +189,32 @@ def test_sweep_spec_validation(one_pulse):
     for subsets in (0, -1):
         with pytest.raises(ValueError, match="subsets_per_m"):
             SweepSpec(m_values=(10,), base_measurements=base, subsets_per_m=subsets)
+
+
+def _forbid(monkeypatch, module, *names):
+    def fail(*args, **kwargs):
+        raise AssertionError("a degenerate truth reached a shot or a solve")
+
+    for name in names:
+        monkeypatch.setattr(module, name, fail)
+
+
+def test_sweep_rejects_degenerate_truth_before_solving(one_pulse, monkeypatch):
+    base = simulate_measurements(one_pulse, None, None).values
+    spec = SweepSpec(m_values=(20, 60), base_measurements=base, subsets_per_m=3)
+    _forbid(monkeypatch, experiments, "fista_solve_block", "random_subsample")
+    with pytest.raises(ValueError, match="degenerate truth: no positives"):
+        sweep_sample_count(spec, default_template(one_pulse.grid), np.zeros(99))
+
+
+@pytest.mark.parametrize("name", ["ramsey", "full_dst", "compressive"])
+def test_run_scenario_rejects_degenerate_truth_before_shots(name, monkeypatch):
+    tgrid, _ = make_grids(100, 50e-6)
+    zero = synth_waveform(tgrid, [])
+    _forbid(monkeypatch, experiments, "simulate_measurements", "fista_solve")
+    _forbid(monkeypatch, sensor, "ramsey_sample")
+    with pytest.raises(ValueError, match="degenerate truth: no positives"):
+        run_scenario(name, zero, NoiseModel())
 
 
 def test_run_scenario_unknown_name(one_pulse):

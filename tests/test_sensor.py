@@ -375,12 +375,12 @@ def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
     params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
     coefs = apply_dst(dst_matrix(waveform.grid.n_grid), waveform)
     omega = np.pi * np.arange(1, waveform.grid.n_grid) / duration
-    n_steps = max(1, int(round(duration / params.step)))
+    n_steps = max(1, int(np.ceil(duration / params.step - 1e-9)))
     dt = duration / n_steps
     t = (np.arange(n_steps) + 0.5) * dt
     drift = 0.0 if noise is None else oracles.shot_drift(noise, shot_seed)
     field = 2.0 * np.sin(np.multiply.outer(t, omega)) @ coefs
-    unitaries = sensor._step_unitaries(
+    unitaries = oracles.step_unitaries(
         np.full(n_steps, 2.0 * np.pi * rabi_hz), -2.0 * np.pi * (field + drift), dt
     )
     state = SpinState(_reference_evolve(STATE_MINUS_Z, unitaries))
@@ -474,16 +474,103 @@ def test_noisy_unitary_shots_equal_reference():
             )
 
 
+def _su2_evolve(psi0, omega_x, omega_z, dt):
+    return sensor._spin1_matrix(*sensor._evolve(omega_x, omega_z, dt)) @ psi0
+
+
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 1001])
 def test_pairwise_evolve_matches_stepwise(n_steps):
+    # the SU(2) pairs against the 3x3 oracle, from a state that is not
+    # coherent, with every third step of zero magnitude
     rng = np.random.default_rng(n_steps)
-    unitaries = sensor._step_unitaries(
-        rng.normal(scale=1e4, size=n_steps), rng.normal(scale=1e4, size=n_steps), 1e-5
-    )
+    omega_x = rng.normal(scale=1e4, size=n_steps)
+    omega_z = rng.normal(scale=1e4, size=n_steps)
+    omega_x[::3] = omega_z[::3] = 0.0
+    unitaries = oracles.step_unitaries(omega_x, omega_z, 1e-5)
     psi0 = np.array([0.6, 0.0, 0.8j])
+    stepwise = _reference_evolve(psi0, unitaries)
     np.testing.assert_allclose(
-        sensor._evolve(psi0, unitaries), _reference_evolve(psi0, unitaries), rtol=0, atol=1e-12
+        oracles.evolve_pairwise(psi0, unitaries), stepwise, rtol=0, atol=1e-12
     )
+    np.testing.assert_allclose(
+        _su2_evolve(psi0, omega_x, omega_z, 1e-5), stepwise, rtol=0, atol=1e-12
+    )
+
+
+def test_zero_magnitude_steps_are_identity():
+    for n_steps in (1, 4, 5):
+        assert sensor._evolve(np.zeros(n_steps), np.zeros(n_steps), 1e-5) == (1.0, 0.0)
+    psi0 = np.array([0.6, 0.0, 0.8j])
+    np.testing.assert_array_equal(_su2_evolve(psi0, np.zeros(5), np.zeros(5), 1e-5), psi0)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 1001])
+def test_evolve_amplitudes_match_oracle(n_steps):
+    tgrid, _ = make_grids(100, 50e-6)
+    signal = sine_interpolant(synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)]))
+    duration = tgrid.duration
+    dt = duration / n_steps
+    t = (np.arange(n_steps) + 0.5) * dt
+    field = signal(t)
+
+    rabi = min(1000.0, 1.0 / (60.0 * dt))
+    rot = evolve_rotating_frame(signal, SensorParams(0.0, rabi, 0.0, duration, dt), 150.0)
+    unitaries = oracles.step_unitaries(
+        np.full(n_steps, 2.0 * np.pi * rabi), -2.0 * np.pi * (field + 150.0), dt
+    )
+    np.testing.assert_allclose(
+        rot.amplitudes, _reference_evolve(STATE_MINUS_Z, unitaries), rtol=0, atol=1e-12
+    )
+
+    larmor = 1.0 / (60.0 * dt)
+    params = SensorParams(larmor, 0.1 * larmor, larmor, duration, dt)
+    lab = evolve_lab_frame(signal, params)
+    unitaries = oracles.step_unitaries(
+        4.0 * np.pi * params.rabi_hz * np.cos(2.0 * np.pi * params.rf_hz * t),
+        2.0 * np.pi * (larmor - field),
+        dt,
+    )
+    np.testing.assert_allclose(
+        lab.amplitudes, _reference_evolve(STATE_MINUS_Z, unitaries), rtol=0, atol=1e-12
+    )
+
+
+def test_shot_fx_equals_second_frame_expectation():
+    # the shot reads <Fx> from the composed pair; the second-frame rotation
+    # about x leaves it unchanged
+    waveform = _pulse_pool(2, seed=5)[1]
+    duration = waveform.grid.duration
+    for k in (1, 17, 99):
+        rabi = k / (2.0 * duration)
+        params = SensorParams(0.0, rabi, 0.0, duration, min(1e-6, 1.0 / (50.0 * rabi)))
+        state = evolve_rotating_frame(sine_interpolant(waveform), params)
+        fx = measure_sine_coefficient(waveform, k, None) * 2.0 * np.pi * duration
+        assert fx == pytest.approx(
+            second_frame_state(state, params).expectation(FX), rel=0, abs=1e-12
+        )
+
+
+def test_step_taken_never_exceeds_step():
+    # 2.9e-5 s at step 2e-5 rounds to one step of 2.9e-5, past the
+    # 1/(50 rabi) guard; the fewest steps no wider than 2e-5 are two
+    params = SensorParams(0.0, 1000.0, 0.0, 2.9e-5, 2e-5)
+    midpoints, dt = sensor._time_steps(params.duration, params.step)
+    assert midpoints.size == 2 and dt <= params.step
+    unitaries = oracles.step_unitaries(np.full(2, 2.0 * np.pi * 1000.0), np.zeros(2), dt)
+    np.testing.assert_allclose(
+        evolve_rotating_frame(zero_signal, params).amplitudes,
+        _reference_evolve(STATE_MINUS_Z, unitaries),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def test_exact_multiples_keep_their_step_count():
+    # a shot of a 100-sample, 50 us grid at 1 us, and criterion 4's lab frame
+    assert sensor._time_steps(100 * 50e-6, 1e-6)[0].size == 5000
+    assert sensor._time_steps(0.5e-3, 1.0 / (60.0 * 603e3))[0].size == 18090
+    # 3 * 10e-6 / 1e-6 is 30.000000000000007 in floating point
+    assert sensor._time_steps(3 * 10e-6, 1e-6)[0].size == 30
 
 
 def test_interpolant_of_other_duration_is_called_directly():
