@@ -91,31 +91,48 @@ def roc_curve(recovered, template: Template, labels) -> np.ndarray:
 def roc_curve_from_scores(scores, labels) -> np.ndarray:
     """ROC from raw detection scores (one per location) and 0/1 labels: an
     (n, 2) array of (fallout, recall) points sorted by fallout, from (0, 0)
-    to (1, 1).
+    to (1, 1).  A threshold between consecutive distinct scores flags every
+    location scoring at or above the upper one."""
+    fallout, recall, lengths = _roc_staircases(np.asarray(scores, dtype=float)[None], labels)
+    return np.column_stack((fallout[0, : lengths[0]], recall[0, : lengths[0]]))
 
-    A threshold between consecutive distinct scores flags every location
-    scoring at or above the upper one, so the true- and false-positive counts
-    at each threshold are reversed cumulative sums of the per-score counts.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != np.shape(labels):
-        raise ValueError(f"{scores.shape} scores do not match {np.shape(labels)} labels")
+
+def _roc_staircases(scores, labels):
+    """(fallout, recall, lengths) of each row of a (B, n) score block against
+    shared 0/1 labels, row b's ROC being its first lengths[b] points: the
+    counts at the last entry of each tied group of the row sorted in
+    descending order, packed left after the (0, 0) above every score."""
+    if scores.ndim != 2 or scores.shape[1:] != np.shape(labels):
+        raise ValueError(f"{scores.shape[1:]} scores do not match {np.shape(labels)} labels")
     positive = positive_labels(labels)
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("detection scores have non-finite values")
     n_positive = int(positive.sum())
-    n_negative = int(positive.size - n_positive)
-    distinct, inverse = np.unique(scores, return_inverse=True)
+    order = np.argsort(scores, axis=1)[:, ::-1]
+    ordered = np.take_along_axis(scores, order, axis=1)
+    ends = np.ones(scores.shape, dtype=bool)
+    ends[:, :-1] = ordered[:, :-1] != ordered[:, 1:]
+    columns = ends.cumsum(axis=1)
+    rows, ranks = np.nonzero(ends)
+    tp = positive[order].cumsum(axis=1)[rows, ranks]
+    fallout, recall = np.zeros((2, len(scores), scores.shape[1] + 1))
+    steps = rows, columns[rows, ranks]
+    fallout[steps] = (ranks + 1 - tp) / (positive.size - n_positive)
+    recall[steps] = tp / n_positive
+    return fallout, recall, columns[:, -1] + 1
 
-    def at_or_above(selected):
-        # entry i counts the selected scores >= distinct[i]; the appended 0 is
-        # the threshold above every score, which flags nothing
-        counts = np.bincount(inverse[selected], minlength=distinct.size)
-        return np.append(np.cumsum(counts[::-1])[::-1], 0)
 
-    tp = at_or_above(positive)
-    fp = at_or_above(~positive)
-    return np.column_stack((fp[::-1] / n_negative, tp[::-1] / n_positive))
+def auc_from_scores(scores, labels) -> np.ndarray:
+    """AUC of each row of a (B, n) score block against shared 0/1 labels,
+    bit for bit ``auc(roc_curve_from_scores(row, labels))``: each row sums
+    exactly its own ``np.trapezoid`` terms, so the pairwise sum groups alike."""
+    x, y, lengths = _roc_staircases(np.asarray(scores, dtype=float), labels)
+    terms = (x[:, 1:] - x[:, :-1]) * (y[:, 1:] + y[:, :-1]) / 2.0
+    areas = np.empty(len(terms))
+    for length in np.unique(lengths):
+        rows = lengths == length
+        areas[rows] = np.add.reduce(terms[rows, : length - 1], axis=1)
+    return areas
 
 
 def auc(curve) -> float:

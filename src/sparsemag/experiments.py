@@ -26,8 +26,10 @@ from . import sensor
 from .detection import (
     Template,
     auc,
+    auc_from_scores,
     default_template,
     ground_truth_classification,
+    matched_filter,
     positive_labels,
     roc_curve,
 )
@@ -47,6 +49,7 @@ from .transform import (
     apply_inverse_dst,
     dst_matrix,
     random_subsample,
+    random_subsample_masks,
     subsample_rows,
 )
 
@@ -226,6 +229,8 @@ class SweepSpec:
             raise ValueError(f"every m must lie in 1..{n_grid - 1}")
         if self.subsets_per_m < 1:
             raise ValueError(f"subsets_per_m must be >= 1, got {self.subsets_per_m}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must lie in (0, inf), got {self.lam}")
 
     @property
     def n_grid(self) -> int:
@@ -240,31 +245,23 @@ def sweep_sample_count(
     """(m, mean AUC, std AUC) over seeded random subsets for each m.
 
     Every (m, rep) subset is one column of a masked block on the full DST
-    matrix, solved ``_SWEEP_BLOCK_COLUMNS`` columns at a time.  Failed
-    recoveries keep their (possibly poor) AUC; nothing is dropped.
+    matrix, drawn, solved and graded ``_SWEEP_BLOCK_COLUMNS`` columns at a
+    time.  Failed recoveries keep their (possibly poor) AUC; nothing is dropped.
     """
     truth_labels = ground_truth_classification(truth, template)
     positive_labels(truth_labels)  # a degenerate truth fails before any solve
     matrix = dst_matrix(spec.n_grid)
-    pairs = [(m, rep) for m in spec.m_values for rep in range(spec.subsets_per_m)]
-    m_of, rep_of = np.array(pairs, dtype=int).reshape(-1, 2).T
+    m_of = np.repeat(np.asarray(spec.m_values, dtype=int), spec.subsets_per_m)
+    rep_of = np.tile(np.arange(spec.subsets_per_m), len(spec.m_values))
     seeds = derive_seed(spec.master_seed, _TAG_SUBSET, m_of, rep_of)
-    scores = np.empty(len(pairs))
-    for start in range(0, len(pairs), _SWEEP_BLOCK_COLUMNS):
-        chunk = pairs[start : start + _SWEEP_BLOCK_COLUMNS]
-        masks = np.zeros((len(chunk), spec.n_grid - 1), dtype=bool)
-        for j, (m, _) in enumerate(chunk):
-            subset = random_subsample(spec.n_grid, m, int(seeds[start + j]))
-            masks[j, np.asarray(subset.indices) - 1] = True
-        results = fista_solve_block(
-            matrix,
-            spec.base_measurements,
-            np.full(len(chunk), spec.lam),
-            row_masks=masks,
-        )
-        for j, result in enumerate(results):
-            curve = roc_curve(result.waveform, template, truth_labels)
-            scores[start + j] = auc(curve)
+    scores = np.empty(m_of.size)
+    for start in range(0, m_of.size, _SWEEP_BLOCK_COLUMNS):
+        block = slice(start, start + _SWEEP_BLOCK_COLUMNS)
+        masks = random_subsample_masks(spec.n_grid, m_of[block], seeds[block])
+        lams = np.full(len(masks), spec.lam)
+        results = fista_solve_block(matrix, spec.base_measurements, lams, row_masks=masks)
+        filtered = [matched_filter(result.waveform, template) for result in results]
+        scores[block] = auc_from_scores(filtered, truth_labels)
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
     return [
         (int(m), float(row.mean()), float(row.std()))

@@ -378,6 +378,12 @@ def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed
     scalars give a float.
     """
     fx, seeds = np.broadcast_arrays(np.asarray(fx, dtype=float), shot_seed)
+    streams = None if noise is None else _streams(noise.seed, seeds, 1)
+    return _count_readout(fx, duration, noise, streams)
+
+
+def _count_readout(fx, duration: float, noise: NoiseModel | None, streams):
+    """:func:`readout_coefficient` of array ``fx``, counted on ``streams`` in C order."""
     if not np.all(np.abs(fx) <= 1.0 + 1e-9):
         raise ValueError("<Fx> must lie in [-1, 1]: not a normalised spin-1 state")
     if noise is None:
@@ -388,7 +394,7 @@ def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed
             (((1.0 - x) / 2.0) ** 2, (1.0 - x**2) / 2.0, ((1.0 + x) / 2.0) ** 2), axis=-1
         )
         values = np.empty(fx.shape)
-        for i, rng in zip(np.ndindex(fx.shape), _streams(noise.seed, seeds, 1)):
+        for i, rng in zip(np.ndindex(fx.shape), streams):
             atoms = max(1, int(rng.poisson(noise.mean_atoms)))
             n_plus, _, n_minus = (int(c) for c in rng.multinomial(atoms, probs[i]))
             values[i] = (n_minus - n_plus) / (2.0 * np.pi * duration * atoms)
@@ -422,10 +428,10 @@ def measure_sine_coefficient(
         raise ValueError(f"k must lie in 1..{n_grid - 1}, got {k}")
     duration = waveform.grid.duration
     rabi_hz = k / (2.0 * duration)
-    drift = 0.0
-    if noise is not None:  # stream (noise.seed, shot_seed, 0)
-        rng = next(_streams(noise.seed, shot_seed, 0))
-        drift = rng.normal(0.0, noise.bias_drift_std_hz)
+    drift, streams = 0.0, None
+    if noise is not None:  # drift on stream (noise.seed, shot_seed, 0), counts on 1
+        streams = _streams(noise.seed, shot_seed, [0, 1])
+        drift = next(streams).normal(0.0, noise.bias_drift_std_hz)
     signal = sine_interpolant(waveform)
 
     if method == "unitary":
@@ -445,7 +451,7 @@ def measure_sine_coefficient(
         fx = magnus_prediction(a[k - 1], b[k - 1])
     else:
         raise ValueError(f"unknown method {method!r}")
-    return readout_coefficient(fx, duration, noise, shot_seed)
+    return _count_readout(np.asarray(fx, dtype=float), duration, noise, streams)
 
 
 def ramsey_sample(

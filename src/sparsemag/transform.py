@@ -85,19 +85,27 @@ class SubsampleSet:
         return len(self.indices)
 
 
-def random_subsample(n_grid: int, m: int, seed: int) -> SubsampleSet:
-    """Uniformly random m-subset of 1..N-1, deterministic per seed.
+def random_subsample_masks(n_grid: int, ms, seeds) -> np.ndarray:
+    """(len(seeds), N-1) bool masks, row r a uniformly random ms[r]-subset of
+    1..N-1 (column k - 1 for index k): the first ms[r] swaps of a partial
+    Fisher-Yates shuffle seeded with seeds[r]."""
+    masks = np.zeros((len(seeds), n_grid - 1), dtype=bool)
+    for row, m, seed in zip(masks, ms, seeds, strict=True):
+        if not 1 <= m <= n_grid - 1:
+            raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
+        pool = list(range(n_grid - 1))
+        # one draw per step i from [i, N-1): the same stream as a call per step
+        draws = np.random.default_rng(int(seed)).integers(np.arange(m), n_grid - 1)
+        for i, j in enumerate(draws.tolist()):
+            pool[i], pool[j] = pool[j], pool[i]
+        row[pool[:m]] = True
+    return masks
 
-    Seeded partial Fisher-Yates shuffle: only the first m draws are made.
-    """
-    if not 1 <= m <= n_grid - 1:
-        raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
-    rng = np.random.default_rng(seed)
-    pool = np.arange(1, n_grid)
-    # one draw per step i from [i, N-1): the same stream as a call per step
-    for i, j in enumerate(rng.integers(np.arange(m), pool.size)):
-        pool[i], pool[j] = pool[j], pool[i]
-    return SubsampleSet(n_grid, tuple(sorted(int(i) for i in pool[:m])))
+
+def random_subsample(n_grid: int, m: int, seed: int) -> SubsampleSet:
+    """Uniformly random m-subset of 1..N-1: :func:`random_subsample_masks`."""
+    row = random_subsample_masks(n_grid, [m], [seed])[0]
+    return SubsampleSet(n_grid, tuple((np.flatnonzero(row) + 1).tolist()))
 
 
 def subsample_rows(matrix: np.ndarray, subsample: SubsampleSet) -> np.ndarray:

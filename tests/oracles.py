@@ -13,12 +13,18 @@
   3x3 complex matrices, one spin-1 rotation per step, multiplied pairwise.
 * ``soft_threshold`` and ``objective``: the LASSO pieces of the scalar FISTA
   loop, which the block engine inlines.
+* ``random_subsample``: one subset's partial Fisher-Yates shuffle on a numpy
+  pool, returned as sorted indices.
+* ``roc_curve_from_scores``: one row's ROC from ``np.unique`` and per-score
+  counts, graded by ``detection.auc``.
+* ``sweep_sample_count``: the sample-count sweep with one subset draw and one
+  ROC per (m, rep), around the same block solves.
 """
 
 import numpy as np
 from scipy.integrate import simpson
 
-from sparsemag import sensor
+from sparsemag import detection, experiments, recovery, sensor
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix
 
 
@@ -157,3 +163,57 @@ def objective(problem, x):
         )
     residual = problem.operator @ x - problem.measurements
     return float(residual @ residual + problem.lam * np.abs(x).sum())
+
+
+def random_subsample(n_grid, m, seed):
+    """Sorted m-subset of 1..N-1: the first m swaps of a seeded Fisher-Yates
+    shuffle, one ``rng.integers`` draw for all of them."""
+    if not 1 <= m <= n_grid - 1:
+        raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
+    rng = np.random.default_rng(seed)
+    pool = np.arange(1, n_grid)
+    for i, j in enumerate(rng.integers(np.arange(m), pool.size)):
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(int(i) for i in pool[:m]))
+
+
+def roc_curve_from_scores(scores, labels):
+    """(fallout, recall) points of one score row: the counts at or above each
+    distinct score are reversed cumulative sums of the per-score counts."""
+    scores = np.asarray(scores, dtype=float)
+    positive = detection.positive_labels(labels)
+    n_positive = int(positive.sum())
+    n_negative = int(positive.size - n_positive)
+    distinct, inverse = np.unique(scores, return_inverse=True)
+
+    def at_or_above(selected):
+        # the appended 0 is the threshold above every score, which flags nothing
+        counts = np.bincount(inverse[selected], minlength=distinct.size)
+        return np.append(np.cumsum(counts[::-1])[::-1], 0)
+
+    tp = at_or_above(positive)
+    fp = at_or_above(~positive)
+    return np.column_stack((fp[::-1] / n_negative, tp[::-1] / n_positive))
+
+
+def sweep_sample_count(spec, template, truth):
+    """(m, mean AUC, std AUC) rows with the subsets drawn and graded one
+    (m, rep) at a time."""
+    labels = detection.ground_truth_classification(truth, template)
+    pairs = [(m, rep) for m in spec.m_values for rep in range(spec.subsets_per_m)]
+    scores = np.empty(len(pairs))
+    for start in range(0, len(pairs), experiments._SWEEP_BLOCK_COLUMNS):
+        chunk = pairs[start : start + experiments._SWEEP_BLOCK_COLUMNS]
+        masks = np.zeros((len(chunk), spec.n_grid - 1), dtype=bool)
+        for j, (m, rep) in enumerate(chunk):
+            seed = derive_seed(spec.master_seed, experiments._TAG_SUBSET, m, rep)
+            masks[j, np.asarray(random_subsample(spec.n_grid, m, seed)) - 1] = True
+        results = recovery.fista_solve_block(
+            dst_matrix(spec.n_grid), spec.base_measurements,
+            np.full(len(chunk), spec.lam), row_masks=masks,
+        )
+        for j, result in enumerate(results):
+            row_scores = detection.matched_filter(result.waveform, template)
+            scores[start + j] = detection.auc(roc_curve_from_scores(row_scores, labels))
+    scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
+    return [(int(m), float(row.mean()), float(row.std())) for m, row in zip(spec.m_values, scores)]

@@ -216,6 +216,7 @@ def test_criterion_6_bound_anchors(capsys):
 
 @pytest.fixture(scope="module")
 def sample_sweeps():
+    start = time.perf_counter()
     tgrid, _ = sm.make_grids(100, 50e-6)
     noise = sm.NoiseModel(200.0, 1000.0, seed=0)
     template = detection.default_template(tgrid)
@@ -234,7 +235,7 @@ def sample_sweeps():
         )
         rows = experiments.sweep_sample_count(spec, template, waveform.samples)
         results[name] = {m: mean for m, mean, _ in rows}
-    return m_grid, results
+    return m_grid, results, time.perf_counter() - start
 
 
 def _crossing(m_grid, means):
@@ -243,36 +244,37 @@ def _crossing(m_grid, means):
 
 
 def test_criterion_7_auc_at_60_and_10(capsys, sample_sweeps):
-    _, results = sample_sweeps
+    _, results, elapsed = sample_sweeps
     at60 = (results["one"][60], results["two"][60])
     at10 = (results["one"][10], results["two"][10])
     ok = all(v >= 0.99 for v in at60) and all(v < 0.9 for v in at10)
     report(
         capsys, "criterion 7 (AUC at m=60 and m=10)", ok,
-        f"m=60: {at60[0]:.4f}/{at60[1]:.4f}, m=10: {at10[0]:.3f}/{at10[1]:.3f}",
+        f"m=60: {at60[0]:.4f}/{at60[1]:.4f}, m=10: {at10[0]:.3f}/{at10[1]:.3f}, "
+        f"sweeps {elapsed:.1f}s",
     )
     assert all(v >= 0.99 for v in at60)
     assert all(v < 0.9 for v in at10)
 
 
 def test_criterion_7_one_pulse_crossing(capsys, sample_sweeps):
-    m_grid, results = sample_sweeps
+    m_grid, results, elapsed = sample_sweeps
     crossing = _crossing(m_grid, results["one"])
     ok = crossing is not None and 26 <= crossing <= 46
     report(
         capsys, "criterion 7 (one-pulse 99% crossing vs 36±10)", ok,
-        f"simulated crossing m={crossing}",
+        f"simulated crossing m={crossing}, sweeps {elapsed:.1f}s",
     )
     assert ok
 
 
 def test_criterion_7_two_pulse_crossing(capsys, sample_sweeps):
-    m_grid, results = sample_sweeps
+    m_grid, results, elapsed = sample_sweeps
     crossing = _crossing(m_grid, results["two"])
     ok = crossing is not None and 42 <= crossing <= 62
     report(
         capsys, "criterion 7 (two-pulse 99% crossing vs 52±10)", ok,
-        f"simulated crossing m={crossing}",
+        f"simulated crossing m={crossing}, sweeps {elapsed:.1f}s",
     )
     assert ok
 

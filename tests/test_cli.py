@@ -321,6 +321,20 @@ def test_sweep_rejects_zero_subsets(tmp_path, pulse_csv, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_bad_lambda(tmp_path, pulse_csv, capsys):
+    base = tmp_path / "full.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    code = run_cli(["sweep", "--base", base, "--truth", pulse_csv, "--m-list", "20",
+                    "--lambda", -1, "--out", out])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric: lam must lie in (0, inf)")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_sweep_rejects_degenerate_truth(tmp_path, pulse_csv, capsys):
     base = tmp_path / "full.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from sparsemag.detection import (
     Template,
     auc,
+    auc_from_scores,
     auc_to_json,
     default_template,
     ground_truth_classification,
@@ -148,6 +150,38 @@ def test_roc_matches_reference_loop():
         assert np.array_equal(points, expected), case
 
 
+@st.composite
+def _score_blocks(draw):
+    """Labels with both classes and a (B, n) block of heavily tied scores:
+    rows drawn from a few values, -0.0 and 0.0 among them, some rows constant."""
+    n = draw(st.integers(2, 40))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[0], labels[-1] = 1, 0
+    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0, 1e-300, np.nextafter(1.0, 2.0)])
+    row = st.one_of(
+        st.lists(values, min_size=n, max_size=n),
+        values.map(lambda v: [v] * n),
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+    )
+    block = draw(st.lists(row, min_size=1, max_size=8))
+    return np.array(block, dtype=float), np.array(labels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_score_blocks())
+def test_block_auc_matches_row_oracle(case):
+    scores, labels = case
+    areas = auc_from_scores(scores, labels)
+    assert areas.shape == (len(scores),)
+    for row, area in zip(scores, areas):
+        expected = oracles.roc_curve_from_scores(row, labels)
+        curve = roc_curve_from_scores(row, labels)
+        assert curve.shape == expected.shape and (curve == expected).all()
+        assert area == auc(expected)
+    single = auc_from_scores(scores[:1], labels)
+    assert single.shape == (1,) and single[0] == areas[0]
+
+
 def test_roc_adjacent_scores_keep_every_step():
     # the midpoint of two adjacent doubles rounds onto one of them; the
     # threshold must still separate them
@@ -166,6 +200,10 @@ def test_roc_rejects_bad_scores():
             roc_curve_from_scores(np.array([1.0, bad, 0.5, 0.2]), truth)
     with pytest.raises(ValueError, match="do not match"):
         roc_curve_from_scores(np.array([1.0, 0.5, 0.2]), truth)
+    with pytest.raises(ValueError, match="non-finite"):
+        auc_from_scores(np.array([[1.0, 0.5, 0.2, 0.1], [1.0, np.nan, 0.5, 0.2]]), truth)
+    with pytest.raises(ValueError, match="do not match"):
+        auc_from_scores(np.array([[1.0, 0.5, 0.2]]), truth)
 
 
 def test_roc_degenerate_truth_errors():

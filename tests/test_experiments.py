@@ -6,6 +6,7 @@ import pytest
 from sparsemag import experiments, sensor
 from sparsemag.detection import default_template
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
+import oracles
 from oracles import magnus_coefficients
 from sparsemag.sensor import (
     NoiseModel,
@@ -189,6 +190,24 @@ def test_sweep_spec_validation(one_pulse):
     for subsets in (0, -1):
         with pytest.raises(ValueError, match="subsets_per_m"):
             SweepSpec(m_values=(10,), base_measurements=base, subsets_per_m=subsets)
+    for lam in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="lam must lie in"):
+            SweepSpec(m_values=(10,), base_measurements=base, lam=lam)
+
+
+@pytest.mark.parametrize(
+    "m_values, subsets, master_seed",
+    [((10, 37, 99), 100, 4), ((60,), 1, 2**40), ((), 5, 0)],
+)
+def test_sweep_matches_per_subset_oracle(one_pulse, m_values, subsets, master_seed):
+    # (10, 37, 99) x 100 is 300 columns: one full block and one partial one
+    noise = NoiseModel(200.0, 1000.0, seed=1)
+    base = simulate_measurements(one_pulse, None, noise, master_seed=3).values
+    spec = SweepSpec(m_values, base, subsets_per_m=subsets, master_seed=master_seed)
+    template = default_template(one_pulse.grid)
+    rows = sweep_sample_count(spec, template, one_pulse.samples)
+    assert repr(rows) == repr(oracles.sweep_sample_count(spec, template, one_pulse.samples))
+    assert len(rows) == len(m_values)
 
 
 def _forbid(monkeypatch, module, *names):
@@ -202,7 +221,10 @@ def _forbid(monkeypatch, module, *names):
 def test_sweep_rejects_degenerate_truth_before_solving(one_pulse, monkeypatch):
     base = simulate_measurements(one_pulse, None, None).values
     spec = SweepSpec(m_values=(20, 60), base_measurements=base, subsets_per_m=3)
-    _forbid(monkeypatch, experiments, "fista_solve_block", "random_subsample")
+    _forbid(
+        monkeypatch, experiments,
+        "fista_solve_block", "random_subsample", "random_subsample_masks",
+    )
     with pytest.raises(ValueError, match="degenerate truth: no positives"):
         sweep_sample_count(spec, default_template(one_pulse.grid), np.zeros(99))
 

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
+import oracles
 from sparsemag.grids import PulseSpec, TimeGrid, Waveform, make_grids, synth_waveform
 from sparsemag.transform import (
     MeasurementVector,
@@ -17,6 +19,7 @@ from sparsemag.transform import (
     measurements_to_csv,
     operator_norm_bound,
     random_subsample,
+    random_subsample_masks,
     sine_interpolant,
     subsample_from_json,
     subsample_rows,
@@ -203,6 +206,42 @@ def test_random_subsample_matches_scalar_draws():
                 ), (n_grid, m, seed)
                 cases += 1
     assert cases == 25 * (2 + 6 + 6 + 6)
+
+
+@st.composite
+def _subset_draws(draw):
+    """N in {2, 3, 100} and a batch of (m, seed) rows, m often 1 or N - 1,
+    seeds often at or past 2**32."""
+    n_grid = draw(st.sampled_from([2, 3, 100]))
+    m = st.one_of(st.sampled_from([1, n_grid - 1]), st.integers(1, n_grid - 1))
+    seed = st.one_of(st.integers(2**32, 2**64), st.integers(0, 2**32 - 1))
+    rows = draw(st.lists(st.tuples(m, seed), min_size=1, max_size=6))
+    return n_grid, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_subset_draws())
+def test_random_subsample_masks_match_oracle(draws):
+    n_grid, rows = draws
+    ms, seeds = zip(*rows)
+    masks = random_subsample_masks(n_grid, ms, seeds)
+    assert masks.shape == (len(rows), n_grid - 1) and masks.dtype == bool
+    for mask, m, seed in zip(masks, ms, seeds):
+        expected = oracles.random_subsample(n_grid, m, seed)
+        assert tuple((np.flatnonzero(mask) + 1).tolist()) == expected
+        assert random_subsample(n_grid, m, seed).indices == expected
+
+
+def test_random_subsample_masks_edges():
+    assert random_subsample_masks(100, [], []).shape == (0, 99)
+    for m in (0, 100):
+        with pytest.raises(ValueError, match="m must lie in 1..99"):
+            random_subsample_masks(100, [5, m], [1, 2])
+    for ms in ([5], [5, 6, 7]):
+        with pytest.raises(ValueError):  # one m per seed
+            random_subsample_masks(100, ms, [1, 2])
+    indices = random_subsample(100, 60, 7).indices
+    assert all(type(i) is int for i in indices)  # JSON-serialisable
 
 
 def test_random_subsample_uniform_inclusion():
