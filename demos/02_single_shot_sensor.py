@@ -28,9 +28,24 @@ coefs = sm.apply_dst(transform.dst_matrix(100), waveform)
 k = int(np.argmax(np.abs(coefs))) + 1
 print(f"measuring k = {k} (f = {k * fgrid.df:.0f} Hz), exact m_k = {coefs[k-1]:.3f} Hz")
 
+duration = tgrid.duration
+
+
+def magnus_shot(index, noise=None, shot_seed=0):
+    """One shot in the first-order Magnus closed form: the exact quadratures,
+    sin(r)/r * a, then the atom counts (drift on stream (seed, shot, 0))."""
+    drift = 0.0
+    if noise is not None:
+        key = np.random.SeedSequence((noise.seed, shot_seed, 0))
+        drift = np.random.default_rng(key).normal(0.0, noise.bias_drift_std_hz)
+    a, b = sensor.magnus_quadratures(coefs, duration, drift)
+    fx = sensor.magnus_prediction(a[index - 1], b[index - 1])
+    return sensor.readout_coefficient(fx, duration, noise, shot_seed)
+
+
 # noiseless single shots: unitary stepping vs Magnus closed form
 unitary = sensor.measure_sine_coefficient(waveform, k, None, step=1e-6)
-magnus = sensor.measure_sine_coefficient(waveform, k, None, method="magnus")
+magnus = magnus_shot(k)
 print(f"unitary simulation : {unitary:.3f} Hz")
 print(f"magnus closed form : {magnus:.3f} Hz")
 print(f"difference from exact coefficient: {abs(unitary - coefs[k-1]):.4f} Hz "
@@ -38,18 +53,11 @@ print(f"difference from exact coefficient: {abs(unitary - coefs[k-1]):.4f} Hz "
 
 # the same shot with realistic noise: drift + Poisson/multinomial counting
 noise = sm.NoiseModel(bias_drift_std_hz=200.0, mean_atoms=1000.0, seed=0)
-shots = [
-    sensor.measure_sine_coefficient(waveform, k, noise, shot_seed=s, method="magnus")
-    for s in range(25)
-]
+shots = [magnus_shot(k, noise, s) for s in range(25)]
 print(f"25 noisy shots: mean = {np.mean(shots):.2f} Hz, std = {np.std(shots):.2f} Hz")
 
 # drift couples most strongly to the lowest odd frequencies (2/pi k scaling);
 # high-k coefficients are nearly shot-noise limited
 for probe in (1, 33, 98):
-    values = [
-        sensor.measure_sine_coefficient(waveform, probe, noise, shot_seed=s,
-                                        method="magnus")
-        for s in range(25)
-    ]
+    values = [magnus_shot(probe, noise, s) for s in range(25)]
     print(f"  k = {probe:3d}: shot std = {np.std(values):7.2f} Hz")

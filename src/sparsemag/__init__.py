@@ -24,7 +24,6 @@ from .transform import (
 from .sensor import (
     NoiseModel,
     SensorParams,
-    SpinState,
     evolve_lab_frame,
     evolve_rotating_frame,
     magnus_prediction,

@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OverflowError, csv.Error) as exc:
+    except (ValueError, OverflowError, MemoryError, csv.Error) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -6,11 +6,12 @@ noise streams are counter-based ``SeedSequence`` keys, computed exactly for a
 whole batch of keys at once (``sensor._seed_state``, ``sensor._streams``), so
 results never depend on execution order.
 
-Shot batches here use the sensor's first-order Magnus closed form: the exact
-quadratures of the sine-interpolated waveform for every selected index at
-once (``sensor.magnus_quadratures``), then the coherent-state readout
-(``sensor.readout_coefficient``); the test suite checks it against the
-stepped unitary simulator.
+Shot batches here use the sensor's first-order Magnus closed form, the
+package's one Magnus sampler: the exact quadratures of the sine-interpolated
+waveform for every selected index at once (``sensor.magnus_quadratures``),
+then the coherent-state readout of <Fx> (``sensor.readout_coefficient``), with
+no spin state built.  The test suite checks it against the stepped unitary
+shot (``sensor.measure_sine_coefficient``) and a per-shot 3x3 matrix oracle.
 """
 
 from __future__ import annotations
@@ -263,10 +264,8 @@ def sweep_sample_count(
         filtered = [matched_filter(result.waveform, template) for result in results]
         scores[block] = auc_from_scores(filtered, truth_labels)
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
-    return [
-        (int(m), float(row.mean()), float(row.std()))
-        for m, row in zip(spec.m_values, scores)
-    ]
+    means, stds = scores.mean(axis=1), scores.std(axis=1)
+    return [(int(m), float(mu), float(sd)) for m, mu, sd in zip(spec.m_values, means, stds)]
 
 
 SCENARIOS = ("ramsey", "full_dst", "compressive")

@@ -111,7 +111,8 @@ def fista_solve_block(
     operator_t = operator.T
     targets = np.tile(measurements, (count, 1))
     lam = lams
-    tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
+    with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
+        tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
     # 2 * step * g rounds exactly like step * (2 * g): the factor is a power of 2
     double_step = 2.0 * step
 

@@ -35,8 +35,10 @@ exp(-i theta n.F) in its spin-1 representation, kept as its spin-1/2
 Cayley-Klein pair (alpha, beta); that preserves the norm exactly.  The
 midpoints (i + 1/2) T / n are uniform, so a sine interpolant is evaluated on
 all of them at once by one DST-III (``SineInterpolant.at_midpoints``), and
-the n pairs are combined pairwise, ceil(log2 n) batched levels, before the
-one product pair is mapped to the spin-1 state.
+the n pairs are combined pairwise, ceil(log2 n) batched levels.  A shot
+reads <Fx> straight from the one product pair; ``evolve_rotating_frame`` and
+``evolve_lab_frame`` map it to the state's three complex amplitudes
+(m = +1, 0, -1) in the Fz basis, returned as a plain array of shape (3,).
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ from .grids import Waveform
 from .transform import SineInterpolant, sine_interpolant
 
 SQRT2 = np.sqrt(2.0)
-
-# Spin-1 operators in the Fz basis (m = +1, 0, -1), hbar = 1.
-FX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
-FY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
-FZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
-
-# |m = -1>, the prepared state.
-STATE_MINUS_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -92,36 +86,6 @@ class NoiseModel:
             raise ValueError("mean_atoms must be >= 1 and finite")
 
 
-@dataclass
-class SpinState:
-    """Three complex amplitudes in the Fz basis (m = +1, 0, -1)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (3,):
-            raise ValueError("a spin-1 state has exactly 3 amplitudes")
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
-
-    def expectation(self, operator: np.ndarray) -> float:
-        return float(np.real(np.vdot(self.amplitudes, operator @ self.amplitudes)))
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Probabilities (p_plus, p_zero, p_minus)."""
-        return np.abs(self.amplitudes) ** 2
-
-
-def spin1_rotation(axis, angle: float) -> np.ndarray:
-    """exp(-i * angle * axis.F) for a unit 3-vector axis."""
-    nx, ny, nz = np.sin(angle / 2.0) * np.asarray(axis, dtype=float)
-    return _spin1_matrix(np.cos(angle / 2.0) - 1j * nz, ny - 1j * nx)
-
-
 def _evolve(omega_x: np.ndarray, omega_z: np.ndarray, dt: float):
     """Cayley-Klein pair (alpha, beta) of U_{n-1} ... U_1 U_0, the product of
     the step rotations U_i = exp(-i dt (wx_i Fx + wz_i Fz)), w in rad/s.
@@ -144,14 +108,12 @@ def _evolve(omega_x: np.ndarray, omega_z: np.ndarray, dt: float):
     return alpha[0], beta[0]
 
 
-def _spin1_matrix(alpha, beta) -> np.ndarray:
-    """The spin-1 rotation of the SU(2) pair (alpha, beta), in the Fz basis."""
+def _minus_state(alpha, beta) -> np.ndarray:
+    """Amplitudes (m = +1, 0, -1) of |m=-1> rotated by the SU(2) pair (alpha,
+    beta): the last column of its spin-1 matrix, (conj(beta)^2,
+    -sqrt(2) conj(alpha) conj(beta), conj(alpha)^2)."""
     ac, bc = np.conj(alpha), np.conj(beta)
-    return np.array([
-        [alpha**2, -SQRT2 * alpha * bc, bc**2],
-        [SQRT2 * alpha * beta, abs(alpha) ** 2 - abs(beta) ** 2, -SQRT2 * ac * bc],
-        [beta**2, SQRT2 * ac * beta, ac**2],
-    ])
+    return np.array([bc**2, -SQRT2 * ac * bc, ac**2], dtype=complex)
 
 
 def _time_steps(duration: float, step: float):
@@ -183,18 +145,18 @@ def _rotating_frame_pair(signal, params: SensorParams, drift_hz: float):
     return _evolve(omega_x, omega_z, dt)
 
 
-def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -> SpinState:
-    """Evolve |m=-1> under H_rot = Omega Fx - 2 pi (gamma_b(t) + drift) Fz.
+def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -> np.ndarray:
+    """Evolve |m=-1> under H_rot = Omega Fx - 2 pi (gamma_b(t) + drift) Fz and
+    return its three amplitudes (m = +1, 0, -1).
 
     ``signal`` is a callable returning gamma*B in Hz at times in [0, T].
     """
-    pair = _rotating_frame_pair(signal, params, drift_hz)
-    return SpinState(_spin1_matrix(*pair) @ STATE_MINUS_Z)
+    return _minus_state(*_rotating_frame_pair(signal, params, drift_hz))
 
 
-def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
-    """Evolve |m=-1> under the full lab-frame Hamiltonian with the
-    counter-rotating drive term retained:
+def evolve_lab_frame(signal, params: SensorParams) -> np.ndarray:
+    """Amplitudes (m = +1, 0, -1) of |m=-1> evolved under the full lab-frame
+    Hamiltonian with the counter-rotating drive term retained:
 
         H = omega_0 Fz + 2 Omega cos(omega_rf t) Fx - 2 pi gamma_b(t) Fz.
     """
@@ -208,7 +170,7 @@ def evolve_lab_frame(signal, params: SensorParams) -> SpinState:
     omega_z = 2.0 * np.pi * params.larmor_hz - 2.0 * np.pi * _signal_at(
         signal, midpoints, params.duration
     )
-    return SpinState(_spin1_matrix(*_evolve(omega_x, omega_z, dt)) @ STATE_MINUS_Z)
+    return _minus_state(*_evolve(omega_x, omega_z, dt))
 
 
 @functools.lru_cache(maxsize=4)
@@ -253,21 +215,17 @@ def magnus_prediction(a, b):
     return float(fx) if np.ndim(fx) == 0 else fx
 
 
-def second_frame_state(state: SpinState, params: SensorParams) -> SpinState:
-    """Transform a rotating-frame state into the second rotating frame,
-    psi_rr = exp(+i Omega T Fx) psi_rot."""
-    angle = 2.0 * np.pi * params.rabi_hz * params.duration
-    return SpinState(spin1_rotation([1.0, 0.0, 0.0], -angle) @ state.amplitudes)
-
-
-def magnus_state(a: float, b: float) -> SpinState:
-    """Second-frame state predicted by first-order Magnus, starting in |m=-1>:
-    psi_rr = exp(+i (a Fy + b Fz)) |m=-1>."""
+def magnus_state(a: float, b: float) -> np.ndarray:
+    """Amplitudes of the second-frame state predicted by first-order Magnus,
+    starting in |m=-1>: psi_rr = exp(+i (a Fy + b Fz)) |m=-1>.  Its <Fx> is
+    ``magnus_prediction(a, b)``, which is what the shots read; no path in the
+    package calls it, but the benchmark's tracer wraps it by name."""
     r = np.hypot(a, b)
     if r == 0.0:
-        return SpinState(STATE_MINUS_Z.copy())
-    axis = np.array([0.0, -a, -b]) / r
-    return SpinState(spin1_rotation(axis, r) @ STATE_MINUS_Z)
+        return np.array([0.0, 0.0, 1.0], dtype=complex)
+    # exp(-i r n.F) with n = (0, -a, -b) / r
+    nx, ny, nz = np.sin(r / 2.0) * (np.array([0.0, -a, -b]) / r)
+    return _minus_state(np.cos(r / 2.0) - 1j * nz, ny - 1j * nx)
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding
@@ -407,9 +365,9 @@ def measure_sine_coefficient(
     noise: NoiseModel | None,
     shot_seed: int = 0,
     step: float = 1e-6,
-    method: str = "unitary",
 ) -> float:
-    """One full shot measuring the sine coefficient at frequency k*df (Hz).
+    """One full shot measuring the sine coefficient at frequency k*df (Hz),
+    by unitary stepping of at most ``step`` seconds.
 
     The sensor evolves the sine-series interpolant of the waveform.  In the
     noiseless limit the result is ``apply_dst``'s coefficient scaled by the
@@ -418,10 +376,9 @@ def measure_sine_coefficient(
     at full amplitude (the largest coefficient of a 1 kHz, 200 us pulse is
     read 6.5 % low, and the worst deviation over k is 6.6 % of it).
     ``noise=None`` is the exact noiseless limit: no drift, and the population
-    difference is taken as an expectation value rather than sampled.
-    ``method`` selects full unitary stepping of at most ``step`` seconds
-    ("unitary") or the first-order Magnus closed form on the exact
-    quadratures ("magnus").
+    difference is taken as an expectation value rather than sampled.  The
+    first-order Magnus closed form of a batch of shots is
+    ``experiments.simulate_measurements``.
     """
     n_grid = waveform.grid.n_grid
     if not 1 <= k <= n_grid - 1:
@@ -432,26 +389,12 @@ def measure_sine_coefficient(
     if noise is not None:  # drift on stream (noise.seed, shot_seed, 0), counts on 1
         streams = _streams(noise.seed, shot_seed, [0, 1])
         drift = next(streams).normal(0.0, noise.bias_drift_std_hz)
-    signal = sine_interpolant(waveform)
-
-    if method == "unitary":
-        params = SensorParams(
-            larmor_hz=0.0,
-            rabi_hz=rabi_hz,
-            rf_hz=0.0,
-            duration=duration,
-            step=min(step, 1.0 / (50.0 * rabi_hz)),
-        )
-        # the coherent state of spinor (u, v) = (-conj(beta), conj(alpha)) has
-        # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
-        alpha, beta = _rotating_frame_pair(signal, params, drift)
-        fx = -2.0 * float(np.real(np.conj(alpha) * beta))
-    elif method == "magnus":
-        a, b = magnus_quadratures(signal.coefs, duration, drift)
-        fx = magnus_prediction(a[k - 1], b[k - 1])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _count_readout(np.asarray(fx, dtype=float), duration, noise, streams)
+    params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
+    # the coherent state of spinor (u, v) = (-conj(beta), conj(alpha)) has
+    # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
+    alpha, beta = _rotating_frame_pair(sine_interpolant(waveform), params, drift)
+    fx = -2.0 * float(np.real(np.conj(alpha) * beta))
+    return _count_readout(np.asarray(fx), duration, noise, streams)
 
 
 def ramsey_sample(

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +40,19 @@ def run_sparsemag():
         return proc
 
     return run
+
+
+def pytest_sessionfinish(session):
+    """Write the session's acceptance reports (name, ok, detail), in test
+    order, to ``.pytest_cache/acceptance.json`` under the rootdir; a session
+    that ran no acceptance test leaves the file as it was."""
+    reports = [
+        dict(value, test=item.nodeid)
+        for item in session.items
+        for key, value in item.user_properties
+        if key == "acceptance"
+    ]
+    if reports:
+        path = session.config.rootpath / ".pytest_cache" / "acceptance.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(reports, indent=1) + "\n")

@@ -1,7 +1,15 @@
 """The shot sampler as first written, kept as oracles for the closed forms.
 
+* ``FX``, ``FY``, ``FZ`` and ``STATE_MINUS_Z``: the spin-1 operators and the
+  prepared state |m=-1> in the Fz basis (m = +1, 0, -1), hbar = 1.
+* ``spin1_matrix`` and ``spin1_rotation``: the 3x3 spin-1 rotation of an
+  SU(2) pair, and exp(-i angle n.F); ``second_frame_state`` applies
+  exp(+i Omega T Fx) to a state's amplitudes; ``expectation`` is <psi|O|psi>.
 * ``magnus_coefficients``: the first-order Magnus quadratures of any signal
   by composite Simpson quadrature.
+* ``magnus_shot``: one first-order Magnus shot at index k, from the public
+  quadratures, prediction and readout, with its drift drawn on stream
+  (noise.seed, shot_seed, 0) as the unitary shot draws it.
 * ``readout_probabilities`` and ``readout``: the pi/2 readout as a 3x3
   ``spin1_rotation`` applied to the state, populations |psi|^2 normalised.
 * ``simulate_measurements``: the per-shot loop, one ``magnus_state`` rotation
@@ -25,7 +33,41 @@ import numpy as np
 from scipy.integrate import simpson
 
 from sparsemag import detection, experiments, recovery, sensor
-from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix
+from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix, sine_interpolant
+
+SQRT2 = np.sqrt(2.0)
+FX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / SQRT2
+FY = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / SQRT2
+FZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+STATE_MINUS_Z = np.array([0.0, 0.0, 1.0], dtype=complex)
+
+
+def spin1_matrix(alpha, beta):
+    """The spin-1 rotation of the SU(2) pair (alpha, beta), in the Fz basis."""
+    ac, bc = np.conj(alpha), np.conj(beta)
+    return np.array([
+        [alpha**2, -SQRT2 * alpha * bc, bc**2],
+        [SQRT2 * alpha * beta, abs(alpha) ** 2 - abs(beta) ** 2, -SQRT2 * ac * bc],
+        [beta**2, SQRT2 * ac * beta, ac**2],
+    ])
+
+
+def spin1_rotation(axis, angle):
+    """exp(-i * angle * axis.F) for a unit 3-vector axis."""
+    nx, ny, nz = np.sin(angle / 2.0) * np.asarray(axis, dtype=float)
+    return spin1_matrix(np.cos(angle / 2.0) - 1j * nz, ny - 1j * nx)
+
+
+def second_frame_state(psi, params):
+    """Rotating-frame amplitudes moved into the second rotating frame,
+    psi_rr = exp(+i Omega T Fx) psi_rot."""
+    angle = 2.0 * np.pi * params.rabi_hz * params.duration
+    return spin1_rotation([1.0, 0.0, 0.0], -angle) @ psi
+
+
+def expectation(psi, operator):
+    """<psi| operator |psi> of an amplitude vector, as a float."""
+    return float(np.real(np.vdot(psi, operator @ psi)))
 
 
 def magnus_coefficients(signal, rabi_hz, duration, step=None):
@@ -44,9 +86,19 @@ def magnus_coefficients(signal, rabi_hz, duration, step=None):
     return float(a), float(b)
 
 
-def readout_probabilities(state):
+def magnus_shot(waveform, k, noise, shot_seed=0):
+    """One first-order Magnus shot at index k, in Hz; ``noise=None`` is the
+    noiseless limit."""
+    duration = waveform.grid.duration
+    drift = 0.0 if noise is None else shot_drift(noise, shot_seed)
+    a, b = sensor.magnus_quadratures(sine_interpolant(waveform).coefs, duration, drift)
+    fx = sensor.magnus_prediction(a[k - 1], b[k - 1])
+    return sensor.readout_coefficient(fx, duration, noise, shot_seed)
+
+
+def readout_probabilities(psi):
     """Populations after the ideal pi/2 pulse about the second frame's y axis."""
-    psi = sensor.spin1_rotation([0.0, 1.0, 0.0], 0.5 * np.pi) @ state.amplitudes
+    psi = spin1_rotation([0.0, 1.0, 0.0], 0.5 * np.pi) @ psi
     p = np.abs(psi) ** 2
     return p / p.sum()
 
@@ -73,11 +125,12 @@ def extract_coefficient(counts, duration):
     return (n_minus - n_plus) / (2.0 * np.pi * duration * (n_plus + n_zero + n_minus))
 
 
-def readout(state, params, noise, shot_seed):
+def readout(psi, params, noise, shot_seed):
     """Second-frame transform, matrix pi/2 pulse, then atom counting."""
-    if abs(state.norm_sq - 1.0) > 1e-8:
-        raise ValueError(f"state not normalised: |psi|^2 = {state.norm_sq}")
-    probs = readout_probabilities(sensor.second_frame_state(state, params))
+    norm_sq = float(np.real(np.vdot(psi, psi)))
+    if abs(norm_sq - 1.0) > 1e-8:
+        raise ValueError(f"state not normalised: |psi|^2 = {norm_sq}")
+    probs = readout_probabilities(second_frame_state(psi, params))
     return count_atoms(probs, noise, shot_seed)
 
 
@@ -122,7 +175,7 @@ def step_unitaries(omega_x, omega_z, dt):
     u = np.zeros((n_steps, 3, 3), dtype=complex)
 
     # generator M = nx Fx + nz Fz and its square, written out explicitly
-    m01 = nx / sensor.SQRT2
+    m01 = nx / SQRT2
     u[:, 0, 0] = 1.0 - 1j * sin_t * nz + cos_m1 * (nz**2 + m01**2)
     u[:, 0, 1] = -1j * sin_t * m01 + cos_m1 * (m01 * nz)
     u[:, 0, 2] = cos_m1 * m01**2

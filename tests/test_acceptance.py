@@ -3,7 +3,9 @@
 Each test prints a `[acceptance]` line to the terminal (bypassing capture)
 and then asserts the criterion at its stated tolerance.  Criteria that the
 simulation model cannot meet are asserted anyway — a red entry here is a
-finding, not a bug in the suite.
+finding, not a bug in the suite.  The same lines are written as data, in
+report order, to ``.pytest_cache/acceptance.json`` at the end of the session
+(see ``conftest.py``), so the numbers of two runs can be diffed.
 """
 
 import time
@@ -12,11 +14,15 @@ import numpy as np
 import pytest
 
 import sparsemag as sm
-from oracles import magnus_coefficients
+from oracles import FX, expectation, magnus_coefficients, second_frame_state
 from sparsemag import detection, experiments, recovery, sensor, transform
 
 
 def report(capsys, name, ok, detail=""):
+    # kept on the test item; conftest writes every report of the session out
+    capsys.request.node.user_properties.append(
+        ("acceptance", {"name": name, "ok": bool(ok), "detail": detail})
+    )
     with capsys.disabled():
         suffix = f" ({detail})" if detail else ""
         print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'}{suffix}")
@@ -108,13 +114,13 @@ def test_criterion_2_sensor_equivalence_full_amplitude(capsys):
 def _second_frame_fx(b0, rabi, duration):
     omega = 2.0 * np.pi * rabi
     params = sensor.SensorParams(0.0, rabi, 0.0, duration, 1e-6)
-    state = sensor.second_frame_state(
+    state = second_frame_state(
         sensor.evolve_rotating_frame(lambda t: b0 * np.sin(omega * t), params), params
     )
     coeffs = magnus_coefficients(
         lambda t: b0 * np.sin(omega * t), rabi, duration, step=1e-6
     )
-    return state.expectation(sensor.FX), sensor.magnus_prediction(*coeffs)
+    return expectation(state, FX), sensor.magnus_prediction(*coeffs)
 
 
 def test_criterion_3_magnus_closed_form(capsys):
@@ -157,7 +163,7 @@ def test_criterion_4_rwa_validation(capsys):
         sensor.SensorParams(larmor, rabi, larmor, duration, 1e-6),
     )
     elapsed = time.perf_counter() - start
-    deviation = np.max(np.abs(lab.populations - rot.populations))
+    deviation = np.max(np.abs(np.abs(lab) ** 2 - np.abs(rot) ** 2))
     ok = deviation < 0.005 and elapsed < 60.0
     report(
         capsys, "criterion 4 (RWA lab vs rotating)", ok,

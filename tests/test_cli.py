@@ -56,6 +56,17 @@ def test_synth_pulse_outside_duration(tmp_path, capsys):
     assert "error: numeric" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_numeric_error(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate (synth --n 1000000000000) exits 4 with one
+    # line; the allocation is simulated, never made
+    def too_large(grid, pulses):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "synth_waveform", too_large)
+    code = run_cli(["synth", "--n", 100, "--dt", 50e-6, "--out", tmp_path / "wf.csv"])
+    _assert_numeric_error(code, capsys, "Unable to allocate")
+
+
 @pytest.mark.parametrize(
     "pulses", ["nan,1000,1e-4", "1e-3,nan,200e-6", "inf,1000,1e-4", "1e-3,1000,0", "1e-3,1000,-1e-4"]
 )

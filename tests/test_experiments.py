@@ -12,7 +12,6 @@ from sparsemag.sensor import (
     NoiseModel,
     cosine_coupling_matrix,
     magnus_quadratures,
-    measure_sine_coefficient,
 )
 from sparsemag.experiments import (
     LambdaGrid,
@@ -83,15 +82,13 @@ def test_cosine_coupling_matrix_shared_read_only_and_exact(n_grid):
 
 
 def test_simulate_measurements_matches_per_shot(one_pulse):
-    # the batch fast path must agree with the per-shot sensor to rounding
+    # the batch fast path must agree with one Magnus shot at a time to rounding
     noise = NoiseModel(200.0, 1000.0, seed=5)
     subset = random_subsample(100, 10, 3)
     batch = simulate_measurements(one_pulse, subset, noise, master_seed=21)
     for i, k in enumerate(subset.indices):
         shot_seed = derive_seed(21, 0, k)
-        single = measure_sine_coefficient(
-            one_pulse, k, noise, shot_seed=shot_seed, method="magnus"
-        )
+        single = oracles.magnus_shot(one_pulse, k, noise, shot_seed)
         assert batch.values[i] == pytest.approx(single, abs=5e-9)
 
 
@@ -100,7 +97,10 @@ def test_simulate_measurements_noiseless_weak_matches_dst():
     weak = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     coefs = apply_dst(dst_matrix(100), weak)
     measured = simulate_measurements(weak, None, None)
-    assert np.max(np.abs(measured.values - coefs)) < 2e-3 * np.max(np.abs(coefs))
+    scale = np.max(np.abs(coefs))
+    big = np.abs(coefs) > 0.5 * scale
+    assert np.max(np.abs(measured.values[big] - coefs[big]) / np.abs(coefs[big])) < 0.02
+    assert np.max(np.abs(measured.values - coefs)) < 2e-3 * scale
 
 
 def test_simulate_measurements_deterministic(one_pulse):

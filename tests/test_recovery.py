@@ -1,6 +1,7 @@
 """FISTA/LASSO sparse recovery."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,17 @@ def test_fista_reports_non_convergence():
     result = fista_solve(problem, FistaConfig(max_iters=5, rel_tolerance=0.0))
     assert not result.converged
     assert result.iterations_used == 5
+
+
+def test_huge_lambda_gives_zero_without_overflow_warning():
+    # step * 1e308 overflows to an infinite threshold, whose solution is 0
+    _, problem = _pulse_instance(0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = fista_solve_block(problem.operator, problem.measurements, [1.0, 1e308])
+    np.testing.assert_array_equal(results[1].waveform, np.zeros(99))
+    assert results[1].converged
+    assert np.any(results[0].waveform != 0.0)
 
 
 def test_block_matches_scalar_on_lambda_grid():

@@ -8,18 +8,14 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 import oracles
+from oracles import FX, FY, FZ, STATE_MINUS_Z, expectation, second_frame_state, spin1_rotation
 from sparsemag import sensor
 from sparsemag.experiments import derive_seed, simulate_measurements
 
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.sensor import (
-    FX,
-    FY,
-    FZ,
-    STATE_MINUS_Z,
     NoiseModel,
     SensorParams,
-    SpinState,
     evolve_lab_frame,
     evolve_rotating_frame,
     magnus_prediction,
@@ -28,14 +24,16 @@ from sparsemag.sensor import (
     measure_sine_coefficient,
     ramsey_sample,
     readout_coefficient,
-    second_frame_state,
-    spin1_rotation,
 )
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix, sine_interpolant
 
 
 def zero_signal(t):
     return np.zeros_like(np.asarray(t, dtype=float))
+
+
+def _norm_sq(psi):
+    return float(np.real(np.vdot(psi, psi)))
 
 
 def test_spin_operators_commutation():
@@ -61,14 +59,15 @@ def test_rabi_flop_half_period():
     rabi = 1000.0
     params = SensorParams(0.0, rabi, 0.0, 1.0 / (2.0 * rabi), 1e-5)
     state = evolve_rotating_frame(zero_signal, params)
-    assert state.expectation(FZ) == pytest.approx(1.0, abs=1e-9)
-    assert abs(state.norm_sq - 1.0) < 1e-10
+    assert state.shape == (3,) and state.dtype == complex
+    assert expectation(state, FZ) == pytest.approx(1.0, abs=1e-9)
+    assert abs(_norm_sq(state) - 1.0) < 1e-10
 
 
 def test_rotation_about_x_preserves_fx():
     params = SensorParams(0.0, 1000.0, 0.0, 3.3e-3, 1e-5)
     state = evolve_rotating_frame(zero_signal, params)
-    assert state.expectation(FX) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(state, FX) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolve_rejects_large_step():
@@ -84,7 +83,7 @@ def test_norm_preserved_with_signal():
     signal = sine_interpolant(waveform)
     params = SensorParams(0.0, 1000.0, 0.0, tgrid.duration, 1e-5)
     state = evolve_rotating_frame(signal, params, drift_hz=150.0)
-    assert abs(state.norm_sq - 1.0) < 1e-10
+    assert abs(_norm_sq(state) - 1.0) < 1e-10
 
 
 def test_magnus_coefficients_quadratures():
@@ -123,13 +122,18 @@ def test_simulation_matches_magnus_on_pulse():
     k = int(round(2.0 * rabi * tgrid.duration))
     a, b = magnus_quadratures(signal.coefs, tgrid.duration)
     predicted = magnus_prediction(a[k - 1], b[k - 1])
-    assert state.expectation(FX) == pytest.approx(predicted, abs=1e-3)
+    assert expectation(state, FX) == pytest.approx(predicted, abs=1e-3)
 
 
 def test_magnus_state_expectation_consistency():
     state = magnus_state(0.7, -0.4)
-    assert state.expectation(FX) == pytest.approx(magnus_prediction(0.7, -0.4), abs=1e-12)
-    assert abs(state.norm_sq - 1.0) < 1e-12
+    assert expectation(state, FX) == pytest.approx(magnus_prediction(0.7, -0.4), abs=1e-12)
+    assert abs(_norm_sq(state) - 1.0) < 1e-12
+    # the closed form is exp(+i (a Fy + b Fz)) |m=-1>
+    np.testing.assert_allclose(
+        state, expm(1j * (0.7 * FY - 0.4 * FZ)) @ STATE_MINUS_Z, rtol=0, atol=1e-12
+    )
+    np.testing.assert_array_equal(magnus_state(0.0, 0.0), STATE_MINUS_Z)
 
 
 def test_readout_determinism_and_null_signal():
@@ -146,7 +150,7 @@ def test_readout_determinism_and_null_signal():
 def test_readout_statistical_mean():
     # state with known second-frame <Fx> = 0.2 measured with 1e6 atoms
     a = float(np.arcsin(0.2))
-    fx = magnus_state(a, 0.0).expectation(FX)
+    fx = expectation(magnus_state(a, 0.0), FX)
     duration = 5e-3
     noise = NoiseModel(0.0, 1e6, seed=9)
     estimate = readout_coefficient(fx, duration, noise, shot_seed=1)
@@ -157,7 +161,7 @@ def test_readout_statistical_mean():
 
 def test_readout_rejects_unnormalised_state():
     # |psi|^2 = 2 gives <Fx> = sqrt(2), which no spin-1 state reaches
-    fx = SpinState(np.array([1.0, 1.0, 0.0])).expectation(FX)
+    fx = expectation(np.array([1.0, 1.0, 0.0]), FX)
     for noise in (NoiseModel(), None):
         with pytest.raises(ValueError):
             readout_coefficient(fx, 5e-3, noise, 0)
@@ -174,29 +178,12 @@ def test_measure_zero_waveform_is_zero():
         )
 
 
-def test_measure_sweep_matches_dst_weak_amplitude():
-    # noiseless k-sweep vs apply_dst at 100 Hz amplitude (first-order regime)
-    tgrid, _ = make_grids(100, 50e-6)
-    waveform = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
-    coefs = apply_dst(dst_matrix(100), waveform)
-    simulated = np.array(
-        [
-            measure_sine_coefficient(waveform, k, None, method="magnus")
-            for k in range(1, 100)
-        ]
-    )
-    scale = np.max(np.abs(coefs))
-    big = np.abs(coefs) > 0.5 * scale
-    assert np.max(np.abs(simulated[big] - coefs[big]) / np.abs(coefs[big])) < 0.02
-    assert np.max(np.abs(simulated - coefs)) < 2e-3 * scale
-
-
 def test_measure_unitary_single_shot_matches_dst():
     tgrid, _ = make_grids(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     coefs = apply_dst(dst_matrix(100), waveform)
     k = int(np.argmax(np.abs(coefs))) + 1
-    value = measure_sine_coefficient(waveform, k, None, step=1e-6, method="unitary")
+    value = measure_sine_coefficient(waveform, k, None, step=1e-6)
     assert value == pytest.approx(coefs[k - 1], rel=0.02)
 
 
@@ -205,8 +192,8 @@ def test_measure_linearity_weak_regime():
     base = synth_waveform(tgrid, [PulseSpec(50.0, 200e-6, 1.025e-3)])
     double = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     k = 21
-    v1 = measure_sine_coefficient(base, k, None, method="magnus")
-    v2 = measure_sine_coefficient(double, k, None, method="magnus")
+    v1 = oracles.magnus_shot(base, k, None)
+    v2 = oracles.magnus_shot(double, k, None)
     assert v2 == pytest.approx(2.0 * v1, rel=0.01)
 
 
@@ -217,12 +204,7 @@ def test_measure_shot_noise_scale():
     waveform = synth_waveform(tgrid, [])
     noise = NoiseModel(200.0, 1000.0, seed=0)
     k = 33  # odd index, weak-drift (linear) regime
-    values = np.array(
-        [
-            measure_sine_coefficient(waveform, k, noise, shot_seed=s, method="magnus")
-            for s in range(200)
-        ]
-    )
+    values = np.array([oracles.magnus_shot(waveform, k, noise, s) for s in range(200)])
     duration = tgrid.duration
     drift_part = 200.0 * 2.0 / (np.pi * k)
     shot_part = np.sqrt(0.5 / 1000.0) / (2.0 * np.pi * duration)
@@ -234,8 +216,8 @@ def test_measure_shot_determinism():
     tgrid, _ = make_grids(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     noise = NoiseModel(200.0, 1000.0, seed=4)
-    a = measure_sine_coefficient(waveform, 17, noise, shot_seed=2, method="magnus")
-    b = measure_sine_coefficient(waveform, 17, noise, shot_seed=2, method="magnus")
+    a = measure_sine_coefficient(waveform, 17, noise, shot_seed=2)
+    b = measure_sine_coefficient(waveform, 17, noise, shot_seed=2)
     assert a == b
 
 
@@ -292,8 +274,7 @@ def test_lab_frame_fz_eigenstate():
     params = SensorParams(603e3, 1e-12, 603e3, 0.1e-3, 1.0 / (50.0 * 603e3))
     with pytest.raises(ValueError):
         SensorParams(603e3, 0.0, 603e3, 0.1e-3, 1e-8)
-    state = evolve_lab_frame(zero_signal, params)
-    populations = state.populations
+    populations = np.abs(evolve_lab_frame(zero_signal, params)) ** 2
     assert populations[2] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -306,7 +287,7 @@ def test_lab_frame_resonant_reduction():
     state = evolve_lab_frame(zero_signal, params)
     u = expm(-1j * duration * 2.0 * (2.0 * np.pi * rabi) * FX)
     expected = u @ STATE_MINUS_Z
-    overlap = abs(np.vdot(expected, state.amplitudes))
+    overlap = abs(np.vdot(expected, state))
     assert overlap == pytest.approx(1.0, abs=1e-6)
 
 
@@ -327,7 +308,7 @@ def test_lab_vs_rotating_frame_populations():
     rot = evolve_rotating_frame(
         zero_signal, SensorParams(larmor, rabi, larmor, duration, 1e-6)
     )
-    np.testing.assert_allclose(lab.populations, rot.populations, atol=5e-3)
+    np.testing.assert_allclose(np.abs(lab) ** 2, np.abs(rot) ** 2, atol=5e-3)
 
 
 def test_noise_model_validation():
@@ -383,7 +364,7 @@ def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
     unitaries = oracles.step_unitaries(
         np.full(n_steps, 2.0 * np.pi * rabi_hz), -2.0 * np.pi * (field + drift), dt
     )
-    state = SpinState(_reference_evolve(STATE_MINUS_Z, unitaries))
+    state = _reference_evolve(STATE_MINUS_Z, unitaries)
     if noise is not None:
         return oracles.extract_coefficient(
             oracles.readout(state, params, noise, shot_seed), duration
@@ -475,7 +456,7 @@ def test_noisy_unitary_shots_equal_reference():
 
 
 def _su2_evolve(psi0, omega_x, omega_z, dt):
-    return sensor._spin1_matrix(*sensor._evolve(omega_x, omega_z, dt)) @ psi0
+    return oracles.spin1_matrix(*sensor._evolve(omega_x, omega_z, dt)) @ psi0
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 1001])
@@ -494,6 +475,11 @@ def test_pairwise_evolve_matches_stepwise(n_steps):
     )
     np.testing.assert_allclose(
         _su2_evolve(psi0, omega_x, omega_z, 1e-5), stepwise, rtol=0, atol=1e-12
+    )
+    # from |m=-1>, the amplitudes are the last column of the pair's matrix
+    pair = sensor._evolve(omega_x, omega_z, 1e-5)
+    np.testing.assert_array_equal(
+        sensor._minus_state(*pair), oracles.spin1_matrix(*pair) @ STATE_MINUS_Z
     )
 
 
@@ -519,7 +505,7 @@ def test_evolve_amplitudes_match_oracle(n_steps):
         np.full(n_steps, 2.0 * np.pi * rabi), -2.0 * np.pi * (field + 150.0), dt
     )
     np.testing.assert_allclose(
-        rot.amplitudes, _reference_evolve(STATE_MINUS_Z, unitaries), rtol=0, atol=1e-12
+        rot, _reference_evolve(STATE_MINUS_Z, unitaries), rtol=0, atol=1e-12
     )
 
     larmor = 1.0 / (60.0 * dt)
@@ -531,7 +517,7 @@ def test_evolve_amplitudes_match_oracle(n_steps):
         dt,
     )
     np.testing.assert_allclose(
-        lab.amplitudes, _reference_evolve(STATE_MINUS_Z, unitaries), rtol=0, atol=1e-12
+        lab, _reference_evolve(STATE_MINUS_Z, unitaries), rtol=0, atol=1e-12
     )
 
 
@@ -546,7 +532,7 @@ def test_shot_fx_equals_second_frame_expectation():
         state = evolve_rotating_frame(sine_interpolant(waveform), params)
         fx = measure_sine_coefficient(waveform, k, None) * 2.0 * np.pi * duration
         assert fx == pytest.approx(
-            second_frame_state(state, params).expectation(FX), rel=0, abs=1e-12
+            expectation(second_frame_state(state, params), FX), rel=0, abs=1e-12
         )
 
 
@@ -558,7 +544,7 @@ def test_step_taken_never_exceeds_step():
     assert midpoints.size == 2 and dt <= params.step
     unitaries = oracles.step_unitaries(np.full(2, 2.0 * np.pi * 1000.0), np.zeros(2), dt)
     np.testing.assert_allclose(
-        evolve_rotating_frame(zero_signal, params).amplitudes,
+        evolve_rotating_frame(zero_signal, params),
         _reference_evolve(STATE_MINUS_Z, unitaries),
         rtol=0,
         atol=1e-12,
@@ -582,8 +568,8 @@ def test_interpolant_of_other_duration_is_called_directly():
     signal = sine_interpolant(waveform)
     params = SensorParams(0.0, 1000.0, 0.0, 3e-3, 1e-6)
     np.testing.assert_array_equal(
-        evolve_rotating_frame(signal, params).amplitudes,
-        evolve_rotating_frame(lambda t: signal(t), params).amplitudes,
+        evolve_rotating_frame(signal, params),
+        evolve_rotating_frame(lambda t: signal(t), params),
     )
 
 
@@ -605,7 +591,7 @@ def test_coherent_readout_matches_matrix_readout():
     for shot_seed in range(300):
         a, b = rng.uniform(-4.0, 4.0, size=2) * rng.choice([1e-3, 1.0])
         state = magnus_state(a, b)
-        fx = state.expectation(FX)
+        fx = expectation(state, FX)
         p = oracles.readout_probabilities(state)
         noiseless = (p[2] - p[0]) / (2.0 * np.pi * duration)
         assert abs(readout_coefficient(fx, duration, None) - noiseless) <= NOISELESS_HZ
@@ -636,7 +622,12 @@ def test_simulate_measurements_matches_per_shot_loop(amplitude):
         waveform = synth_waveform(tgrid, [PulseSpec(amplitude, 200e-6, t0) for t0 in starts])
         noise = NoiseModel(200.0, 1000.0, seed=master_seed % 5)
         indices = rng.choice(np.arange(1, 100), size=40, replace=False)
-        for subset in (SubsampleSet(100, tuple(sorted(indices.tolist()))), None):
+        subsets = (
+            SubsampleSet(100, tuple(sorted(indices.tolist()))),
+            SubsampleSet(100, (int(indices[0]),)),  # one shot on its own
+            None,
+        )
+        for subset in subsets:
             np.testing.assert_array_equal(
                 simulate_measurements(waveform, subset, noise, master_seed).values,
                 oracles.simulate_measurements(waveform, subset, noise, master_seed),
@@ -644,21 +635,6 @@ def test_simulate_measurements_matches_per_shot_loop(amplitude):
             fast = simulate_measurements(waveform, subset, None, master_seed).values
             slow = oracles.simulate_measurements(waveform, subset, None, master_seed)
             assert np.max(np.abs(fast - slow)) <= NOISELESS_HZ
-
-
-def test_magnus_shot_matches_per_shot_loop():
-    # one Magnus shot is the loop's shot k with the loop's shot seed
-    for index, waveform in enumerate(_pulse_pool(4, seed=13)):
-        noise = NoiseModel(200.0, 1000.0, seed=index)
-        for k in (1, 2, 17, 60, 99):
-            single = SubsampleSet(100, (k,))
-            shot_seed = oracles.derive_seed(index, 0, k)
-            assert measure_sine_coefficient(
-                waveform, k, noise, shot_seed, method="magnus"
-            ) == oracles.simulate_measurements(waveform, single, noise, index)[0]
-            noiseless = measure_sine_coefficient(waveform, k, None, method="magnus")
-            oracle = oracles.simulate_measurements(waveform, single, None)[0]
-            assert abs(noiseless - oracle) <= NOISELESS_HZ
 
 
 def test_magnus_shot_matches_simpson_quadratures():
@@ -670,7 +646,7 @@ def test_magnus_shot_matches_simpson_quadratures():
         coeffs = oracles.magnus_coefficients(signal, k / (2.0 * duration), duration, step=1e-6)
         p = oracles.readout_probabilities(magnus_state(*coeffs))
         simpson_shot = (p[2] - p[0]) / (2.0 * np.pi * duration)
-        fast = measure_sine_coefficient(waveform, k, None, method="magnus")
+        fast = simulate_measurements(waveform, SubsampleSet(100, (k,)), None).values[0]
         assert fast == pytest.approx(simpson_shot, abs=1e-5)
 
 
