@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TimeGrid, write_csv_rows
+from .grids import TimeGrid, write_csv_rows, write_text
 
 
 @dataclass
@@ -146,5 +146,4 @@ def roc_to_csv(curve, path):
 
 
 def auc_to_json(value: float, path):
-    with open(path, "w") as fh:
-        json.dump({"auc": value}, fh)
+    write_text(path, json.dumps({"auc": value}))

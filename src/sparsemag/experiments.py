@@ -34,7 +34,7 @@ from .detection import (
     positive_labels,
     roc_curve,
 )
-from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows
+from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows, write_text
 from .recovery import (
     LassoProblem,
     RecoveryResult,
@@ -350,14 +350,10 @@ def tune_to_csv(result: TuneResult, path):
 
 
 def write_manifest(path, command: str, parameters: dict, master_seed: int, outputs):
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "command": command,
-                "parameters": parameters,
-                "master_seed": master_seed,
-                "output_paths": [str(p) for p in outputs],
-            },
-            fh,
-            indent=2,
-        )
+    manifest = {
+        "command": command,
+        "parameters": parameters,
+        "master_seed": master_seed,
+        "output_paths": [str(p) for p in outputs],
+    }
+    write_text(path, json.dumps(manifest, indent=2))

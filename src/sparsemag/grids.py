@@ -9,6 +9,9 @@ Rabi-equivalent frequency corresponds to 143 nT of field.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,10 @@ class TimeGrid:
             raise ValueError(f"n_grid must be >= 2, got {self.n_grid}")
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 2.0 * np.pi * self.n_grid * self.dt < np.inf:
+            raise ValueError(
+                f"phase span 2*pi*n_grid*dt must be finite, got {self.n_grid}*{self.dt}"
+            )
 
     @property
     def duration(self) -> float:
@@ -126,16 +133,30 @@ def synth_waveform(grid: TimeGrid, pulses: list[PulseSpec]) -> Waveform:
     return Waveform(samples, grid)
 
 
+def write_text(path, text: str):
+    """Write ``text`` to ``path`` as ``open(path, "w")`` would, but in place:
+    the file is opened without truncation, written, then cut to the written
+    length.  Truncating a non-empty file to zero makes ext4 flush it on
+    close, which costs milliseconds per rewrite.  Symlinks are followed and
+    hardlinks and permissions kept; a FIFO or terminal is not cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_csv_rows(path, header: list[str], rows):
     """Write a header and rows: integers as they are, every other value as
     the repr of a float, so equal data always give equal bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
-            for row in rows
-        )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+        for row in rows
+    )
+    write_text(path, buf.getvalue())
 
 
 def read_csv_rows(path, *headers: list[str]) -> list[list[str]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import write_csv_rows
+from .grids import write_csv_rows, write_text
 from .transform import operator_norm_bound
 
 
@@ -227,13 +227,10 @@ def result_to_csv(result: RecoveryResult, times, path):
 
 
 def result_metadata_to_json(result: RecoveryResult, lam: float, path):
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "lambda": lam,
-                "iterations_used": result.iterations_used,
-                "converged": result.converged,
-                "final_objective": float(result.objective_trace[-1]),
-            },
-            fh,
-        )
+    metadata = {
+        "lambda": lam,
+        "iterations_used": result.iterations_used,
+        "converged": result.converged,
+        "final_objective": float(result.objective_trace[-1]),
+    }
+    write_text(path, json.dumps(metadata))

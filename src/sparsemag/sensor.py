@@ -71,6 +71,10 @@ class SensorParams:
             raise ValueError("step must be positive")
 
 
+# The largest mean numpy's Poisson draw accepts (its POISSON_LAM_MAX).
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-shot constant bias drift plus Poisson atom shot noise."""
@@ -82,8 +86,11 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 <= self.bias_drift_std_hz < np.inf:
             raise ValueError("bias_drift_std_hz must be non-negative and finite")
-        if not 1 <= self.mean_atoms < np.inf:
-            raise ValueError("mean_atoms must be >= 1 and finite")
+        if not 1 <= self.mean_atoms <= _POISSON_MEAN_MAX:
+            raise ValueError(
+                f"mean_atoms must be finite and in [1, {_POISSON_MEAN_MAX:.4g}], "
+                f"got {self.mean_atoms}"
+            )
 
 
 def _evolve(omega_x: np.ndarray, omega_z: np.ndarray, dt: float):
@@ -200,10 +207,14 @@ def magnus_quadratures(
     a_k = 2 pi T m_k + drift * 2T(1 - (-1)^k)/k,  b_k = 2 pi T c_k.
     """
     k = np.arange(1, coefs.size + 1)
-    a = 2.0 * np.pi * duration * coefs + (
-        np.asarray(drift_hz) * 2.0 * duration * (1.0 - (-1.0) ** k) / k
-    )
-    b = 2.0 * np.pi * duration * (cosine_coupling_matrix(coefs.size + 1) @ coefs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift_term = np.asarray(drift_hz) * 2.0 * duration * (1.0 - (-1.0) ** k) / k
+        a = 2.0 * np.pi * duration * coefs + drift_term
+        b = 2.0 * np.pi * duration * (cosine_coupling_matrix(coefs.size + 1) @ coefs)
+    if not np.all(np.isfinite(drift_term)):
+        raise ValueError(f"bias drift std too large: drift*2T overflows at T = {duration} s")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError(f"Magnus quadratures overflow: waveform too large for T = {duration} s")
     return a, b
 
 

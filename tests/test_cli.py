@@ -89,6 +89,23 @@ def test_measure_rejects_non_finite_noise(tmp_path, pulse_csv, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["synth", "--n", 100, "--dt", 1e308], "span 2*pi*n_grid*dt must be finite"),
+    (["measure", "--m", 99, "--drift-std", 1e308], "bias drift std too large"),
+    (["measure", "--m", 5, "--atoms", 1e300], "mean_atoms must be finite and in [1, 9.223e+18]"),
+])
+def test_overflowing_inputs_exit_4_with_one_line(tmp_path, pulse_csv, capsys, args, message):
+    # no RuntimeWarning (Tier-1 turns warnings into errors) and no message
+    # that names another quantity
+    out = tmp_path / "out.csv"
+    command = [*args[:1], "--in", pulse_csv, *args[1:]] if args[0] == "measure" else args
+    assert run_cli([*command, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_synth_malformed_pulse_spec_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli(["synth", "--pulses", "1.0e-3,1000", "--out", tmp_path / "x.csv"])
@@ -467,6 +484,46 @@ def test_cli_rerun_byte_identical_subprocess(tmp_path, run_sparsemag):
     first = run(tmp_path / "a.csv")
     second = run(tmp_path / "b.csv")
     assert first == second
+
+
+def test_cli_rerun_with_shorter_outputs_matches_fresh_directory(tmp_path, monkeypatch):
+    # artefacts are rewritten in place: a rerun into the same paths with
+    # shorter outputs must leave no tail of the longer ones
+    long_steps = [
+        ["synth", "--n", 300, "--dt", 1.6666666666666667e-05,
+         "--pulses", "1.025e-3,1000.123456789,200e-6;3.3e-3,-777.7777777,1.23456789e-4",
+         "--out", "wf.csv"],
+        ["measure", "--in", "wf.csv", "--m", 250, "--seed", 123456789, "--out", "m.csv"],
+        ["recover", "--measurements", "m.csv", "--n", 300, "--dt", 1.6666666666666667e-05,
+         "--lambda", 1.2345678912345, "--out", "rec.csv"],
+        ["roc", "--recovered", "rec.csv", "--truth", "wf.csv", "--out", "roc.csv"],
+    ]
+    short_steps = [
+        ["synth", "--pulses", "1.025e-3,1000,200e-6", "--out", "wf.csv"],
+        ["measure", "--in", "wf.csv", "--m", 60, "--seed", 7, "--out", "m.csv"],
+        ["recover", "--measurements", "m.csv", "--out", "rec.csv"],
+        ["roc", "--recovered", "rec.csv", "--truth", "wf.csv", "--out", "roc.csv"],
+    ]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    rerun.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(rerun)
+    for args in long_steps:
+        assert run_cli(args) == 0
+    long_sizes = {path.name: path.stat().st_size for path in rerun.iterdir()}
+    for args in short_steps:
+        assert run_cli(args) == 0
+    monkeypatch.chdir(fresh)
+    for args in short_steps:
+        assert run_cli(args) == 0
+
+    names = sorted(path.name for path in fresh.iterdir())
+    assert names == sorted(long_sizes) and len(names) == 10
+    # the roc manifest holds the same flags both times; every other file shrinks
+    shrunk = [n for n in names if long_sizes[n] > (fresh / n).stat().st_size]
+    assert sorted(shrunk) == [n for n in names if n != "roc.csv.manifest.json"]
+    for name in names:
+        assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_cli_session_in_one_process_matches_fresh_processes(

@@ -1,8 +1,13 @@
-"""Grids, unit conventions and pulse waveform synthesis."""
+"""Grids, unit conventions, pulse waveform synthesis and artefact writes."""
+
+import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from sparsemag import detection, experiments, recovery
 from sparsemag.grids import (
     PulseSpec,
     TimeGrid,
@@ -11,6 +16,8 @@ from sparsemag.grids import (
     synth_waveform,
     waveform_from_csv,
     waveform_to_csv,
+    write_csv_rows,
+    write_text,
 )
 
 
@@ -159,6 +166,13 @@ def test_time_grid_rejects_bad_dt(dt):
         TimeGrid(100, dt)
 
 
+@pytest.mark.parametrize("n_grid, dt", [(100, 1e308), (100, 1e306), (2, 5e307)])
+def test_time_grid_rejects_overflowing_span(n_grid, dt):
+    # N*dt, or the 2*pi*T of the phase and readout formulas, would be inf
+    with pytest.raises(ValueError, match=r"span 2\*pi\*n_grid\*dt must be finite"):
+        TimeGrid(n_grid, dt)
+
+
 def test_waveform_csv_round_trip(tmp_path):
     tgrid, _ = make_grids(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
@@ -201,3 +215,89 @@ def test_waveform_csv_rejects_times_off_explicit_dt(tmp_path):
     waveform_to_csv(Waveform(np.ones(9), tgrid), path)
     with pytest.raises(ValueError, match="time column"):
         waveform_from_csv(path, dt=40e-6)
+
+
+# --------------------------------------------------------- artefact writes
+#
+# Every artefact goes through write_text, which rewrites a file in place
+# instead of truncating it to zero when it is opened.
+
+
+def test_write_text_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text(path, "a,b\r\n" + "1.0,2.0\r\n" * 500)
+    write_text(path, "a,b\r\n3.0,4.0\r\n")
+    assert path.read_bytes() == b"a,b\r\n3.0,4.0\r\n"
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_write_text_keeps_open_permissions(tmp_path):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    path = tmp_path / "new.json"
+    write_text(path, "{}")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    path.chmod(0o600)
+    write_text(path, "{}\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_text_follows_symlink(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old contents, longer than the new ones\n")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == b"new\n"
+
+
+def test_write_text_keeps_hardlink(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("old contents, longer than the new ones\n")
+    os.link(first, second)
+    write_text(first, "new\n")
+    assert second.read_bytes() == b"new\n"
+    assert first.stat().st_ino == second.stat().st_ino
+
+
+def test_write_text_does_not_cut_a_fifo(tmp_path):
+    # a FIFO (or a piped /dev/stdout) has no length to cut, and ftruncate on
+    # it fails: only a regular file is cut
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text(fifo, "x,y\r\n")
+        assert os.read(reader, 64) == b"x,y\r\n"
+    finally:
+        os.close(reader)
+    write_text(os.devnull, "x\n")
+
+
+def test_write_text_missing_directory_is_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        write_text(tmp_path / "missing" / "out.csv", "x\n")
+
+
+def test_artefact_writers_open_without_truncation(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    result = recovery.RecoveryResult(np.zeros(3), np.array([2.5]), 7, True)
+    for _ in range(2):  # a new file, then a rewrite of it
+        write_csv_rows(tmp_path / "rows.csv", ["k", "x"], [(1, 0.5), (2, 1.5)])
+        experiments.write_manifest(tmp_path / "m.json", "synth", {"n": 100}, 0, ["a.csv"])
+        recovery.result_metadata_to_json(result, 1.04, tmp_path / "meta.json")
+        detection.auc_to_json(0.75, tmp_path / "auc.json")
+    assert len(flags) == 8
+    assert not any(flag & os.O_TRUNC for flag in flags)
+    assert (tmp_path / "rows.csv").read_bytes() == b"k,x\r\n1,0.5\r\n2,1.5\r\n"
+    assert json.loads((tmp_path / "m.json").read_text())["output_paths"] == ["a.csv"]
+    assert json.loads((tmp_path / "meta.json").read_text())["iterations_used"] == 7
+    assert (tmp_path / "auc.json").read_text() == '{"auc": 0.75}'

@@ -321,6 +321,25 @@ def test_noise_model_validation():
             NoiseModel(drift, atoms)
 
 
+def test_noise_model_mean_atoms_limit_is_numpys_poisson_limit():
+    limit = sensor._POISSON_MEAN_MAX
+    NoiseModel(200.0, limit)
+    np.random.default_rng(0).poisson(limit)
+    with pytest.raises(ValueError, match="mean_atoms"):
+        NoiseModel(200.0, np.nextafter(limit, np.inf))
+    with pytest.raises(ValueError, match="lam"):  # numpy's own message
+        np.random.default_rng(0).poisson(np.nextafter(limit, np.inf))
+
+
+def test_magnus_quadratures_reject_overflow_without_warning():
+    coefs = np.zeros(99)
+    coefs[10] = 1.0
+    with pytest.raises(ValueError, match="bias drift std too large"):
+        magnus_quadratures(coefs, 1e-3, 1e308)
+    with pytest.raises(ValueError, match="Magnus quadratures overflow"):
+        magnus_quadratures(coefs * 1e300, 1e10)
+
+
 # ------------------------------------------------ the kernels as first written
 #
 # Oracles for the fast kernels: the Ramsey window mean by 201-node Simpson
