@@ -43,8 +43,13 @@ def default_template(
     Only the shape matters for ROC ordering; the amplitude cancels under the
     threshold sweep.
     """
-    n_samples = max(2, int(round(pulse_duration / grid.dt)))
-    k = np.arange(n_samples)
+    n_samples = np.maximum(2.0, np.round(pulse_duration / grid.dt))
+    if not n_samples <= grid.n_grid - 1:  # also inf and nan, before any allocation
+        raise ValueError(
+            f"template does not fit the grid: pulse_duration {pulse_duration} s / dt "
+            f"{grid.dt} s is {n_samples:.4g} samples, the grid has N - 1 = {grid.n_grid - 1}"
+        )
+    k = np.arange(int(n_samples))
     return Template(amplitude * np.sin(2.0 * np.pi * k * grid.dt / pulse_duration))
 
 

@@ -1,10 +1,11 @@
 """Study drivers: regularisation tuning, sample-count sweeps against
 compressive-sensing bounds, and end-to-end recovery scenarios.
 
-Every driver is a pure function of (spec, master_seed): per-shot seeds and
-noise streams are counter-based ``SeedSequence`` keys, computed exactly for a
-whole batch of keys at once (``sensor._seed_state``, ``sensor._streams``), so
-results never depend on execution order.
+Every driver is a pure function of (spec, master_seed): subsets, training
+sequences, per-shot seeds and noise streams all come from counter-based keys
+under the master seed (``seeds.derive_seed``, ``seeds.streams``, which take a
+whole batch of keys at once), so results never depend on execution order.
+The key layouts and their tags are listed in ``seeds``.
 
 Shot batches here use the sensor's first-order Magnus closed form, the
 package's one Magnus sampler: the exact quadratures of the sine-interpolated
@@ -42,6 +43,7 @@ from .recovery import (
     fista_solve,
     fista_solve_block,
 )
+from .seeds import DRIFT, RAMSEY, SEQUENCE, SHOT, SUBSET, derive_seed, streams
 from .sensor import NoiseModel
 from .transform import (
     MeasurementVector,
@@ -54,23 +56,9 @@ from .transform import (
     subsample_rows,
 )
 
-# numeric tags for the counter-based seed split (strings are not valid
-# SeedSequence entropy)
-_TAG_SHOT = 0
-_TAG_SUBSET = 1
-_TAG_RAMSEY = 2
-_TAG_SEQUENCE = 3
-
 # sweep subsets solved per block: each working array of the engine holds at
 # most this many rows of N - 1 values, whatever the m grid and subset count
 _SWEEP_BLOCK_COLUMNS = 256
-
-
-def derive_seed(master_seed: int, *indices):
-    """Deterministic child seed for a (master, counter...) key: an int, or a
-    uint32 array with one seed per key when the counters are arrays."""
-    seeds = sensor._seed_state((master_seed, *indices))[0]
-    return int(seeds) if seeds.ndim == 0 else seeds
 
 
 def simulate_measurements(
@@ -81,7 +69,7 @@ def simulate_measurements(
 ) -> MeasurementVector:
     """One simulated shot per selected frequency index (all of 1..N-1 when
     ``subsample`` is None), using the Magnus closed form.  Shot k draws its
-    drift and its atom counts on the seed derive_seed(master_seed, 0, k)."""
+    drift and its atom counts on the seed derive_seed(master_seed, SHOT, k)."""
     n_grid = waveform.grid.n_grid
     duration = waveform.grid.duration
     if subsample is None:
@@ -94,10 +82,10 @@ def simulate_measurements(
     drift = np.zeros(n_grid - 1)
     shot_seeds = 0  # the noiseless limit draws nothing
     if noise is not None:
-        shot_seeds = derive_seed(master_seed, _TAG_SHOT, k)
+        shot_seeds = derive_seed(master_seed, SHOT, k)
         drift[k - 1] = [
             rng.normal(0.0, noise.bias_drift_std_hz)
-            for rng in sensor._streams(noise.seed, shot_seeds, 0)
+            for rng in streams(noise.seed, shot_seeds, DRIFT)
         ]
     coefs = apply_dst(dst_matrix(n_grid), waveform)
     a, b = sensor.magnus_quadratures(coefs, duration, drift)
@@ -155,9 +143,7 @@ class TuneResult:
 
 def _training_sequence(spec: TrainingSetSpec, index: int) -> Waveform:
     tgrid = TimeGrid(spec.n_grid, spec.dt)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((spec.master_seed, _TAG_SEQUENCE, index))
-    )
+    rng = next(streams(spec.master_seed, SEQUENCE, index))
     n_pulses = int(rng.choice(spec.pulse_count_choices))
     pulses = [
         PulseSpec(
@@ -183,7 +169,7 @@ def tune_lambda(spec: TrainingSetSpec, grid: LambdaGrid) -> TuneResult:
     for index in range(spec.count):
         waveform = _training_sequence(spec, index)
         subset = random_subsample(
-            spec.n_grid, spec.m, derive_seed(spec.master_seed, _TAG_SUBSET, index)
+            spec.n_grid, spec.m, derive_seed(spec.master_seed, SUBSET, index)
         )
         measured = simulate_measurements(
             waveform, subset, spec.noise, master_seed=derive_seed(spec.master_seed, index)
@@ -254,7 +240,7 @@ def sweep_sample_count(
     matrix = dst_matrix(spec.n_grid)
     m_of = np.repeat(np.asarray(spec.m_values, dtype=int), spec.subsets_per_m)
     rep_of = np.tile(np.arange(spec.subsets_per_m), len(spec.m_values))
-    seeds = derive_seed(spec.master_seed, _TAG_SUBSET, m_of, rep_of)
+    seeds = derive_seed(spec.master_seed, SUBSET, m_of, rep_of)
     scores = np.empty(m_of.size)
     for start in range(0, m_of.size, _SWEEP_BLOCK_COLUMNS):
         block = slice(start, start + _SWEEP_BLOCK_COLUMNS)
@@ -306,7 +292,7 @@ def run_scenario(
     recovery = None
     if name == "ramsey":
         times = tgrid.times
-        seeds = derive_seed(master_seed, _TAG_RAMSEY, np.arange(times.size))
+        seeds = derive_seed(master_seed, RAMSEY, np.arange(times.size))
         samples = sensor.ramsey_sample(waveform, times, 60e-6, noise, seeds)
         recovered = Waveform(samples, tgrid)
         record = {"protocol": "ramsey", "samples": samples.tolist()}
@@ -316,7 +302,7 @@ def run_scenario(
         record = {"protocol": "full_dst", "coef_hz": measured.values.tolist()}
     else:
         subset = random_subsample(
-            tgrid.n_grid, m, derive_seed(master_seed, _TAG_SUBSET)
+            tgrid.n_grid, m, derive_seed(master_seed, SUBSET)
         )
         measured = simulate_measurements(waveform, subset, noise, master_seed)
         operator = subsample_rows(matrix, subset)

@@ -39,6 +39,10 @@ the n pairs are combined pairwise, ceil(log2 n) batched levels.  A shot
 reads <Fx> straight from the one product pair; ``evolve_rotating_frame`` and
 ``evolve_lab_frame`` map it to the state's three complex amplitudes
 (m = +1, 0, -1) in the Fz basis, returned as a plain array of shape (3,).
+
+Noise: a noisy shot draws its drift and its counts on the streams of keys
+(noise.seed, shot_seed, DRIFT) and (noise.seed, shot_seed, COUNTS), a Ramsey
+window on (noise.seed, shot_seed, RAMSEY_NOISE), all from ``seeds.streams``.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Waveform
+from .seeds import COUNTS, DRIFT, RAMSEY_NOISE, streams
 from .transform import SineInterpolant, sine_interpolant
 
 SQRT2 = np.sqrt(2.0)
@@ -239,102 +244,6 @@ def magnus_state(a: float, b: float) -> np.ndarray:
     return _minus_state(np.cos(r / 2.0) - 1j * nz, ny - 1j * nx)
 
 
-# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult^i mod 2^32 for i = 0..count, as a column: the i-th hash
-    xors with constant i and multiplies by constant i + 1."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    return np.array(h, dtype=np.uint32)[:, None]
-
-
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# mixing round s hashes pool word s once for each other word, in word order,
-# with hash constants 4 + 3s, 5 + 3s and 6 + 3s; word s itself takes a spare
-# constant and is put back after the round
-_ROUND = np.array([[4, 4, 5, 6], [7, 8, 8, 9], [10, 11, 12, 12], [13, 14, 15, 16]])
-_ROUND_IN, _ROUND_OUT = _HASH_A[_ROUND], _HASH_A[_ROUND + 1]
-
-
-def _hashmix(values, const_in, const_out):
-    v = (values ^ const_in) * const_out
-    return v ^ (v >> 16)
-
-
-def _mix(x, y):
-    r = 0xCA01F9DD * x - 0x4973F715 * y
-    return r ^ (r >> 16)
-
-
-def _seed_state(key, n_words: int = 1) -> np.ndarray:
-    """``np.random.SeedSequence(key).generate_state(n_words)``, n_words <= 8,
-    for a batch of keys at once, with shape (n_words, *batch shape).
-
-    The key's entries are non-negative integers or integer arrays that
-    broadcast together.  Each key is the little-endian 32-bit words of its
-    entries, at least one word each, as SeedSequence splits it.  The hash
-    constants do not depend on the data, so each step of the pool mixing is
-    one operation on a block of pool words of every key.
-    """
-    shape = np.broadcast(*map(np.asarray, key)).shape
-    rows, same_length = [], True
-    for entry in map(np.atleast_1d, key):
-        if (entry < 0).any():
-            raise ValueError("expected non-negative integer")
-        rows.append(entry & _MASK32)
-        while (entry := entry >> 32).any():
-            same_length &= bool(entry.all())
-            rows.append(entry & _MASK32)
-    if not same_length:  # keys of different word counts: one key at a time
-        keys = zip(*(np.broadcast_to(e, shape).ravel().tolist() for e in key))
-        state = [_seed_state(k, n_words) for k in keys]
-        return np.stack(state, axis=-1).reshape((n_words,) + shape)
-    # a key shorter than the pool is padded with zero words
-    words = np.zeros((max(4, len(rows)),) + (shape or (1,)), dtype=np.uint32)
-    for i, row in enumerate(rows):
-        words[i] = row
-    words = words.reshape(len(words), -1)
-
-    pool = _hashmix(words[:4], _HASH_A[:4], _HASH_A[1:5])
-    for s in range(4):
-        mixed = _mix(pool, _hashmix(pool[s], _ROUND_IN[s], _ROUND_OUT[s]))
-        mixed[s] = pool[s]
-        pool = mixed
-    for s in range(4, len(words)):  # each word past the pool mixes into all 4
-        c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * s + 4)[4 * s :]
-        pool = _mix(pool, _hashmix(words[s], c[:-1], c[1:]))
-    b = _HASH_B[: n_words + 1]
-    state = _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:])
-    return state.reshape((n_words,) + shape)
-
-
-def _streams(*key):
-    """Yield one ``Generator`` per key of a broadcast batch, in C order, each
-    in the state of ``np.random.default_rng(np.random.SeedSequence(key))``.
-
-    PCG64 takes its 128-bit initstate and initseq from
-    ``generate_state(4, np.uint64)``; then inc = (initseq << 1) | 1 and
-    state = ((inc + initstate) M + inc) mod 2^128, M its multiplier.  One
-    Generator, local to the call, is reused: draw from each key's stream
-    before taking the next.
-    """
-    words = _seed_state(key, 8).reshape(8, -1).astype(np.uint64)
-    seeds = (words[0::2] | words[1::2] << 32).T.tolist()
-    rng = np.random.Generator(np.random.PCG64())
-    for state_hi, state_lo, seq_hi, seq_lo in seeds:
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-        yield rng
-
-
 def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed=0):
     """Sine-coefficient estimate (Hz) of a shot whose coherent state has
     second-frame <Fx> = fx.
@@ -342,17 +251,17 @@ def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed
     ``noise=None`` is the exact noiseless limit fx / (2 pi T).  Otherwise the
     pi/2-pulse populations (((1-x)/2)^2, (1-x^2)/2, ((1+x)/2)^2) are counted
     with one Poisson atom number and one multinomial draw per shot, on stream
-    (noise.seed, shot_seed, 1), and read as (n_minus - n_plus) / (2 pi T
+    (noise.seed, shot_seed, COUNTS), and read as (n_minus - n_plus) / (2 pi T
     atoms).  Array ``fx`` and ``shot_seed`` broadcast and give an array;
     scalars give a float.
     """
     fx, seeds = np.broadcast_arrays(np.asarray(fx, dtype=float), shot_seed)
-    streams = None if noise is None else _streams(noise.seed, seeds, 1)
-    return _count_readout(fx, duration, noise, streams)
+    rngs = None if noise is None else streams(noise.seed, seeds, COUNTS)
+    return _count_readout(fx, duration, noise, rngs)
 
 
-def _count_readout(fx, duration: float, noise: NoiseModel | None, streams):
-    """:func:`readout_coefficient` of array ``fx``, counted on ``streams`` in C order."""
+def _count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
+    """:func:`readout_coefficient` of array ``fx``, counted on ``rngs`` in C order."""
     if not np.all(np.abs(fx) <= 1.0 + 1e-9):
         raise ValueError("<Fx> must lie in [-1, 1]: not a normalised spin-1 state")
     if noise is None:
@@ -363,7 +272,7 @@ def _count_readout(fx, duration: float, noise: NoiseModel | None, streams):
             (((1.0 - x) / 2.0) ** 2, (1.0 - x**2) / 2.0, ((1.0 + x) / 2.0) ** 2), axis=-1
         )
         values = np.empty(fx.shape)
-        for i, rng in zip(np.ndindex(fx.shape), streams):
+        for i, rng in zip(np.ndindex(fx.shape), rngs):
             atoms = max(1, int(rng.poisson(noise.mean_atoms)))
             n_plus, _, n_minus = (int(c) for c in rng.multinomial(atoms, probs[i]))
             values[i] = (n_minus - n_plus) / (2.0 * np.pi * duration * atoms)
@@ -396,16 +305,16 @@ def measure_sine_coefficient(
         raise ValueError(f"k must lie in 1..{n_grid - 1}, got {k}")
     duration = waveform.grid.duration
     rabi_hz = k / (2.0 * duration)
-    drift, streams = 0.0, None
-    if noise is not None:  # drift on stream (noise.seed, shot_seed, 0), counts on 1
-        streams = _streams(noise.seed, shot_seed, [0, 1])
-        drift = next(streams).normal(0.0, noise.bias_drift_std_hz)
+    drift, rngs = 0.0, None
+    if noise is not None:
+        rngs = streams(noise.seed, shot_seed, [DRIFT, COUNTS])
+        drift = next(rngs).normal(0.0, noise.bias_drift_std_hz)
     params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
     # the coherent state of spinor (u, v) = (-conj(beta), conj(alpha)) has
     # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
     alpha, beta = _rotating_frame_pair(sine_interpolant(waveform), params, drift)
     fx = -2.0 * float(np.real(np.conj(alpha) * beta))
-    return _count_readout(np.asarray(fx), duration, noise, streams)
+    return _count_readout(np.asarray(fx), duration, noise, rngs)
 
 
 def ramsey_sample(
@@ -421,7 +330,7 @@ def ramsey_sample(
     (std = sqrt(1/(2 atoms)) / (2 pi window)).  Array ``center_time`` and
     ``shot_seed`` broadcast: one call then makes every window from one
     coefficient vector, each with its own noise stream (noise.seed, shot_seed,
-    2), and returns an array.  Scalars give a float."""
+    RAMSEY_NOISE), and returns an array.  Scalars give a float."""
     if window <= 0:
         raise ValueError("window must be positive")
     centre, seeds = np.broadcast_arrays(np.asarray(center_time, dtype=float), shot_seed)
@@ -433,7 +342,7 @@ def ramsey_sample(
     values = np.array(sine_interpolant(waveform).window_mean(lo, hi))
     if noise is not None:
         shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
-        for i, rng in zip(np.ndindex(values.shape), _streams(noise.seed, seeds, 2)):
+        for i, rng in zip(np.ndindex(values.shape), streams(noise.seed, seeds, RAMSEY_NOISE)):
             drift = rng.normal(0.0, noise.bias_drift_std_hz)
             values[i] = values[i] + drift + rng.normal(0.0, shot_std)
     return float(values) if values.ndim == 0 else values

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.fft
 
 from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_rows, write_csv_rows
+from .seeds import streams
 
 
 @functools.lru_cache(maxsize=4)
@@ -88,14 +89,14 @@ class SubsampleSet:
 def random_subsample_masks(n_grid: int, ms, seeds) -> np.ndarray:
     """(len(seeds), N-1) bool masks, row r a uniformly random ms[r]-subset of
     1..N-1 (column k - 1 for index k): the first ms[r] swaps of a partial
-    Fisher-Yates shuffle seeded with seeds[r]."""
+    Fisher-Yates shuffle on the stream of key (seeds[r],)."""
     masks = np.zeros((len(seeds), n_grid - 1), dtype=bool)
-    for row, m, seed in zip(masks, ms, seeds, strict=True):
+    for row, m, rng in zip(masks, ms, streams(seeds), strict=True):
         if not 1 <= m <= n_grid - 1:
             raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
         pool = list(range(n_grid - 1))
         # one draw per step i from [i, N-1): the same stream as a call per step
-        draws = np.random.default_rng(int(seed)).integers(np.arange(m), n_grid - 1)
+        draws = rng.integers(np.arange(m), n_grid - 1)
         for i, j in enumerate(draws.tolist()):
             pool[i], pool[j] = pool[j], pool[i]
         row[pool[:m]] = True

@@ -15,14 +15,15 @@
 * ``simulate_measurements``: the per-shot loop, one ``magnus_state`` rotation
   and one matrix readout per shot, with the atom-count draw written out.
 * ``derive_seed``, ``shot_drift`` and ``count_atoms``: the per-shot seeds and
-  noise streams, each built directly on ``np.random.SeedSequence`` and
-  ``default_rng``, one key at a time.
+  noise streams on the key layouts and tags of ``sparsemag.seeds``, each
+  built directly on ``np.random.SeedSequence`` and ``default_rng``, one key
+  at a time; the package draws them from ``seeds.streams``.
 * ``step_unitaries`` and ``evolve_pairwise``: the stepped unitary shot as
   3x3 complex matrices, one spin-1 rotation per step, multiplied pairwise.
 * ``soft_threshold`` and ``objective``: the LASSO pieces of the scalar FISTA
   loop, which the block engine inlines.
 * ``random_subsample``: one subset's partial Fisher-Yates shuffle on a numpy
-  pool, returned as sorted indices.
+  pool, seeded with ``default_rng(seed)``, returned as sorted indices.
 * ``roc_curve_from_scores``: one row's ROC from ``np.unique`` and per-score
   counts, graded by ``detection.auc``.
 * ``sweep_sample_count``: the sample-count sweep with one subset draw and one
@@ -32,7 +33,7 @@
 import numpy as np
 from scipy.integrate import simpson
 
-from sparsemag import detection, experiments, recovery, sensor
+from sparsemag import detection, experiments, recovery, seeds, sensor
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix, sine_interpolant
 
 SQRT2 = np.sqrt(2.0)
@@ -108,13 +109,13 @@ def derive_seed(master_seed, *indices):
 
 
 def shot_drift(noise, shot_seed):
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 0)))
+    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, seeds.DRIFT)))
     return float(rng.normal(0.0, noise.bias_drift_std_hz))
 
 
 def count_atoms(probs, noise, shot_seed):
     """Atom counts (n_plus, n_zero, n_minus) of one shot."""
-    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence((noise.seed, shot_seed, seeds.COUNTS)))
     total = max(1, int(rng.poisson(noise.mean_atoms)))
     return tuple(int(c) for c in rng.multinomial(total, probs))
 
@@ -145,7 +146,7 @@ def simulate_measurements(waveform, subsample, noise, master_seed=0):
 
     values = np.empty(subsample.m)
     for i, k in enumerate(subsample.indices):
-        shot_seed = derive_seed(master_seed, 0, k)
+        shot_seed = derive_seed(master_seed, seeds.SHOT, k)
         drift = 0.0 if noise is None else shot_drift(noise, shot_seed)
         a_k = a_base[k - 1] + drift * 2.0 * duration * (1.0 - (-1.0) ** k) / k
         state = sensor.magnus_state(a_k, b_all[k - 1])
@@ -259,7 +260,7 @@ def sweep_sample_count(spec, template, truth):
         chunk = pairs[start : start + experiments._SWEEP_BLOCK_COLUMNS]
         masks = np.zeros((len(chunk), spec.n_grid - 1), dtype=bool)
         for j, (m, rep) in enumerate(chunk):
-            seed = derive_seed(spec.master_seed, experiments._TAG_SUBSET, m, rep)
+            seed = derive_seed(spec.master_seed, seeds.SUBSET, m, rep)
             masks[j, np.asarray(random_subsample(spec.n_grid, m, seed)) - 1] = True
         results = recovery.fista_solve_block(
             dst_matrix(spec.n_grid), spec.base_measurements,

@@ -309,6 +309,33 @@ def test_measure_negative_seed(tmp_path, pulse_csv, capsys, flags):
     _assert_numeric_error(code, capsys, "non-negative")
 
 
+@pytest.mark.parametrize("args, bad", [
+    (["measure", "--m", 10, "--seed", -1], -1),
+    (["measure", "--m", 10, "--noise-seed", -1], -1),
+    (["tune", "--count", 1, "--seed", -3], -3),
+])
+def test_negative_seeds_are_named(tmp_path, pulse_csv, capsys, args, bad):
+    command = [*args[:1], "--in", pulse_csv, *args[1:]] if args[0] == "measure" else args
+    code = run_cli([*command, "--out", tmp_path / "out.csv"])
+    _assert_numeric_error(code, capsys, f"seed keys must be non-negative integers, got {bad}")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-300, 1e-12])
+def test_template_longer_than_grid_names_dt(tmp_path, pulse_csv, capsys, dt):
+    # synth keeps accepting these grids; the default 200 us template spans
+    # more samples than they hold, and roc and sweep say so before allocating
+    truth = tmp_path / "tiny.csv"
+    assert run_cli(["synth", "--dt", dt, "--out", truth]) == 0
+    base = tmp_path / "base.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
+    capsys.readouterr()
+    for command in (["roc", "--recovered", truth], ["sweep", "--base", base, "--m-list", 10]):
+        code = run_cli([*command, "--truth", truth, "--out", tmp_path / "out.csv"])
+        _assert_numeric_error(code, capsys, "template does not fit the grid",
+                              "pulse_duration 0.0002 s", f"dt {dt} s", "N - 1 = 99")
+
+
 def test_bound_prints_reference_values(capsys):
     assert run_cli(["bound", "--sparsity", 4, "--n", 100]) == 0
     assert capsys.readouterr().out.strip() == "34"

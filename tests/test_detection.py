@@ -39,6 +39,15 @@ def test_default_template_shape():
     )
 
 
+def test_default_template_must_fit_the_grid():
+    tgrid, _ = make_grids(100, 50e-6)
+    # 99.4 samples round to the 99 the grid holds
+    assert default_template(tgrid, pulse_duration=99.4 * 50e-6).samples.size == 99
+    for duration in (99.6 * 50e-6, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"pulse_duration .* / dt 5e-05 s is .* N - 1 = 99"):
+            default_template(tgrid, pulse_duration=duration)
+
+
 def test_matched_filter_self_match_peak():
     template = Template(np.array([0.0, 1000.0, 0.0, -1000.0]))
     signal = np.zeros(99)

@@ -18,7 +18,6 @@ from sparsemag.experiments import (
     SweepSpec,
     TrainingSetSpec,
     compute_bound,
-    derive_seed,
     run_scenario,
     scenario_to_csv,
     simulate_measurements,
@@ -28,6 +27,7 @@ from sparsemag.experiments import (
     tune_to_csv,
     write_manifest,
 )
+from sparsemag.seeds import derive_seed
 from sparsemag.transform import apply_dst, dst_matrix, random_subsample, sine_interpolant
 
 

@@ -1,0 +1,142 @@
+"""Counter-based seed keys: the exact batched SeedSequence/PCG64 streams.
+
+``seeds._seed_state`` and ``seeds.streams`` recompute numpy's SeedSequence
+mixing and PCG64 seeding for a batch of keys.  They are checked against numpy
+itself, so a numpy that changes either algorithm fails here instead of
+silently shifting every sampled value.
+"""
+
+import itertools
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import oracles
+from sparsemag import seeds
+from sparsemag.seeds import derive_seed
+from sparsemag.sensor import NoiseModel, readout_coefficient
+from sparsemag.transform import random_subsample_masks
+
+# values needing 1, 2 and 3 uint32 words
+WIDE = (0, 2**32 - 1, 2**32, 2**64 + 1)
+
+
+def _reference_words(key, n_words):
+    return np.random.SeedSequence(key).generate_state(n_words)
+
+
+def test_seed_state_matches_seed_sequence_in_every_position():
+    keys = [key for n in (1, 2, 3) for key in itertools.product(WIDE, repeat=n)]
+    for key in keys:
+        np.testing.assert_array_equal(seeds._seed_state(key, 8), _reference_words(key, 8))
+    # one batch mixing every layout: 2 to 9 words per key
+    batch = np.array(list(itertools.product(WIDE, repeat=3)), dtype=object).T
+    state = seeds._seed_state(tuple(batch), 8)
+    for j, key in enumerate(batch.T.tolist()):
+        np.testing.assert_array_equal(state[:, j], _reference_words(key, 8))
+
+
+def test_seed_state_broadcasts_shot_seed_arrays():
+    shot_seeds = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.uint32)
+    for master in (0, 5, 2**32 - 1, 2**32, 2**64 + 1):
+        for tag in (0, 1, 2):
+            state = seeds._seed_state((master, shot_seeds, tag))
+            assert state.shape == (1, shot_seeds.size)
+            expected = [_reference_words((master, int(s), tag), 1)[0] for s in shot_seeds]
+            np.testing.assert_array_equal(state[0], expected)
+    # two array entries broadcast to a grid of keys
+    grid = seeds._seed_state((3, np.arange(3)[:, None], np.arange(2)))
+    assert grid.shape == (1, 3, 2)
+    assert grid[0, 2, 1] == _reference_words((3, 2, 1), 1)[0]
+    assert seeds._seed_state((np.array(4), 9)).shape == (1,)
+
+
+def test_derive_seed_batch_equals_scalar_oracle():
+    shot_seeds = derive_seed(0, 0, np.arange(1, 100))
+    assert shot_seeds.dtype == np.uint32
+    assert shot_seeds.tolist() == [oracles.derive_seed(0, 0, k) for k in range(1, 100)]
+    assert derive_seed(2**40, 3) == oracles.derive_seed(2**40, 3)
+
+
+def test_streams_match_pcg64_states_and_first_draws():
+    shot_seeds = np.array([0, 3, 2**31, 2**32 - 1], dtype=np.uint32)
+    probs = [0.2, 0.3, 0.5]
+    for noise_seed in (0, 2**32, 2**64 + 1):
+        for tag in (0, 1, 2):
+            streams = seeds.streams(noise_seed, shot_seeds, tag)
+            for seed, rng in zip(shot_seeds, streams):
+                seq = np.random.SeedSequence((noise_seed, int(seed), tag))
+                assert rng.bit_generator.state == np.random.PCG64(seq).state
+                reference = np.random.default_rng(seq)
+                assert rng.normal(0.0, 200.0) == reference.normal(0.0, 200.0)
+                assert rng.poisson(1000.0) == reference.poisson(1000.0)
+                np.testing.assert_array_equal(
+                    rng.multinomial(1000, probs), reference.multinomial(1000, probs)
+                )
+
+
+def test_one_entry_streams_are_default_rng_of_an_int():
+    # the mask sampler's keys are (seed,), which default_rng(seed) also builds
+    mask_seeds = [*range(250), 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 + 5]
+    for seed, rng in zip(mask_seeds, seeds.streams(mask_seeds)):
+        reference = np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            rng.integers(np.arange(40), 99), reference.integers(np.arange(40), 99)
+        )
+
+
+def test_streams_keep_mixed_wide_ints_exact():
+    # np.asarray makes this pair float64; its keys must stay exact
+    pair = (4294967296, 9223372036854775808)
+    state = seeds._seed_state((pair,), 8)
+    for j, seed in enumerate(pair):
+        np.testing.assert_array_equal(state[:, j], _reference_words(seed, 8))
+    masks = random_subsample_masks(100, [60, 60], pair)
+    for mask, seed in zip(masks, pair):
+        assert tuple(np.flatnonzero(mask) + 1) == oracles.random_subsample(100, 60, seed)
+    assert seeds._seed_state(([],)).shape == (1, 0)
+
+
+def test_short_keys_are_padded_with_zero_words():
+    # SeedSequence pads a key to its 4-word pool, so these keys coincide
+    for short in ((123, 1), (123, 3), (2**32 + 7, 5)):
+        np.testing.assert_array_equal(
+            seeds._seed_state(short, 8), seeds._seed_state((*short, 0), 8)
+        )
+        np.testing.assert_array_equal(seeds._seed_state(short, 8), _reference_words(short, 8))
+    assert derive_seed(123, 1) == derive_seed(123, seeds.SUBSET, 0) == 447839439
+
+
+def test_tags_keep_their_values():
+    # the tags are part of every key, so of every sampled byte
+    assert (seeds.SHOT, seeds.SUBSET, seeds.RAMSEY, seeds.SEQUENCE) == (0, 1, 2, 3)
+    assert (seeds.DRIFT, seeds.COUNTS, seeds.RAMSEY_NOISE) == (0, 1, 2)
+
+
+def test_seed_helpers_reject_negative_and_non_integer_seeds():
+    message = "seed keys must be non-negative integers, got "
+    for key, bad in (((-1, 0), -1), ((0, np.array([3, -1]), 1), -1), ((2**64, -(2**40)), -(2**40))):
+        with pytest.raises(ValueError, match=re.escape(f"{message}{bad}")):
+            seeds._seed_state(key)
+    with pytest.raises(ValueError, match=f"{message}-1"):
+        derive_seed(-1, 0, 5)
+    with pytest.raises(ValueError, match=f"{message}-1"):
+        readout_coefficient(0.1, 5e-3, NoiseModel(seed=-1), 0)
+    with pytest.raises(ValueError, match=f"{message}-7"):
+        random_subsample_masks(100, [5, 5], [3, -7])
+    for key in ((0, 1.5), (0, [2, 1.5])):
+        with pytest.raises(TypeError):
+            seeds._seed_state(key)
+
+
+def test_only_the_seed_module_builds_generators():
+    package = Path(seeds.__file__).parent
+    private_use = re.compile(r"\b(grids|transform|seeds|sensor|recovery|detection|experiments|cli)\._\w")
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        if path.name != "seeds.py":
+            for name in ("default_rng", "SeedSequence", "np.random"):
+                assert name not in text, f"{path.name} uses {name}; draw from seeds.streams"
+        assert not private_use.search(text), f"{path.name} uses another module's private name"

@@ -1,7 +1,5 @@
 """Shot-level spin-1 sensor simulation and its Magnus closed form."""
 
-import itertools
-
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -10,7 +8,7 @@ from scipy.linalg import expm
 import oracles
 from oracles import FX, FY, FZ, STATE_MINUS_Z, expectation, second_frame_state, spin1_rotation
 from sparsemag import sensor
-from sparsemag.experiments import derive_seed, simulate_measurements
+from sparsemag.experiments import simulate_measurements
 
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.sensor import (
@@ -667,80 +665,3 @@ def test_magnus_shot_matches_simpson_quadratures():
         simpson_shot = (p[2] - p[0]) / (2.0 * np.pi * duration)
         fast = simulate_measurements(waveform, SubsampleSet(100, (k,)), None).values[0]
         assert fast == pytest.approx(simpson_shot, abs=1e-5)
-
-
-# ------------------------------------------------- exact seed streams
-#
-# sensor._seed_state and sensor._streams recompute numpy's SeedSequence
-# mixing and PCG64 seeding for a batch of keys.  They are checked against
-# numpy itself, so a numpy that changes either algorithm fails here instead
-# of silently shifting every sampled value.
-
-# values needing 1, 2 and 3 uint32 words
-WIDE = (0, 2**32 - 1, 2**32, 2**64 + 1)
-
-
-def _reference_words(key, n_words):
-    return np.random.SeedSequence(key).generate_state(n_words)
-
-
-def test_seed_state_matches_seed_sequence_in_every_position():
-    keys = [key for n in (1, 2, 3) for key in itertools.product(WIDE, repeat=n)]
-    for key in keys:
-        np.testing.assert_array_equal(sensor._seed_state(key, 8), _reference_words(key, 8))
-    # one batch mixing every layout: 2 to 9 words per key
-    batch = np.array(list(itertools.product(WIDE, repeat=3)), dtype=object).T
-    state = sensor._seed_state(tuple(batch), 8)
-    for j, key in enumerate(batch.T.tolist()):
-        np.testing.assert_array_equal(state[:, j], _reference_words(key, 8))
-
-
-def test_seed_state_broadcasts_shot_seed_arrays():
-    shot_seeds = np.array([0, 1, 7, 2**31, 2**32 - 1], dtype=np.uint32)
-    for master in (0, 5, 2**32 - 1, 2**32, 2**64 + 1):
-        for tag in (0, 1, 2):
-            state = sensor._seed_state((master, shot_seeds, tag))
-            assert state.shape == (1, shot_seeds.size)
-            expected = [_reference_words((master, int(s), tag), 1)[0] for s in shot_seeds]
-            np.testing.assert_array_equal(state[0], expected)
-    # two array entries broadcast to a grid of keys
-    grid = sensor._seed_state((3, np.arange(3)[:, None], np.arange(2)))
-    assert grid.shape == (1, 3, 2)
-    assert grid[0, 2, 1] == _reference_words((3, 2, 1), 1)[0]
-    assert sensor._seed_state((np.array(4), 9)).shape == (1,)
-
-
-def test_derive_seed_batch_equals_scalar_oracle():
-    seeds = derive_seed(0, 0, np.arange(1, 100))
-    assert seeds.dtype == np.uint32
-    assert seeds.tolist() == [oracles.derive_seed(0, 0, k) for k in range(1, 100)]
-    assert derive_seed(2**40, 3) == oracles.derive_seed(2**40, 3)
-
-
-def test_streams_match_pcg64_states_and_first_draws():
-    shot_seeds = np.array([0, 3, 2**31, 2**32 - 1], dtype=np.uint32)
-    probs = [0.2, 0.3, 0.5]
-    for noise_seed in (0, 2**32, 2**64 + 1):
-        for tag in (0, 1, 2):
-            streams = sensor._streams(noise_seed, shot_seeds, tag)
-            for seed, rng in zip(shot_seeds, streams):
-                seq = np.random.SeedSequence((noise_seed, int(seed), tag))
-                assert rng.bit_generator.state == np.random.PCG64(seq).state
-                reference = np.random.default_rng(seq)
-                assert rng.normal(0.0, 200.0) == reference.normal(0.0, 200.0)
-                assert rng.poisson(1000.0) == reference.poisson(1000.0)
-                np.testing.assert_array_equal(
-                    rng.multinomial(1000, probs), reference.multinomial(1000, probs)
-                )
-
-
-def test_seed_helpers_reject_negative_and_non_integer_seeds():
-    for key in ((-1, 0), (0, np.array([3, -1]), 1), (2**64, -(2**40))):
-        with pytest.raises(ValueError):
-            sensor._seed_state(key)
-    with pytest.raises(ValueError):
-        derive_seed(-1, 0, 5)
-    with pytest.raises(ValueError):
-        readout_coefficient(0.1, 5e-3, NoiseModel(seed=-1), 0)
-    with pytest.raises(TypeError):
-        sensor._seed_state((0, 1.5))
