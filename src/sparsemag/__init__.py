@@ -16,7 +16,6 @@ from .transform import (
     apply_dst,
     apply_inverse_dst,
     dst_matrix,
-    operator_norm_bound,
     random_subsample,
     sine_interpolant,
     subsample_rows,
@@ -33,10 +32,10 @@ from .sensor import (
     readout_coefficient,
 )
 from .recovery import (
+    DEFAULT_LAMBDA,
     FistaConfig,
     LassoProblem,
     RecoveryResult,
-    default_lambda,
     fista_solve,
 )
 from .detection import (

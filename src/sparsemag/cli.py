@@ -196,7 +196,10 @@ def cmd_sweep(args) -> int:
             f"sweep needs the full {args.n - 1}-coefficient base dataset, "
             f"got {measured.subsample.m} rows"
         )
-    m_values = tuple(int(v) for v in args.m_list.split(","))
+    try:
+        m_values = tuple(int(v) for v in args.m_list.split(","))
+    except ValueError:
+        raise ValueError(f"--m-list must be comma-separated integers, got {args.m_list!r}")
     spec = experiments.SweepSpec(
         m_values=m_values,
         base_measurements=measured.values,
@@ -213,7 +216,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    print(experiments.compute_bound(args.sparsity, args.n))
+    bound = experiments.compute_bound(args.sparsity, args.n)
+    print(bound)
+    if bound > args.n - 1:
+        print(f"note: bound {bound} exceeds the {args.n - 1} coefficients", file=sys.stderr)
     return EXIT_OK
 
 
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100, help="grid size N")
     p.add_argument("--dt", type=float, default=50e-6, help="time step (s)")
     p.add_argument(
-        "--lambda", dest="lam", type=float, default=recovery.default_lambda(),
+        "--lambda", dest="lam", type=float, default=recovery.DEFAULT_LAMBDA,
         help="regularisation weight (Hz)",
     )
     p.add_argument("--out", default="recovered.csv", help="output CSV path")
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--subsets", type=int, default=200, help="subsets per m")
     p.add_argument(
-        "--lambda", dest="lam", type=float, default=recovery.default_lambda(),
+        "--lambda", dest="lam", type=float, default=recovery.DEFAULT_LAMBDA,
         help="regularisation weight (Hz)",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed")

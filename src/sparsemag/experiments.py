@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +36,9 @@ from .detection import (
 )
 from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows, write_text
 from .recovery import (
+    DEFAULT_LAMBDA,
     LassoProblem,
     RecoveryResult,
-    default_lambda,
     fista_solve,
     fista_solve_block,
 )
@@ -175,10 +174,9 @@ def tune_lambda(spec: TrainingSetSpec, grid: LambdaGrid) -> TuneResult:
             waveform, subset, spec.noise, master_seed=derive_seed(spec.master_seed, index)
         )
         operator = subsample_rows(matrix, subset)
-        results = fista_solve_block(operator, measured.values, lambdas)
-        failures += sum(not result.converged for result in results)
-        recovered = np.array([result.waveform for result in results])
-        errors += np.abs(recovered - waveform.samples).sum(axis=1)
+        solved = fista_solve_block(operator, measured.values, lambdas)
+        failures += int(np.count_nonzero(~solved.converged))
+        errors += np.abs(solved.waveform - waveform.samples).sum(axis=1)
     errors /= spec.count
     best = lambdas[int(np.argmin(errors))]
     return TuneResult(float(best), lambdas, errors, failures)
@@ -186,17 +184,13 @@ def tune_lambda(spec: TrainingSetSpec, grid: LambdaGrid) -> TuneResult:
 
 def compute_bound(sparsity: int, n_grid: int) -> int:
     """Minimum measurement count ceil(2 s ln(e N / s)) guaranteeing sparse
-    recovery at sparsity s on a grid of size N >= 2."""
+    recovery at sparsity s on a grid of size N >= 2.  It may exceed the N - 1
+    coefficients there are: the bound is sufficient, not necessary."""
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
     if not 1 <= sparsity <= n_grid:
         raise ValueError(f"sparsity must lie in 1..{n_grid}, got {sparsity}")
-    bound = math.ceil(2.0 * sparsity * math.log(math.e * n_grid / sparsity))
-    if bound > n_grid - 1:
-        warnings.warn(
-            f"bound {bound} exceeds the {n_grid - 1} available coefficients"
-        )
-    return bound
+    return math.ceil(2.0 * sparsity * math.log(math.e * n_grid / sparsity))
 
 
 @dataclass
@@ -206,7 +200,7 @@ class SweepSpec:
     m_values: tuple[int, ...]
     base_measurements: np.ndarray
     subsets_per_m: int = 200
-    lam: float = field(default_factory=default_lambda)
+    lam: float = DEFAULT_LAMBDA
     master_seed: int = 0
 
     def __post_init__(self):
@@ -246,8 +240,8 @@ def sweep_sample_count(
         block = slice(start, start + _SWEEP_BLOCK_COLUMNS)
         masks = random_subsample_masks(spec.n_grid, m_of[block], seeds[block])
         lams = np.full(len(masks), spec.lam)
-        results = fista_solve_block(matrix, spec.base_measurements, lams, row_masks=masks)
-        filtered = [matched_filter(result.waveform, template) for result in results]
+        solved = fista_solve_block(matrix, spec.base_measurements, lams, row_masks=masks)
+        filtered = [matched_filter(row, template) for row in solved.waveform]
         scores[block] = auc_from_scores(filtered, truth_labels)
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
     means, stds = scores.mean(axis=1), scores.std(axis=1)
@@ -272,7 +266,7 @@ def run_scenario(
     noise: NoiseModel | None,
     master_seed: int = 0,
     m: int = 60,
-    lam: float | None = None,
+    lam: float = DEFAULT_LAMBDA,
     template: Template | None = None,
 ) -> ScenarioResult:
     """Measure a waveform with one of the three protocols and grade the
@@ -284,8 +278,6 @@ def run_scenario(
     matrix = dst_matrix(tgrid.n_grid)
     if template is None:
         template = default_template(tgrid)
-    if lam is None:
-        lam = default_lambda()
     truth_labels = ground_truth_classification(waveform.samples, template)
     positive_labels(truth_labels)  # a degenerate truth fails before any shot
 

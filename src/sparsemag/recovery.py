@@ -14,24 +14,22 @@ operator; a measurement-count sweep is one block on one matrix.  Each problem
 keeps the stopping rule of a single solve: it stops once its objective
 changes by at most ``rel_tolerance`` relative to the larger of the last two
 values, counting from the objective at zero, and then leaves the block while
-the others go on.  :func:`fista_solve` is a block of one.
+the others go on.  The block comes back as one :class:`RecoveryResult` of
+arrays, one row per problem; only each problem's last objective is kept.
+:func:`fista_solve` is a block of one with scalar fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import write_csv_rows, write_text
-from .transform import operator_norm_bound
 
-
-def default_lambda() -> float:
-    """Regularisation weight (Hz) tuned on simulated training data."""
-    return 1.04
+DEFAULT_LAMBDA = 1.04  # regularisation weight (Hz) tuned on simulated training data
 
 
 @dataclass
@@ -54,18 +52,16 @@ class FistaConfig:
     rel_tolerance: float = 1e-8
 
 
-def safe_step(n_grid: int) -> float:
-    """The FISTA step: the largest safe step 1/(2 sigma_max^2) = N, with a
-    0.9 margin."""
-    return 0.9 / (2.0 * operator_norm_bound(n_grid) ** 2)
-
-
 @dataclass
 class RecoveryResult:
+    """One solve, or a block of solves with a leading problem axis on every
+    field.  ``final_objective`` is the last objective computed: at the stall,
+    or at ``max_iters``."""
+
     waveform: np.ndarray
-    objective_trace: np.ndarray = field(repr=False)
-    iterations_used: int
-    converged: bool
+    iterations_used: int | np.ndarray
+    converged: bool | np.ndarray
+    final_objective: float | np.ndarray
 
 
 def fista_solve(problem: LassoProblem, config: FistaConfig | None = None) -> RecoveryResult:
@@ -74,10 +70,13 @@ def fista_solve(problem: LassoProblem, config: FistaConfig | None = None) -> Rec
     Non-convergence within max_iters is reported via ``converged=False``,
     never raised.
     """
-    (result,) = fista_solve_block(
+    block = fista_solve_block(
         problem.operator, problem.measurements, [problem.lam], config=config
     )
-    return result
+    return RecoveryResult(
+        block.waveform[0], int(block.iterations_used[0]), bool(block.converged[0]),
+        float(block.final_objective[0]),
+    )
 
 
 def fista_solve_block(
@@ -86,7 +85,7 @@ def fista_solve_block(
     lams,
     row_masks=None,
     config: FistaConfig | None = None,
-) -> list[RecoveryResult]:
+) -> RecoveryResult:
     """Solve one LASSO per column of a block, all on one shared operator.
 
     Column j minimises ||D_j (A x - m)||_2^2 + lams[j] ||x||_1, where D_j keeps
@@ -95,15 +94,18 @@ def fista_solve_block(
     the same problem as the row-subsampled operator.  Every column runs the
     update and stopping rule of a single solve; ``theta`` depends only on the
     iteration count, so the columns share it.  A column that stalls is written
-    out and dropped from the working arrays while the rest go on.
+    out and dropped from the working arrays while the rest go on.  The result
+    holds one row per column: ``waveform`` is (count, N - 1), the other fields
+    are (count,).
     """
     if config is None:
         config = FistaConfig()
     operator, measurements, lams, mask = _checked_block(
         operator, measurements, lams, row_masks
     )
-    step = safe_step(operator.shape[1] + 1)
     count, n_unknowns = lams.size, operator.shape[1]
+    # 0.9 / (2 sigma_max^2), sigma_max = 1/sqrt(2N); 0.9 * N rounds differently
+    step = 0.9 / (2.0 * (1.0 / np.sqrt(2.0 * (n_unknowns + 1))) ** 2)
     # One row per column of the block: row j of x is column j's waveform, so
     # per-column sums and the rows dropped on stalling stay contiguous.  The
     # targets and thresholds are stored per row because same-shape arithmetic
@@ -127,10 +129,10 @@ def fista_solve_block(
     y = x.copy()
     theta = 1.0
     previous = objectives(x, x)  # x = 0, so |x| is x
-    trace_columns, trace_values = [active], [previous]
     waveforms = np.empty((count, n_unknowns))
     iterations = np.full(count, config.max_iters)
     converged = np.zeros(count, dtype=bool)
+    finals = np.empty(count)
 
     for iteration in range(1, config.max_iters + 1):
         residual = y @ operator_t - targets
@@ -145,8 +147,6 @@ def fista_solve_block(
         x, theta = x_next, theta_next
 
         value = objectives(x, magnitude)
-        trace_columns.append(active)
-        trace_values.append(value)
         # objectives are non-negative, so max(|a|, |b|) is max(a, b).  A lone
         # problem (every single solve) evaluates the rule in Python floats:
         # the same IEEE operations, without six ufunc calls on one-element
@@ -157,37 +157,23 @@ def fista_solve_block(
         else:
             scale = np.maximum(np.maximum(previous, value), 1e-300)
             stalled = np.abs(previous - value) <= config.rel_tolerance * scale
+        previous = value
         if np.count_nonzero(stalled):
             done = active[stalled]
             waveforms[done] = x[stalled]
             iterations[done] = iteration
             converged[done] = True
+            finals[done] = previous[stalled]
             going = ~stalled
-            active, value, lam = active[going], value[going], lam[going]
+            active, previous, lam = active[going], previous[going], lam[going]
             x, y, targets, tau = x[going], y[going], targets[going], tau[going]
             if mask is not None:
                 mask = mask[going]
             if active.size == 0:
                 break
-        previous = value
     waveforms[active] = x
-
-    # each iteration appended the objectives of the columns then active, in
-    # column order; a stable sort by column regroups them into per-column
-    # traces in iteration order
-    columns = np.concatenate(trace_columns)
-    order = np.argsort(columns, kind="stable")
-    bounds = np.cumsum(np.bincount(columns, minlength=count))[:-1]
-    traces = np.split(np.concatenate(trace_values)[order], bounds)
-    return [
-        RecoveryResult(
-            waveform=waveforms[j],
-            objective_trace=traces[j],
-            iterations_used=int(iterations[j]),
-            converged=bool(converged[j]),
-        )
-        for j in range(count)
-    ]
+    finals[active] = previous
+    return RecoveryResult(waveforms, iterations, converged, finals)
 
 
 def _checked_block(operator, measurements, lams, row_masks):
@@ -231,6 +217,6 @@ def result_metadata_to_json(result: RecoveryResult, lam: float, path):
         "lambda": lam,
         "iterations_used": result.iterations_used,
         "converged": result.converged,
-        "final_objective": float(result.objective_trace[-1]),
+        "final_objective": result.final_objective,
     }
     write_text(path, json.dumps(metadata))

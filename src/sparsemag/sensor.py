@@ -78,6 +78,8 @@ class SensorParams:
 
 # The largest mean numpy's Poisson draw accepts (its POISSON_LAM_MAX).
 _POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+# Below this duration T the readout scale 1/(2 pi T) exceeds the largest float.
+_SHORTEST_DURATION = 1.0 / (2.0 * np.pi) / np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -264,6 +266,8 @@ def _count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
     """:func:`readout_coefficient` of array ``fx``, counted on ``rngs`` in C order."""
     if not np.all(np.abs(fx) <= 1.0 + 1e-9):
         raise ValueError("<Fx> must lie in [-1, 1]: not a normalised spin-1 state")
+    if duration < _SHORTEST_DURATION:
+        raise ValueError(f"T = N*dt = {duration:.3g} s: the readout 1/(2 pi T) overflows")
     if noise is None:
         values = fx / (2.0 * np.pi * duration)
     else:

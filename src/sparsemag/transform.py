@@ -58,13 +58,6 @@ def apply_inverse_dst(
     return Waveform(samples, grid)
 
 
-def operator_norm_bound(n_grid: int) -> float:
-    """Upper bound 1/sqrt(2N) on the spectral norm of any row-subsampled A."""
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
-    return 1.0 / np.sqrt(2.0 * n_grid)
-
-
 @dataclass(frozen=True)
 class SubsampleSet:
     """Strictly increasing frequency indices, each in 1..N-1."""
@@ -203,6 +196,8 @@ def measurements_from_csv(path, n_grid: int) -> MeasurementVector:
     rows = read_csv_rows(path, ["k", "freq_hz", "coef_hz"])
     indices = [int(k) for k, _, _ in rows]
     values = [float(value) for _, _, value in rows]
+    if indices and max(indices) > n_grid - 1:
+        raise ValueError(f"{path} holds index {max(indices)} > N - 1 for N = {n_grid} (--n)")
     order = np.argsort(indices)
     subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
     return MeasurementVector(np.array(values)[order], subsample)

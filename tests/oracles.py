@@ -262,12 +262,12 @@ def sweep_sample_count(spec, template, truth):
         for j, (m, rep) in enumerate(chunk):
             seed = derive_seed(spec.master_seed, seeds.SUBSET, m, rep)
             masks[j, np.asarray(random_subsample(spec.n_grid, m, seed)) - 1] = True
-        results = recovery.fista_solve_block(
+        block = recovery.fista_solve_block(
             dst_matrix(spec.n_grid), spec.base_measurements,
             np.full(len(chunk), spec.lam), row_masks=masks,
         )
-        for j, result in enumerate(results):
-            row_scores = detection.matched_filter(result.waveform, template)
+        for j, waveform in enumerate(block.waveform):
+            row_scores = detection.matched_filter(waveform, template)
             scores[start + j] = detection.auc(roc_curve_from_scores(row_scores, labels))
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
     return [(int(m), float(row.mean()), float(row.std())) for m, row in zip(spec.m_values, scores)]

@@ -341,6 +341,11 @@ def test_bound_prints_reference_values(capsys):
     assert capsys.readouterr().out.strip() == "34"
     assert run_cli(["bound", "--sparsity", 8, "--n", 100]) == 0
     assert capsys.readouterr().out.strip() == "57"
+    # a bound beyond the N - 1 coefficients adds one plain line, not a warning
+    assert run_cli(["bound", "--sparsity", 100, "--n", 100]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "200\n"
+    assert captured.err == "note: bound 200 exceeds the 99 coefficients\n"
 
 
 def test_bound_rejects_grid_without_coefficients(capsys):
@@ -349,6 +354,36 @@ def test_bound_rejects_grid_without_coefficients(capsys):
         code = run_cli(["bound", "--sparsity", 1, "--n", 1])
     _assert_numeric_error(code, capsys, "n_grid must be >= 2")
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["measure", "--in", "tiny.csv", "--m", 10],
+     "T = N*dt = 4.94e-322 s: the readout 1/(2 pi T) overflows"),
+    (["sweep", "--base", "full.csv", "--m-list", ""],
+     "--m-list must be comma-separated integers, got ''"),
+    (["sweep", "--base", "full.csv", "--m-list", "10,,20"],
+     "--m-list must be comma-separated integers, got '10,,20'"),
+    (["recover", "--measurements", "full400.csv"],
+     "full400.csv holds index 399 > N - 1 for N = 100 (--n)"),
+    (["sweep", "--base", "full400.csv", "--m-list", 10],
+     "full400.csv holds index 399 > N - 1 for N = 100 (--n)"),
+])
+def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
+    # a 5e-324 s grid (which synth accepts), a malformed --m-list, and a
+    # 399-row base read without --n each exit 4 with one line naming them
+    monkeypatch.chdir(tmp_path)
+    for setup in (
+        ["synth", "--dt", 5e-324, "--out", "tiny.csv"],
+        ["measure", "--in", pulse_csv, "--full", "--out", "full.csv"],
+        ["synth", "--n", 400, "--dt", 12.5e-6, "--out", "wf400.csv"],
+        ["measure", "--in", "wf400.csv", "--full", "--no-noise", "--out", "full400.csv"],
+    ):
+        assert run_cli(setup) == 0
+    capsys.readouterr()
+    truth = ["--truth", pulse_csv] if args[0] == "sweep" else []
+    code = run_cli([*args, *truth, "--out", "out.csv"])
+    _assert_numeric_error(code, capsys, message)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sweep_small(tmp_path, pulse_csv):

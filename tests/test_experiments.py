@@ -114,17 +114,16 @@ def test_compute_bound_anchors_and_monotonicity():
     assert compute_bound(4, 100) == 34
     assert compute_bound(8, 100) == 57
     assert compute_bound(1, 100) == 12
-    with pytest.warns(UserWarning, match="exceeds"):  # s >= 19 exceeds 99
-        values = [compute_bound(s, 100) for s in range(1, 51)]
+    values = [compute_bound(s, 100) for s in range(1, 51)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+    assert values[17:19] == [98, 102]  # s >= 19 exceeds the 99 coefficients: no warning
     with pytest.raises(ValueError):
         compute_bound(0, 100)
     with pytest.raises(ValueError):
         compute_bound(101, 100)
     with pytest.raises(ValueError, match="n_grid"):
         compute_bound(1, 1)  # no coefficient to measure
-    with pytest.warns(UserWarning):
-        compute_bound(50, 100)  # bound 240 exceeds the 99 coefficients
+    assert compute_bound(50, 100) == 170
 
 
 def test_tune_lambda_noiseless_prefers_tiny_lambda():

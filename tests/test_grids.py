@@ -289,7 +289,7 @@ def test_artefact_writers_open_without_truncation(tmp_path, monkeypatch):
         return real_open(path, flag, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", spy)
-    result = recovery.RecoveryResult(np.zeros(3), np.array([2.5]), 7, True)
+    result = recovery.RecoveryResult(np.zeros(3), 7, True, 2.5)
     for _ in range(2):  # a new file, then a rewrite of it
         write_csv_rows(tmp_path / "rows.csv", ["k", "x"], [(1, 0.5), (2, 1.5)])
         experiments.write_manifest(tmp_path / "m.json", "synth", {"n": 100}, 0, ["a.csv"])

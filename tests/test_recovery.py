@@ -11,15 +11,14 @@ from oracles import objective, soft_threshold
 from sparsemag.experiments import LambdaGrid, simulate_measurements
 from sparsemag.grids import PulseSpec, make_grids, synth_waveform
 from sparsemag.recovery import (
+    DEFAULT_LAMBDA,
     FistaConfig,
     LassoProblem,
     RecoveryResult,
-    default_lambda,
     fista_solve,
     fista_solve_block,
     result_metadata_to_json,
     result_to_csv,
-    safe_step,
 )
 from sparsemag.sensor import NoiseModel
 from sparsemag.transform import (
@@ -43,10 +42,12 @@ def _pulse_instance(subset_seed, lam):
 
 
 def _reference_fista(problem, config=None):
-    """The scalar FISTA loop the block engine replaced, kept as its oracle."""
+    """The scalar FISTA loop the block engine replaced, kept as its oracle:
+    its result and its objective trace, from the objective at zero on."""
     if config is None:
         config = FistaConfig()
-    step = safe_step(problem.operator.shape[1] + 1)
+    n_grid = problem.operator.shape[1] + 1
+    step = 0.9 / (2.0 * (1.0 / np.sqrt(2.0 * n_grid)) ** 2)  # 0.9 / (2 sigma_max^2)
 
     a_mat = problem.operator
     m = problem.measurements
@@ -72,18 +73,32 @@ def _reference_fista(problem, config=None):
             converged = True
             break
 
-    return RecoveryResult(
+    result = RecoveryResult(
         waveform=x,
-        objective_trace=np.array(trace),
         iterations_used=iterations,
         converged=converged,
+        final_objective=trace[-1],
     )
+    return result, np.array(trace)
 
 
 def _assert_matches_reference(result, reference):
     assert result.iterations_used == reference.iterations_used
     assert result.converged == reference.converged
     np.testing.assert_allclose(result.waveform, reference.waveform, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        result.final_objective, reference.final_objective, rtol=1e-12, atol=0
+    )
+
+
+def _block_rows(block):
+    """The rows of a block result, each as the result of one solve."""
+    return [
+        RecoveryResult(*fields)
+        for fields in zip(
+            block.waveform, block.iterations_used, block.converged, block.final_objective
+        )
+    ]
 
 
 def test_soft_threshold_examples():
@@ -139,12 +154,6 @@ def test_problem_validation():
         objective(LassoProblem(operator, np.zeros(4), 1.0), np.zeros(3))
 
 
-def test_safe_step_value():
-    # largest safe step is N for the 1/sqrt(2N)-normalised operator; the
-    # solver keeps a 0.9 margin
-    assert safe_step(100) == pytest.approx(90.0)
-
-
 def test_fista_zero_data():
     _, problem = _pulse_instance(0, 1.0)
     zero_problem = LassoProblem(problem.operator, np.zeros(60), 1.0)
@@ -185,7 +194,7 @@ def test_fista_fixed_point_and_objective_ordering():
     waveform, problem = _pulse_instance(5, 0.01)
     config = FistaConfig(max_iters=40000, rel_tolerance=0.0)
     result = fista_solve(problem, config)
-    step = safe_step(100)
+    step = 90.0  # the largest safe step N = 100 with the engine's 0.9 margin
     x = result.waveform
     gradient = 2.0 * (problem.operator.T @ (problem.operator @ x - problem.measurements))
     fixed_point = soft_threshold(x - step * gradient, step * problem.lam)
@@ -195,8 +204,9 @@ def test_fista_fixed_point_and_objective_ordering():
 
 def test_fista_objective_running_minimum_non_increasing():
     _, problem = _pulse_instance(7, 0.5)
-    result = fista_solve(problem, FistaConfig(max_iters=2000))
-    trace = result.objective_trace
+    config = FistaConfig(max_iters=2000)
+    reference, trace = _reference_fista(problem, config)
+    _assert_matches_reference(fista_solve(problem, config), reference)
     running_min = np.minimum.accumulate(trace)
     # plain (non-monotone) FISTA overshoots transiently by a fraction of a
     # percent; the trace must stay within 1% of the running minimum and end
@@ -212,8 +222,9 @@ def test_fista_convergence_rate_envelope():
     problem = LassoProblem(
         clean.operator, clean.measurements + 0.5 * rng.normal(size=60), 0.1
     )
-    long_run = fista_solve(problem, FistaConfig(max_iters=30000, rel_tolerance=0.0))
-    trace = long_run.objective_trace
+    config = FistaConfig(max_iters=30000, rel_tolerance=0.0)
+    reference, trace = _reference_fista(problem, config)
+    _assert_matches_reference(fista_solve(problem, config), reference)
     optimum = trace[-1]
     gap_20 = trace[20] - optimum
     # a solve that terminates before iteration 200 has gap 0 there
@@ -246,10 +257,10 @@ def test_huge_lambda_gives_zero_without_overflow_warning():
     _, problem = _pulse_instance(0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = fista_solve_block(problem.operator, problem.measurements, [1.0, 1e308])
-    np.testing.assert_array_equal(results[1].waveform, np.zeros(99))
-    assert results[1].converged
-    assert np.any(results[0].waveform != 0.0)
+        block = fista_solve_block(problem.operator, problem.measurements, [1.0, 1e308])
+    np.testing.assert_array_equal(block.waveform[1], np.zeros(99))
+    assert block.converged[1]
+    assert np.any(block.waveform[0] != 0.0)
 
 
 def test_block_matches_scalar_on_lambda_grid():
@@ -262,11 +273,17 @@ def test_block_matches_scalar_on_lambda_grid():
     measured = simulate_measurements(waveform, subset, NoiseModel(seed=4), master_seed=5)
     operator = subsample_rows(dst_matrix(100), subset)
     lams = LambdaGrid().values
-    results = fista_solve_block(operator, measured.values, lams)
-    assert len(results) == lams.size
-    for lam, result in zip(lams, results):
+    block = fista_solve_block(operator, measured.values, lams)
+    assert block.waveform.shape == (lams.size, 99)
+    assert block.iterations_used.shape == block.converged.shape == (lams.size,)
+    assert block.final_objective.shape == (lams.size,)
+    for lam, result in zip(lams, _block_rows(block)):
         problem = LassoProblem(operator, measured.values, lam)
-        _assert_matches_reference(result, _reference_fista(problem))
+        _assert_matches_reference(result, _reference_fista(problem)[0])
+        # the last objective is the one of the returned waveform
+        assert result.final_objective == pytest.approx(
+            objective(problem, result.waveform), rel=1e-12, abs=0
+        )
 
 
 def test_masked_block_matches_subsampled_rows():
@@ -284,14 +301,18 @@ def test_masked_block_matches_subsampled_rows():
     masks = np.zeros((len(subsets), 99), dtype=bool)
     for j, subset in enumerate(subsets):
         masks[j, np.asarray(subset.indices) - 1] = True
-    lam = default_lambda()
-    results = fista_solve_block(
+    lam = DEFAULT_LAMBDA
+    block = fista_solve_block(
         matrix, base, np.full(len(subsets), lam), row_masks=masks
     )
-    for subset, result in zip(subsets, results):
+    for subset, result in zip(subsets, _block_rows(block)):
         rows = np.asarray(subset.indices) - 1
         problem = LassoProblem(subsample_rows(matrix, subset), base[rows], lam)
-        _assert_matches_reference(result, _reference_fista(problem))
+        _assert_matches_reference(result, _reference_fista(problem)[0])
+        # the masked objective is the one of the row-subsampled problem
+        assert result.final_objective == pytest.approx(
+            objective(problem, result.waveform), rel=1e-12, abs=0
+        )
 
 
 @pytest.mark.parametrize(
@@ -308,24 +329,20 @@ def test_masked_block_matches_subsampled_rows():
 def test_single_solve_matches_scalar(subset_seed, lam, config):
     _, problem = _pulse_instance(subset_seed, lam)
     result = fista_solve(problem, config)
-    reference = _reference_fista(problem, config)
-    _assert_matches_reference(result, reference)
-    np.testing.assert_allclose(
-        result.objective_trace, reference.objective_trace, rtol=1e-12, atol=0
-    )
+    _assert_matches_reference(result, _reference_fista(problem, config)[0])
+    # a single solve reports plain Python scalars, as the .meta.json needs
+    assert type(result.iterations_used) is int
+    assert type(result.converged) is bool
+    assert type(result.final_objective) is float
 
 
-def test_block_traces_are_per_column():
+def test_block_rows_match_single_solves():
     _, problem = _pulse_instance(4, 1.0)
     lams = [0.05, 1.0, 20.0]
-    results = fista_solve_block(problem.operator, problem.measurements, lams)
-    for lam, result in zip(lams, results):
+    block = fista_solve_block(problem.operator, problem.measurements, lams)
+    for lam, result in zip(lams, _block_rows(block)):
         single = fista_solve(LassoProblem(problem.operator, problem.measurements, lam))
-        assert result.objective_trace.size == result.iterations_used + 1
         _assert_matches_reference(result, single)
-        np.testing.assert_allclose(
-            result.objective_trace, single.objective_trace, rtol=1e-12, atol=0
-        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -365,16 +382,16 @@ def test_block_validation():
 
 
 def test_default_lambda_value():
-    assert default_lambda() == pytest.approx(1.04)
+    assert DEFAULT_LAMBDA == 1.04
 
 
 def test_result_serialization(tmp_path):
     tgrid, _ = make_grids(100, 50e-6)
     result = RecoveryResult(
         waveform=np.linspace(-1.0, 1.0, 99),
-        objective_trace=np.array([3.0, 1.0]),
         iterations_used=1,
         converged=True,
+        final_objective=1.0,
     )
     csv_path = tmp_path / "rec.csv"
     result_to_csv(result, tgrid.times, csv_path)

@@ -17,7 +17,6 @@ from sparsemag.transform import (
     dst_matrix,
     measurements_from_csv,
     measurements_to_csv,
-    operator_norm_bound,
     random_subsample,
     random_subsample_masks,
     sine_interpolant,
@@ -162,14 +161,14 @@ def test_inverse_dst_dimension_checks():
 
 @pytest.mark.parametrize("n_grid,value", [(100, 1 / np.sqrt(200)), (2, 0.5), (4, 1 / np.sqrt(8))])
 def test_operator_norm_bound_values(n_grid, value):
-    assert operator_norm_bound(n_grid) == pytest.approx(value, rel=1e-12)
+    # the engine's step 0.9 / (2 sigma_max^2) rests on sigma_max = 1/sqrt(2N)
     full_norm = np.linalg.norm(dst_matrix(n_grid), ord=2)
     assert full_norm == pytest.approx(value, abs=1e-12)
 
 
 def test_subsampled_operator_norm_within_bound():
     matrix = dst_matrix(100)
-    bound = operator_norm_bound(100)
+    bound = 1.0 / np.sqrt(200.0)
     for seed in range(10):
         subset = random_subsample(100, 37, seed)
         operator = subsample_rows(matrix, subset)
