@@ -208,6 +208,8 @@ def cmd_sweep(args) -> int:
         master_seed=args.seed,
     )
     truth = waveform_from_csv(args.truth)
+    if truth.grid.n_grid != args.n:
+        raise ValueError(f"--truth {args.truth} holds N = {truth.grid.n_grid}, not --n {args.n}")
     template = detection.default_template(truth.grid)
     rows = experiments.sweep_sample_count(spec, template, truth.samples)
     experiments.sweep_to_csv(rows, args.out)

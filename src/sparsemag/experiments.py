@@ -125,7 +125,7 @@ class LambdaGrid:
         if not 0 < self.low < self.high < np.inf:
             raise ValueError("lambda grid needs 0 < low < high < inf")
         if self.count < 2:
-            raise ValueError("count must be >= 2")
+            raise ValueError("lambda count must be >= 2")
 
     @property
     def values(self) -> np.ndarray:

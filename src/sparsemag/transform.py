@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_rows, write_csv_rows
 from .seeds import streams
@@ -155,6 +154,7 @@ class SineInterpolant:
         signs = np.where(turns % 2, -1.0, 1.0)
         np.add.at(folded, np.minimum(j, 2 * n - j), signs * self.coefs)
         folded[n] *= 2.0  # DST-III weighs its last input once, the others twice
+        import scipy.fft  # here, not at the top: it is most of the package's import time
         return scipy.fft.dst(folded[1:], type=3)
 
     def window_mean(self, lo, hi) -> np.ndarray:

@@ -449,6 +449,24 @@ def test_sweep_requires_full_base(tmp_path, pulse_csv):
     assert code == 4
 
 
+def test_sweep_rejects_truth_of_other_grid_before_solving(tmp_path, pulse_csv, capsys, monkeypatch):
+    base = tmp_path / "full.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
+    truth = tmp_path / "wf200.csv"
+    assert run_cli(["synth", "--n", 200, "--dt", 25e-6, "--out", truth]) == 0
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("sweep solved before checking --truth")
+
+    monkeypatch.setattr(cli.experiments, "sweep_sample_count", no_solve)
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["sweep", "--base", base, "--truth", truth, "--m-list", "20",
+                    "--out", out])
+    _assert_numeric_error(code, capsys, f"--truth {truth} holds N = 200, not --n 100")
+    assert not out.exists()
+
+
 def test_tune_tiny(tmp_path, capsys):
     out = tmp_path / "tune.csv"
     code = run_cli(["tune", "--count", 2, "--lambda-low", 0.5, "--lambda-high", 2.0,
@@ -478,6 +496,17 @@ def test_tune_rejects_bad_lambda_range(tmp_path, capsys, flags):
         warnings.simplefilter("error")  # a numpy RuntimeWarning would be a second line
         code = run_cli(["tune", "--count", 1, *flags, "--out", out])
     _assert_numeric_error(code, capsys, "0 < low < high < inf")
+    assert not out.exists()
+
+
+def test_tune_lambda_count_error_names_the_lambda_count(tmp_path, capsys):
+    out = tmp_path / "tune.csv"
+    assert run_cli(["tune", "--count", 0, "--out", out]) == 4
+    count_line = capsys.readouterr().err
+    assert run_cli(["tune", "--count", 1, "--lambda-count", 1, "--out", out]) == 4
+    lambda_line = capsys.readouterr().err
+    assert count_line == "error: numeric: count must be >= 1\n"
+    assert lambda_line == "error: numeric: lambda count must be >= 2\n"
     assert not out.exists()
 
 
