@@ -139,12 +139,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    measured = transform.measurements_from_csv(args.measurements, args.n)
+    grid = TimeGrid(args.n, args.dt)
+    measured = transform.measurements_from_csv(args.measurements, args.n, grid.dt)
     matrix = transform.dst_matrix(args.n)
     operator = transform.subsample_rows(matrix, measured.subsample)
     problem = recovery.LassoProblem(operator, measured.values, args.lam)
     result = recovery.fista_solve(problem)
-    grid = TimeGrid(args.n, args.dt)
     recovery.result_to_csv(result, grid.times, args.out)
     meta_path = args.out + ".meta.json"
     recovery.result_metadata_to_json(result, args.lam, meta_path)

@@ -10,13 +10,14 @@ The key layouts and their tags are listed in ``seeds``.
 Shot batches here use the sensor's first-order Magnus closed form, the
 package's one Magnus sampler: the exact quadratures of the sine-interpolated
 waveform for every selected index at once (``sensor.magnus_quadratures``),
-then the coherent-state readout of <Fx> (``sensor.readout_coefficient``), with
+then the coherent-state readout of <Fx> (``sensor.count_readout``), with
 no spin state built.  The test suite checks it against the stepped unitary
 shot (``sensor.measure_sine_coefficient``) and a per-shot 3x3 matrix oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from .recovery import (
     fista_solve,
     fista_solve_block,
 )
-from .seeds import DRIFT, RAMSEY, SEQUENCE, SHOT, SUBSET, derive_seed, streams
+from .seeds import COUNTS, DRIFT, RAMSEY, SEQUENCE, SHOT, SUBSET, derive_seed, streams
 from .sensor import NoiseModel
 from .transform import (
     MeasurementVector,
@@ -79,19 +80,16 @@ def simulate_measurements(
         )
     k = np.asarray(subsample.indices)
     drift = np.zeros(n_grid - 1)
-    shot_seeds = 0  # the noiseless limit draws nothing
+    rngs = None  # the noiseless limit draws nothing
     if noise is not None:
-        shot_seeds = derive_seed(master_seed, SHOT, k)
-        drift[k - 1] = [
-            rng.normal(0.0, noise.bias_drift_std_hz)
-            for rng in streams(noise.seed, shot_seeds, DRIFT)
-        ]
+        # every shot's DRIFT stream, then every shot's COUNTS stream
+        rngs = streams(noise.seed, derive_seed(master_seed, SHOT, k), [[DRIFT], [COUNTS]])
+        drift[k - 1] = [rng.normal(0.0, noise.bias_drift_std_hz)
+                        for rng in itertools.islice(rngs, k.size)]
     coefs = apply_dst(dst_matrix(n_grid), waveform)
     a, b = sensor.magnus_quadratures(coefs, duration, drift)
     fx = sensor.magnus_prediction(a[k - 1], b[k - 1])
-    return MeasurementVector(
-        sensor.readout_coefficient(fx, duration, noise, shot_seeds), subsample
-    )
+    return MeasurementVector(sensor.count_readout(fx, duration, noise, rngs), subsample)
 
 
 @dataclass(frozen=True)

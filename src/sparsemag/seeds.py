@@ -131,15 +131,17 @@ def streams(*key):
 
     PCG64 takes its 128-bit initstate and initseq from ``generate_state(4,
     np.uint64)``: inc = (initseq << 1) | 1 and state = ((inc + initstate) M
-    + inc) mod 2^128, M its multiplier.  One Generator, local to the call,
-    is reused: draw from each key's stream before taking the next.
+    + inc) mod 2^128, M its multiplier.  Every key's (state, inc) is computed
+    first; one Generator and one state dict, local to the call, then walk
+    them: draw from each key's stream before taking the next.
     """
     words = _seed_state(key, 8).reshape(8, -1).astype(np.uint64)
-    seeds = (words[0::2] | words[1::2] << 32).T.tolist()
-    rng = np.random.Generator(np.random.PCG64())
-    for state_hi, state_lo, seq_hi, seq_lo in seeds:
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in (words[0::2] | words[1::2] << 32).T.tolist():
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
+        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    rng, pcg = np.random.Generator(np.random.PCG64()), {}
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
+    for pcg["state"], pcg["inc"] in states:
+        rng.bit_generator.state = state
         yield rng

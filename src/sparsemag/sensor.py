@@ -259,11 +259,12 @@ def readout_coefficient(fx, duration: float, noise: NoiseModel | None, shot_seed
     """
     fx, seeds = np.broadcast_arrays(np.asarray(fx, dtype=float), shot_seed)
     rngs = None if noise is None else streams(noise.seed, seeds, COUNTS)
-    return _count_readout(fx, duration, noise, rngs)
+    return count_readout(fx, duration, noise, rngs)
 
 
-def _count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
-    """:func:`readout_coefficient` of array ``fx``, counted on ``rngs`` in C order."""
+def count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
+    """:func:`readout_coefficient` of array ``fx``, counted on the generators
+    ``rngs`` (one per shot, in C order; unused when ``noise`` is None)."""
     if not np.all(np.abs(fx) <= 1.0 + 1e-9):
         raise ValueError("<Fx> must lie in [-1, 1]: not a normalised spin-1 state")
     if duration < _SHORTEST_DURATION:
@@ -271,15 +272,16 @@ def _count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
     if noise is None:
         values = fx / (2.0 * np.pi * duration)
     else:
-        x = np.clip(fx, -1.0, 1.0)
+        x = np.clip(fx, -1.0, 1.0).ravel()
         probs = np.stack(
             (((1.0 - x) / 2.0) ** 2, (1.0 - x**2) / 2.0, ((1.0 + x) / 2.0) ** 2), axis=-1
         )
-        values = np.empty(fx.shape)
-        for i, rng in zip(np.ndindex(fx.shape), rngs):
+        scale, counts = 2.0 * np.pi * duration, []
+        for p, rng in zip(probs.tolist(), rngs):
             atoms = max(1, int(rng.poisson(noise.mean_atoms)))
-            n_plus, _, n_minus = (int(c) for c in rng.multinomial(atoms, probs[i]))
-            values[i] = (n_minus - n_plus) / (2.0 * np.pi * duration * atoms)
+            n_plus, _, n_minus = rng.multinomial(atoms, p).tolist()
+            counts.append((n_minus - n_plus) / (scale * atoms))
+        values = np.array(counts).reshape(fx.shape)
     return float(values) if values.ndim == 0 else values
 
 
@@ -318,7 +320,7 @@ def measure_sine_coefficient(
     # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
     alpha, beta = _rotating_frame_pair(sine_interpolant(waveform), params, drift)
     fx = -2.0 * float(np.real(np.conj(alpha) * beta))
-    return _count_readout(np.asarray(fx), duration, noise, rngs)
+    return count_readout(np.asarray(fx), duration, noise, rngs)
 
 
 def ramsey_sample(
@@ -346,7 +348,8 @@ def ramsey_sample(
     values = np.array(sine_interpolant(waveform).window_mean(lo, hi))
     if noise is not None:
         shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
-        for i, rng in zip(np.ndindex(values.shape), streams(noise.seed, seeds, RAMSEY_NOISE)):
-            drift = rng.normal(0.0, noise.bias_drift_std_hz)
-            values[i] = values[i] + drift + rng.normal(0.0, shot_std)
+        rngs = streams(noise.seed, seeds, RAMSEY_NOISE)
+        noisy = [value + rng.normal(0.0, noise.bias_drift_std_hz) + rng.normal(0.0, shot_std)
+                 for value, rng in zip(values.ravel().tolist(), rngs)]
+        values = np.array(noisy).reshape(values.shape)
     return float(values) if values.ndim == 0 else values

@@ -126,6 +126,28 @@ class MeasurementVector:
             raise ValueError("measurement vector holds non-finite values")
 
 
+@functools.lru_cache(maxsize=4)
+def _half_sample_twiddle(n: int) -> np.ndarray:
+    """exp(i pi j / (2n)) for j = 0..n//2, built once per n and read-only."""
+    twiddle = np.exp(0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    twiddle.flags.writeable = False
+    return twiddle
+
+
+def dst_iii(x) -> np.ndarray:
+    """Unnormalised DST-III, y_i = (-1)^i x_{n-1} + 2 sum_{j<n-1} x_j sin(pi
+    (j + 1)(2i + 1) / (2n)), as ``scipy.fft.dst(x, type=3)``, from one real
+    inverse FFT of length n (Makhoul, IEEE TASSP 1980): it is the DCT-III of
+    the reversed input, interleaved, with the odd outputs negated."""
+    x = np.asarray(x, dtype=float)[::-1]
+    n, half = x.size, x.size // 2 + 1
+    z = x[:half] - 1j * np.concatenate(([0.0], x[n - 1 : n - half : -1]))
+    v = np.fft.irfft(z * _half_sample_twiddle(n), n, norm="forward")
+    y = np.empty(n)
+    y[0::2], y[1::2] = v[: (n + 1) // 2], -v[::-1][: n // 2]
+    return y
+
+
 @dataclass(frozen=True)
 class SineInterpolant:
     """Continuous sine-series interpolation B(t) = 2 sum_k m_k sin(w_k t) of a
@@ -154,8 +176,7 @@ class SineInterpolant:
         signs = np.where(turns % 2, -1.0, 1.0)
         np.add.at(folded, np.minimum(j, 2 * n - j), signs * self.coefs)
         folded[n] *= 2.0  # DST-III weighs its last input once, the others twice
-        import scipy.fft  # here, not at the top: it is most of the package's import time
-        return scipy.fft.dst(folded[1:], type=3)
+        return dst_iii(folded[1:])
 
     def window_mean(self, lo, hi) -> np.ndarray:
         """Exact mean of B over each [lo, hi]: 2 sum_k m_k (cos w_k lo -
@@ -192,12 +213,18 @@ def measurements_to_csv(measurement: MeasurementVector, fgrid: FrequencyGrid, pa
     write_csv_rows(path, ["k", "freq_hz", "coef_hz"], rows)
 
 
-def measurements_from_csv(path, n_grid: int) -> MeasurementVector:
+def measurements_from_csv(path, n_grid: int, dt: float | None = None) -> MeasurementVector:
+    """Read ``k,freq_hz,coef_hz`` rows; given ``dt``, every freq_hz must read
+    k/(2 N dt) to a relative 1e-9, or a ``ValueError`` is raised."""
     rows = read_csv_rows(path, ["k", "freq_hz", "coef_hz"])
     indices = [int(k) for k, _, _ in rows]
     values = [float(value) for _, _, value in rows]
     if indices and max(indices) > n_grid - 1:
         raise ValueError(f"{path} holds index {max(indices)} > N - 1 for N = {n_grid} (--n)")
+    if dt is not None:
+        expected = np.array(indices) / (2.0 * n_grid * dt)
+        if not np.all(abs(np.array([float(f) for _, f, _ in rows]) - expected) <= 1e-9 * expected):
+            raise ValueError(f"{path}: freq_hz is not k/(2 N dt) for --n {n_grid} and --dt {dt}")
     order = np.argsort(indices)
     subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
     return MeasurementVector(np.array(values)[order], subsample)

@@ -294,6 +294,31 @@ def test_recover_empty_measurement_file(tmp_path, capsys):
     _assert_numeric_error(code, capsys, "unexpected header")
 
 
+@pytest.mark.parametrize("flags", [["--n", 200], ["--dt", 25e-6]])
+def test_recover_rejects_a_grid_the_file_contradicts(tmp_path, pulse_csv, capsys, flags):
+    # the file reads freq_hz = k/(2 N dt) at N = 100, dt = 50 us; a grid of
+    # another N dt gives other frequencies, and is named, not solved on
+    m_csv = tmp_path / "m.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--m", 40, "--out", m_csv]) == 0
+    rec_csv = tmp_path / "rec.csv"
+    code = run_cli(["recover", "--measurements", m_csv, *flags, "--out", rec_csv])
+    _assert_numeric_error(code, capsys, str(m_csv), "--n", "--dt", "freq_hz")
+    assert not rec_csv.exists()
+
+
+def test_recover_accepts_the_grid_the_file_was_measured_on(tmp_path, capsys):
+    wf, m_csv = tmp_path / "wf.csv", tmp_path / "m.csv"
+    assert run_cli(["synth", "--n", 64, "--dt", 1e-5, "--pulses", "1e-4,500,1e-4",
+                    "--out", wf]) == 0
+    assert run_cli(["measure", "--in", wf, "--full", "--out", m_csv]) == 0
+    assert run_cli(["recover", "--measurements", m_csv, "--n", 64, "--dt", 1e-5,
+                    "--out", tmp_path / "rec.csv"]) == 0
+    _assert_numeric_error(
+        run_cli(["recover", "--measurements", m_csv, "--n", 64, "--out", tmp_path / "r.csv"]),
+        capsys, "--dt 5e-05",
+    )
+
+
 def test_roc_blank_row_in_recovered(tmp_path, pulse_csv, capsys):
     recovered = tmp_path / "rec.csv"
     recovered.write_text("time_s,recovered_hz\n5e-05,0.0\n\n")

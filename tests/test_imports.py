@@ -1,9 +1,10 @@
-"""Cold start: importing sparsemag, and every CLI command, leaves scipy unloaded.
+"""Cold start: importing sparsemag, every CLI command and a stepped-unitary
+shot leave scipy unloaded.
 
-scipy.fft is most of the package's import time, and only the stepped-unitary
-shot (``SineInterpolant.at_midpoints``) calls it, so it is imported there.
-Each check runs in a fresh interpreter, since this test process has scipy
-loaded already.
+The package runs on numpy alone; scipy is a test dependency only, and
+importing ``scipy.fft`` would be most of the package's import time.  Each
+check runs in a fresh interpreter, since this test process has scipy loaded
+already.
 """
 
 import json
@@ -12,9 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsemag
+from sparsemag.transform import SineInterpolant
 
 PACKAGE_ROOT = str(Path(sparsemag.__file__).resolve().parents[1])
 
@@ -66,17 +69,23 @@ def test_cli_commands_leave_scipy_unloaded(tmp_path):
         assert not [m for m in imported if m == "scipy" or m.startswith("scipy.")], args[0]
 
 
-@pytest.mark.parametrize("n_steps", [1, 7, 203])
-def test_at_midpoints_imports_scipy_and_matches_the_series(n_steps):
+def test_unitary_shots_leave_scipy_unloaded():
     code = (
         "import json, sys\n"
-        "import numpy as np\n"
-        "from sparsemag.transform import SineInterpolant\n"
-        "signal = SineInterpolant(np.random.default_rng(5).normal(size=99), 5e-3)\n"
-        f"t = (np.arange({n_steps}) + 0.5) * 5e-3 / {n_steps}\n"
-        f"fast, direct = signal.at_midpoints({n_steps}), signal(t)\n"
-        "print(json.dumps(['scipy.fft' in sys.modules,\n"
-        "                  float(np.max(np.abs(fast - direct)) / np.max(np.abs(direct)))]))\n"
+        "import sparsemag as sm\n"
+        "tgrid, _ = sm.make_grids(100, 50e-6)\n"
+        "waveform = sm.synth_waveform(tgrid, [sm.PulseSpec(1000.0, 200e-6, 1e-3)])\n"
+        "shots = [sm.measure_sine_coefficient(waveform, 17, noise, shot_seed=3)\n"
+        "         for noise in (None, sm.NoiseModel(200.0, 1000.0, seed=4))]\n"
+        f"print(json.dumps([shots, {SCIPY_MODULES}]))\n"
     )
-    loaded, error = _last_json(_python("-c", code))
-    assert loaded and error < 1e-12
+    shots, loaded = _last_json(_python("-c", code))
+    assert len(shots) == 2 and loaded == []
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 203])
+def test_at_midpoints_matches_the_series(n_steps):
+    signal = SineInterpolant(np.random.default_rng(5).normal(size=99), 5e-3)
+    t = (np.arange(n_steps) + 0.5) * 5e-3 / n_steps
+    fast, direct = signal.at_midpoints(n_steps), signal(t)
+    assert np.max(np.abs(fast - direct)) < 1e-12 * np.max(np.abs(direct))

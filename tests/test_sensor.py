@@ -439,6 +439,12 @@ def test_ramsey_vector_call_equals_scalar_calls():
         ramsey_sample(waveform, centres, 60e-6, noise, 5),
         ramsey_sample(waveform, centres, 60e-6, noise, np.full(6, 5)),
     )
+    # a 2-D batch is the same windows in C order (its window means are one
+    # batched matmul, so they may differ from the 1-D call's by round-off)
+    np.testing.assert_allclose(
+        ramsey_sample(waveform, centres.reshape(2, 3), 60e-6, noise, seeds.reshape(2, 3)),
+        vector.reshape(2, 3), rtol=1e-14, atol=0,
+    )
     with pytest.raises(ValueError):
         ramsey_sample(waveform, np.array([1e-3, 10.0]), 60e-6, None)
 
@@ -626,6 +632,13 @@ def test_readout_vector_call_equals_scalar_calls():
         vector = readout_coefficient(fx, 5e-3, model, seeds)
         assert vector.shape == (5,)
         for value, x, seed in zip(vector, fx, seeds):
+            assert readout_coefficient(float(x), 5e-3, model, int(seed)) == value
+        # a 2-D batch is the same shots in C order
+        batch = np.array([[-0.3, 1.0, 0.0], [0.6, -1.0, 0.41]])
+        batch_seeds = np.array([[20, 21, 22], [21, 22, 23]])
+        values = readout_coefficient(batch, 5e-3, model, batch_seeds)
+        assert values.shape == (2, 3)
+        for value, x, seed in zip(values.ravel(), batch.ravel(), batch_seeds.ravel()):
             assert readout_coefficient(float(x), 5e-3, model, int(seed)) == value
     np.testing.assert_array_equal(readout_coefficient(fx, 5e-3, None), fx / (2 * np.pi * 5e-3))
 

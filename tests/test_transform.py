@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
@@ -14,6 +15,7 @@ from sparsemag.transform import (
     SubsampleSet,
     apply_dst,
     apply_inverse_dst,
+    dst_iii,
     dst_matrix,
     measurements_from_csv,
     measurements_to_csv,
@@ -334,6 +336,13 @@ def test_at_midpoints_matches_direct_sum(n_grid):
             rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(expected))),
         )
         np.testing.assert_array_equal(signal(t), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 203, 2475, 5000])
+def test_dst_iii_matches_scipy(n):
+    x = np.random.default_rng(n).normal(size=n)
+    reference = scipy.fft.dst(x, type=3)
+    np.testing.assert_allclose(dst_iii(x), reference, rtol=0, atol=2e-15 * np.max(np.abs(reference)))
 
 
 def test_window_mean_is_exact_integral():
