@@ -108,6 +108,11 @@ def _manifest(args, out_paths):
     )
 
 
+def _check_lambda(lam: float):
+    if not 0 < lam < np.inf:
+        raise ValueError(f"--lambda must be positive and finite, got {lam!r}")
+
+
 def cmd_synth(args) -> int:
     grid = TimeGrid(args.n, args.dt)
     args.pulses = [
@@ -139,6 +144,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    _check_lambda(args.lam)
     grid = TimeGrid(args.n, args.dt)
     measured = transform.measurements_from_csv(args.measurements, args.n, grid.dt)
     matrix = transform.dst_matrix(args.n)
@@ -190,7 +196,14 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    measured = transform.measurements_from_csv(args.base, args.n)
+    _check_lambda(args.lam)
+    truth = waveform_from_csv(args.truth)
+    if truth.grid.n_grid != args.n:
+        raise ValueError(f"--truth {args.truth} holds N = {truth.grid.n_grid}, not --n {args.n}")
+    template = detection.default_template(truth.grid)
+    measured = transform.measurements_from_csv(
+        args.base, args.n, truth.grid.dt, dt_flag=f"--truth {args.truth} dt"
+    )
     if measured.subsample.m != args.n - 1:
         raise ValueError(
             f"sweep needs the full {args.n - 1}-coefficient base dataset, "
@@ -207,10 +220,6 @@ def cmd_sweep(args) -> int:
         lam=args.lam,
         master_seed=args.seed,
     )
-    truth = waveform_from_csv(args.truth)
-    if truth.grid.n_grid != args.n:
-        raise ValueError(f"--truth {args.truth} holds N = {truth.grid.n_grid}, not --n {args.n}")
-    template = detection.default_template(truth.grid)
     rows = experiments.sweep_sample_count(spec, template, truth.samples)
     experiments.sweep_to_csv(rows, args.out)
     _manifest(args, [args.out])

@@ -10,12 +10,17 @@ SIAM J. Imaging Sci. 2009).  It iterates a block of problems that share one
 operator as a matrix, one row per problem, each with its own lambda and
 optionally its own row mask.  A masked row contributes zero residual, so a
 mask on the full DST matrix solves the same problem as the row-subsampled
-operator; a measurement-count sweep is one block on one matrix.  Each problem
-keeps the stopping rule of a single solve: it stops once its objective
-changes by at most ``rel_tolerance`` relative to the larger of the last two
-values, counting from the objective at zero, and then leaves the block while
-the others go on.  The block comes back as one :class:`RecoveryResult` of
-arrays, one row per problem; only each problem's last objective is kept.
+operator; a measurement-count sweep is one block on one matrix.  Each
+iteration makes two products with the operator: the residual D (A x - m) at
+the new iterate x, computed afresh so that the objective is exact, and the
+gradient step at y.  The residual at y is carried, not computed: y is the
+same affine combination of the last two iterates for every problem, so its
+residual is that combination of their two residuals.  Each problem keeps the
+stopping rule of a single solve: it stops once its objective changes by at
+most ``rel_tolerance`` relative to the larger of the last two values,
+counting from the objective at zero, and then leaves the block while the
+others go on.  The block comes back as one :class:`RecoveryResult` of arrays,
+one row per problem; only each problem's last objective is kept.
 :func:`fista_solve` is a block of one with scalar fields.
 """
 
@@ -41,9 +46,9 @@ class LassoProblem:
     lam: float
 
     def __post_init__(self):
-        self.operator = np.asarray(self.operator, dtype=float)
-        self.measurements = np.asarray(self.measurements, dtype=float)
-        _checked_block(self.operator, self.measurements, [self.lam], None)
+        self.operator, self.measurements, _, _ = _checked_block(
+            self.operator, self.measurements, [self.lam], None
+        )
 
 
 @dataclass
@@ -98,65 +103,59 @@ def fista_solve_block(
     holds one row per column: ``waveform`` is (count, N - 1), the other fields
     are (count,).
     """
-    if config is None:
-        config = FistaConfig()
-    operator, measurements, lams, mask = _checked_block(
+    config = config or FistaConfig()
+    operator, measurements, lam, mask = _checked_block(
         operator, measurements, lams, row_masks
     )
-    count, n_unknowns = lams.size, operator.shape[1]
+    count, n_unknowns = lam.size, operator.shape[1]
     # 0.9 / (2 sigma_max^2), sigma_max = 1/sqrt(2N); 0.9 * N rounds differently
     step = 0.9 / (2.0 * (1.0 / np.sqrt(2.0 * (n_unknowns + 1))) ** 2)
     # One row per column of the block: row j of x is column j's waveform, so
     # per-column sums and the rows dropped on stalling stay contiguous.  The
-    # targets and thresholds are stored per row because same-shape arithmetic
-    # costs less than broadcasting, which matters for a block of one.
+    # thresholds are stored per row because same-shape arithmetic costs less
+    # than broadcasting, which matters for a block of one.
     operator_t = operator.T
-    targets = np.tile(measurements, (count, 1))
-    lam = lams
+    gradient_step = (2.0 * step) * operator  # the gradient is 2 r A
     with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
         tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
-    # 2 * step * g rounds exactly like step * (2 * g): the factor is a power of 2
-    double_step = 2.0 * step
-
-    def objectives(x, magnitude):
-        residual = x @ operator_t - targets
-        if mask is not None:
-            residual *= mask
-        return np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
 
     active = np.arange(count)
-    x = np.zeros((count, n_unknowns))
-    y = x.copy()
+    x = y = np.zeros((count, n_unknowns))
+    # D (x A^T - m) at x = y = 0
+    residual = residual_y = -measurements * (np.ones((count, 1)) if mask is None else mask)
+    previous = np.vecdot(residual, residual)  # the objective at x = 0
     theta = 1.0
-    previous = objectives(x, x)  # x = 0, so |x| is x
     waveforms = np.empty((count, n_unknowns))
     iterations = np.full(count, config.max_iters)
     converged = np.zeros(count, dtype=bool)
     finals = np.empty(count)
 
     for iteration in range(1, config.max_iters + 1):
-        residual = y @ operator_t - targets
-        if mask is not None:
-            residual *= mask
-        step_point = y - double_step * (residual @ operator)
+        step_point = y - residual_y @ gradient_step
         # soft_threshold, keeping |x_next| for the l1 term
         magnitude = np.maximum(np.abs(step_point) - tau, 0.0)
-        x_next = np.sign(step_point) * magnitude
+        x_next = np.copysign(magnitude, step_point)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
-        y = x_next + ((theta - 1.0) / theta_next) * (x_next - x)
-        x, theta = x_next, theta_next
+        momentum = (theta - 1.0) / theta_next
+        residual_next = x_next @ operator_t - measurements
+        if mask is not None:
+            residual_next *= mask
+        y = x_next + momentum * (x_next - x)
+        # exact: D is linear and m cancels from the combination
+        residual_y = residual_next + momentum * (residual_next - residual)
+        x, residual, theta = x_next, residual_next, theta_next
 
-        value = objectives(x, magnitude)
-        # objectives are non-negative, so max(|a|, |b|) is max(a, b).  A lone
-        # problem (every single solve) evaluates the rule in Python floats:
-        # the same IEEE operations, without six ufunc calls on one-element
-        # arrays, which would cost a block of one 15 % per iteration
+        value = np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
+        # objectives are non-negative, so max(|a|, |b|) is max(a, b), and at
+        # a = b = 0 the rule stalls.  A lone problem (every single solve)
+        # evaluates the rule in Python floats: the same IEEE operations,
+        # without six ufunc calls on one-element arrays, which would cost a
+        # block of one 15 % per iteration
         if active.size == 1:
             a, b = float(previous[0]), float(value[0])
-            stalled = np.array([abs(a - b) <= config.rel_tolerance * max(a, b, 1e-300)])
+            stalled = np.array([abs(a - b) <= config.rel_tolerance * max(a, b)])
         else:
-            scale = np.maximum(np.maximum(previous, value), 1e-300)
-            stalled = np.abs(previous - value) <= config.rel_tolerance * scale
+            stalled = abs(previous - value) <= config.rel_tolerance * np.maximum(previous, value)
         previous = value
         if np.count_nonzero(stalled):
             done = active[stalled]
@@ -165,8 +164,8 @@ def fista_solve_block(
             converged[done] = True
             finals[done] = previous[stalled]
             going = ~stalled
-            active, previous, lam = active[going], previous[going], lam[going]
-            x, y, targets, tau = x[going], y[going], targets[going], tau[going]
+            active, previous, lam, tau = active[going], previous[going], lam[going], tau[going]
+            x, y, residual, residual_y = x[going], y[going], residual[going], residual_y[going]
             if mask is not None:
                 mask = mask[going]
             if active.size == 0:

@@ -213,18 +213,24 @@ def measurements_to_csv(measurement: MeasurementVector, fgrid: FrequencyGrid, pa
     write_csv_rows(path, ["k", "freq_hz", "coef_hz"], rows)
 
 
-def measurements_from_csv(path, n_grid: int, dt: float | None = None) -> MeasurementVector:
+def measurements_from_csv(path, n_grid: int, dt: float | None = None,
+                          dt_flag: str = "--dt") -> MeasurementVector:
     """Read ``k,freq_hz,coef_hz`` rows; given ``dt``, every freq_hz must read
-    k/(2 N dt) to a relative 1e-9, or a ``ValueError`` is raised."""
+    k/(2 N dt) to a relative 1e-9, or a ``ValueError`` naming ``dt_flag`` is
+    raised."""
     rows = read_csv_rows(path, ["k", "freq_hz", "coef_hz"])
     indices = [int(k) for k, _, _ in rows]
     values = [float(value) for _, _, value in rows]
     if indices and max(indices) > n_grid - 1:
         raise ValueError(f"{path} holds index {max(indices)} > N - 1 for N = {n_grid} (--n)")
     if dt is not None:
-        expected = np.array(indices) / (2.0 * n_grid * dt)
-        if not np.all(abs(np.array([float(f) for _, f, _ in rows]) - expected) <= 1e-9 * expected):
-            raise ValueError(f"{path}: freq_hz is not k/(2 N dt) for --n {n_grid} and --dt {dt}")
+        freqs = np.array([float(f) for _, f, _ in rows])
+        # compared as k: k/(2 N dt) overflows for a subnormal dt, and a product
+        # that overflows reads as a mismatch
+        with np.errstate(over="ignore"):
+            matches = abs(freqs * (2.0 * n_grid * dt) - indices) <= 1e-9 * np.array(indices)
+        if not np.all(matches):
+            raise ValueError(f"{path}: freq_hz is not k/(2 N dt) for --n {n_grid}, {dt_flag} {dt}")
     order = np.argsort(indices)
     subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
     return MeasurementVector(np.array(values)[order], subsample)

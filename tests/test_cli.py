@@ -294,10 +294,11 @@ def test_recover_empty_measurement_file(tmp_path, capsys):
     _assert_numeric_error(code, capsys, "unexpected header")
 
 
-@pytest.mark.parametrize("flags", [["--n", 200], ["--dt", 25e-6]])
+@pytest.mark.parametrize("flags", [["--n", 200], ["--dt", 25e-6], ["--dt", 5e-324]])
 def test_recover_rejects_a_grid_the_file_contradicts(tmp_path, pulse_csv, capsys, flags):
     # the file reads freq_hz = k/(2 N dt) at N = 100, dt = 50 us; a grid of
-    # another N dt gives other frequencies, and is named, not solved on
+    # another N dt gives other frequencies, and is named, not solved on (a
+    # subnormal dt, whose k/(2 N dt) overflows, too)
     m_csv = tmp_path / "m.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--m", 40, "--out", m_csv]) == 0
     rec_csv = tmp_path / "rec.csv"
@@ -443,10 +444,7 @@ def test_sweep_rejects_bad_lambda(tmp_path, pulse_csv, capsys):
     capsys.readouterr()
     code = run_cli(["sweep", "--base", base, "--truth", pulse_csv, "--m-list", "20",
                     "--lambda", -1, "--out", out])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: numeric: lam must lie in (0, inf)")
-    assert len(err.strip().splitlines()) == 1
+    _assert_numeric_error(code, capsys, "--lambda must be positive and finite, got -1.0")
     assert not out.exists()
 
 
@@ -489,6 +487,21 @@ def test_sweep_rejects_truth_of_other_grid_before_solving(tmp_path, pulse_csv, c
     code = run_cli(["sweep", "--base", base, "--truth", truth, "--m-list", "20",
                     "--out", out])
     _assert_numeric_error(code, capsys, f"--truth {truth} holds N = 200, not --n 100")
+    assert not out.exists()
+
+
+def test_sweep_rejects_truth_of_other_dt(tmp_path, pulse_csv, capsys):
+    # the base reads freq_hz = k/(2 N dt) at dt = 50 us; a truth on the same N
+    # at dt = 25 us is another waveform, and its dt is named, not swept
+    base = tmp_path / "full.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", base]) == 0
+    truth = tmp_path / "wf25.csv"
+    assert run_cli(["synth", "--dt", 25e-6, "--pulses", "5e-4,1000,1e-4", "--out", truth]) == 0
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    code = run_cli(["sweep", "--base", base, "--truth", truth, "--m-list", "20",
+                    "--subsets", 3, "--out", out])
+    _assert_numeric_error(code, capsys, str(base), "freq_hz", f"--truth {truth} dt 2.5e-05")
     assert not out.exists()
 
 
@@ -815,6 +828,38 @@ _subset_json = st.one_of(
     st.dictionaries(st.sampled_from(["n_grid", "indices", "m"]), _json_value, max_size=3),
     _json_value,
 ).map(json.dumps) | st.sampled_from(["", "{", "[1, 2"])
+
+
+@settings(max_examples=16, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["recover", "sweep"]),
+    lam=st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e308, math.inf, -math.inf, math.nan]),
+)
+def test_cli_fuzz_lambda(tmp_path_factory, capsys, valid_inputs, command, lam):
+    # every IEEE edge of --lambda either solves with finite outputs or exits 4
+    # with one line that names the flag; the value goes in the --lambda=
+    # form because argparse reads a separate "-inf" as an option
+    d = tmp_path_factory.mktemp("lambda")
+    for name, text in valid_inputs.items():
+        (d / name).write_text(text)
+    inputs = {
+        "recover": ["--measurements", d / "m.csv"],
+        "sweep": ["--base", d / "full.csv", "--truth", d / "wf.csv", "--m-list", "10,60",
+                  "--subsets", 1],
+    }
+    out = d / "out"
+    out.mkdir()
+    code = _exit_code([command, *inputs[command], f"--lambda={lam!r}", "--out", out / "out.csv"])
+    err = capsys.readouterr().err
+    if code == 0:
+        _assert_finite_csvs(out)
+        for path in out.glob("*.json"):
+            assert _finite(json.loads(path.read_text())), path
+    else:
+        assert code == 4, (command, lam, err)
+        assert err.startswith("error: numeric: --lambda must be positive and finite"), err
+        assert len(err.strip().splitlines()) == 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
