@@ -22,7 +22,7 @@ from .grids import (
     PulseSpec,
     TimeGrid,
     make_grids,
-    read_csv_rows,
+    read_csv_columns,
     synth_waveform,
     waveform_from_csv,
     waveform_to_csv,
@@ -161,7 +161,7 @@ def cmd_recover(args) -> int:
 def cmd_roc(args) -> int:
     truth = waveform_from_csv(args.truth)
     headers = (["time_s", "recovered_hz"], ["time_s", "gamma_b_hz"])
-    recovered = np.array([float(x) for _, x in read_csv_rows(args.recovered, *headers)])
+    recovered = np.array(list(map(float, read_csv_columns(args.recovered, *headers)[1])))
     if recovered.size != truth.samples.size:
         raise ValueError(
             f"recovered length {recovered.size} does not match truth "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TimeGrid, write_csv_rows, write_text
+from .grids import TimeGrid, write_csv_columns, write_text
 
 
 @dataclass
@@ -147,7 +147,7 @@ def auc(curve) -> float:
 
 
 def roc_to_csv(curve, path):
-    write_csv_rows(path, ["fallout", "recall"], curve)
+    write_csv_columns(path, ["fallout", "recall"], *np.transpose(curve))
 
 
 def auc_to_json(value: float, path):

@@ -35,7 +35,7 @@ from .detection import (
     positive_labels,
     roc_curve,
 )
-from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_rows, write_text
+from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_columns, write_text
 from .recovery import (
     DEFAULT_LAMBDA,
     LassoProblem,
@@ -111,6 +111,10 @@ class TrainingSetSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        duration = TimeGrid(self.n_grid, self.dt).duration
+        if any(self.pulse_count_choices) and duration < self.pulse_duration:
+            raise ValueError(f"T = N*dt = {duration:.3g} s (--n {self.n_grid}, --dt {self.dt}) "
+                             f"is shorter than the {self.pulse_duration} s training pulse")
 
 
 @dataclass(frozen=True)
@@ -310,19 +314,18 @@ def run_scenario(
 
 def scenario_to_csv(result: ScenarioResult, truth: Waveform, path):
     """Write ``time_s,truth_hz,recovered_hz`` rows."""
-    rows = zip(truth.grid.times, truth.samples, result.recovered.samples)
-    write_csv_rows(path, ["time_s", "truth_hz", "recovered_hz"], rows)
+    columns = truth.grid.times, truth.samples, result.recovered.samples
+    write_csv_columns(path, ["time_s", "truth_hz", "recovered_hz"], *columns)
 
 
 def sweep_to_csv(rows, path):
     """Write ``m,mean_auc,std_auc`` rows."""
-    write_csv_rows(path, ["m", "mean_auc", "std_auc"], rows)
+    write_csv_columns(path, ["m", "mean_auc", "std_auc"], *zip(*rows))
 
 
 def tune_to_csv(result: TuneResult, path):
     """Write ``lambda_hz,mean_l1_error`` rows."""
-    rows = zip(result.lambdas, result.mean_l1_error)
-    write_csv_rows(path, ["lambda_hz", "mean_l1_error"], rows)
+    write_csv_columns(path, ["lambda_hz", "mean_l1_error"], result.lambdas, result.mean_l1_error)
 
 
 def write_manifest(path, command: str, parameters: dict, master_seed: int, outputs):

@@ -9,7 +9,6 @@ Rabi-equivalent frequency corresponds to 143 nT of field.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import stat
 from dataclasses import dataclass
@@ -146,36 +145,35 @@ def write_text(path, text: str):
             fh.truncate()
 
 
-def write_csv_rows(path, header: list[str], rows):
-    """Write a header and rows: integers as they are, every other value as
-    the repr of a float, so equal data always give equal bytes."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(
-        [v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
-        for row in rows
-    )
-    write_text(path, buf.getvalue())
+def write_csv_columns(path, header: list[str], *columns):
+    """Write a header and equal-length columns, an integer column as its ints
+    and any other as the repr of each value's float: equal data give equal
+    bytes, those of ``csv.writer``, which quotes none of these fields."""
+    cells = [
+        map(str, col.tolist()) if (col := np.asarray(column)).dtype.kind in "iu"
+        else map(repr, col.astype(float).tolist())
+        for column in columns
+    ]
+    lines = map(",".join, [header, *zip(*cells, strict=True)])
+    write_text(path, "\r\n".join(lines) + "\r\n")
 
 
-def read_csv_rows(path, *headers: list[str]) -> list[list[str]]:
-    """The rows under a CSV file's header.  The header must be one of
+def read_csv_columns(path, *headers: list[str]) -> list[tuple[str, ...]]:
+    """The columns under a CSV file's header.  The header must be one of
     ``headers`` and every row as wide as it, or ``ValueError`` is raised."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] not in headers:
         raise ValueError(f"CSV {path}: unexpected header {rows[0] if rows else None}")
-    for row in rows[1:]:
-        if len(row) != len(rows[0]):
-            raise ValueError(f"CSV {path}: row {row} does not have {len(rows[0])} fields")
-    return rows[1:]
+    if set(map(len, rows)) != {len(rows[0])}:
+        row = next(row for row in rows if len(row) != len(rows[0]))
+        raise ValueError(f"CSV {path}: row {row} does not have {len(rows[0])} fields")
+    return list(zip(*rows[1:])) or [()] * len(rows[0])
 
 
 def waveform_to_csv(waveform: Waveform, path):
     """Write ``time_s,gamma_b_hz`` rows."""
-    rows = zip(waveform.grid.times, waveform.samples)
-    write_csv_rows(path, ["time_s", "gamma_b_hz"], rows)
+    write_csv_columns(path, ["time_s", "gamma_b_hz"], waveform.grid.times, waveform.samples)
 
 
 def waveform_from_csv(path, dt: float | None = None) -> Waveform:
@@ -185,14 +183,14 @@ def waveform_from_csv(path, dt: float | None = None) -> Waveform:
     either way the time column must read j*dt, j = 1..N-1, to a relative
     1e-9, or a ``ValueError`` is raised.
     """
-    rows = read_csv_rows(path, ["time_s", "gamma_b_hz"])
-    if not rows:
+    times, samples = read_csv_columns(path, ["time_s", "gamma_b_hz"])
+    if not samples:
         raise ValueError(f"waveform CSV {path} holds no samples")
-    times = [float(t) for t, _ in rows]
-    samples = [float(x) for _, x in rows]
+    times, samples = list(map(float, times)), list(map(float, samples))
     if dt is None:
         dt = times[0]
     grid = TimeGrid(len(samples) + 1, dt)
-    if not np.allclose(times, grid.times, rtol=1e-9, atol=0.0):
-        raise ValueError(f"waveform CSV {path}: time column is not j*dt, dt={dt!r}")
+    with np.errstate(over="ignore"):  # a difference that overflows reads as a mismatch
+        if not np.all(abs(np.array(times) - grid.times) <= 1e-9 * grid.times):
+            raise ValueError(f"waveform CSV {path}: time column is not j*dt, dt={dt!r}")
     return Waveform(np.array(samples), grid)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import write_csv_rows, write_text
+from .grids import write_csv_columns, write_text
 
 DEFAULT_LAMBDA = 1.04  # regularisation weight (Hz) tuned on simulated training data
 
@@ -208,7 +208,7 @@ def _checked_block(operator, measurements, lams, row_masks):
 
 def result_to_csv(result: RecoveryResult, times, path):
     """Write the recovered waveform as ``time_s,recovered_hz`` rows."""
-    write_csv_rows(path, ["time_s", "recovered_hz"], zip(times, result.waveform))
+    write_csv_columns(path, ["time_s", "recovered_hz"], times, result.waveform)
 
 
 def result_metadata_to_json(result: RecoveryResult, lam: float, path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_rows, write_csv_rows
+from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_columns, write_csv_columns
 from .seeds import streams
 
 
@@ -70,8 +70,9 @@ class SubsampleSet:
             raise ValueError(f"need between 1 and {self.n_grid - 1} indices")
         if np.any(idx < 1) or np.any(idx > self.n_grid - 1):
             raise ValueError("indices must lie in 1..N-1")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
+        if (bad := np.flatnonzero(np.diff(idx) <= 0)).size:
+            i = bad[0]
+            raise ValueError(f"indices must increase strictly, got {idx[i + 1]} after {idx[i]}")
 
     @property
     def m(self) -> int:
@@ -181,11 +182,12 @@ class SineInterpolant:
     def window_mean(self, lo, hi) -> np.ndarray:
         """Exact mean of B over each [lo, hi]: 2 sum_k m_k (cos w_k lo -
         cos w_k hi) / (w_k (hi - lo)) = 2 sum_k m_k sin(w_k c) sinc(w_k h),
-        with centre c and half width h."""
-        lo = np.asarray(lo, dtype=float)[..., None]
-        hi = np.asarray(hi, dtype=float)[..., None]
-        centre, half = self.omega * (lo + hi) / 2.0, self.omega * (hi - lo) / 2.0
-        return 2.0 * (np.sin(centre) * np.sinc(half / np.pi)) @ self.coefs
+        with centre c and half width h, the sinc once per distinct width."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        widths, which = np.unique(hi - lo, return_inverse=True)
+        damping = np.sinc(self.omega * widths[:, None] / 2.0 / np.pi)[which]
+        centre = self.omega * (lo + hi)[..., None] / 2.0
+        return 2.0 * (np.sin(centre) * damping) @ self.coefs
 
 
 def sine_interpolant(waveform: Waveform) -> SineInterpolant:
@@ -208,9 +210,8 @@ def subsample_from_json(path) -> SubsampleSet:
 
 def measurements_to_csv(measurement: MeasurementVector, fgrid: FrequencyGrid, path):
     """Write ``k,freq_hz,coef_hz`` rows."""
-    pairs = zip(measurement.subsample.indices, measurement.values)
-    rows = ((k, k * fgrid.df, value) for k, value in pairs)
-    write_csv_rows(path, ["k", "freq_hz", "coef_hz"], rows)
+    k = np.array(measurement.subsample.indices)
+    write_csv_columns(path, ["k", "freq_hz", "coef_hz"], k, k * fgrid.df, measurement.values)
 
 
 def measurements_from_csv(path, n_grid: int, dt: float | None = None,
@@ -218,13 +219,12 @@ def measurements_from_csv(path, n_grid: int, dt: float | None = None,
     """Read ``k,freq_hz,coef_hz`` rows; given ``dt``, every freq_hz must read
     k/(2 N dt) to a relative 1e-9, or a ``ValueError`` naming ``dt_flag`` is
     raised."""
-    rows = read_csv_rows(path, ["k", "freq_hz", "coef_hz"])
-    indices = [int(k) for k, _, _ in rows]
-    values = [float(value) for _, _, value in rows]
+    ks, freqs, coefs = read_csv_columns(path, ["k", "freq_hz", "coef_hz"])
+    indices, values = list(map(int, ks)), list(map(float, coefs))
     if indices and max(indices) > n_grid - 1:
         raise ValueError(f"{path} holds index {max(indices)} > N - 1 for N = {n_grid} (--n)")
     if dt is not None:
-        freqs = np.array([float(f) for _, f, _ in rows])
+        freqs = np.array(list(map(float, freqs)))
         # compared as k: k/(2 N dt) overflows for a subnormal dt, and a product
         # that overflows reads as a mismatch
         with np.errstate(over="ignore"):
@@ -232,5 +232,8 @@ def measurements_from_csv(path, n_grid: int, dt: float | None = None,
         if not np.all(matches):
             raise ValueError(f"{path}: freq_hz is not k/(2 N dt) for --n {n_grid}, {dt_flag} {dt}")
     order = np.argsort(indices)
-    subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
+    try:
+        subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
+    except ValueError as exc:
+        raise ValueError(f"measurement CSV {path}: {exc}") from exc
     return MeasurementVector(np.array(values)[order], subsample)

@@ -28,7 +28,14 @@
   counts, graded by ``detection.auc``.
 * ``sweep_sample_count``: the sample-count sweep with one subset draw and one
   ROC per (m, rep), around the same block solves.
+* ``window_mean``: the sine interpolant's window means with one sinc row per
+  window.
+* ``csv_rows_text``: the artefact CSV text as ``csv.writer`` wrote it, one row
+  at a time, integers as they are and any other value as the repr of a float.
 """
+
+import csv
+import io
 
 import numpy as np
 from scipy.integrate import simpson
@@ -271,3 +278,21 @@ def sweep_sample_count(spec, template, truth):
             scores[start + j] = detection.auc(roc_curve_from_scores(row_scores, labels))
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
     return [(int(m), float(row.mean()), float(row.std())) for m, row in zip(spec.m_values, scores)]
+
+
+def window_mean(signal, lo, hi):
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    centre, half = signal.omega * (lo + hi) / 2.0, signal.omega * (hi - lo) / 2.0
+    return 2.0 * (np.sin(centre) * np.sinc(half / np.pi)) @ signal.coefs
+
+
+def csv_rows_text(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row]
+        for row in rows
+    )
+    return buf.getvalue()

@@ -548,6 +548,32 @@ def test_tune_lambda_count_error_names_the_lambda_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, duration", [
+    (["--n", 3, "--m", 2], "T = N*dt = 0.00015 s (--n 3, --dt 5e-05)"),
+    (["--dt", 5e-324], "T = N*dt = 4.94e-322 s (--n 100, --dt 5e-324)"),
+])
+def test_tune_rejects_a_grid_shorter_than_the_training_pulse(tmp_path, capsys, flags,
+                                                             duration):
+    # a training pulse cannot be placed on a grid shorter than it
+    out = tmp_path / "tune.csv"
+    code = run_cli(["tune", "--count", 1, *flags, "--out", out])
+    _assert_numeric_error(code, capsys, duration, "shorter than the 0.0002 s training pulse")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("", "need between 1 and 99 indices"),
+    ("3,300.0,1.0\n1,100.0,2.0\n3,300.0,1.5\n", "got 3 after 3"),
+])
+def test_recover_names_the_measurement_file(tmp_path, capsys, rows, message):
+    m_csv = tmp_path / "m.csv"
+    m_csv.write_text("k,freq_hz,coef_hz\n" + rows)
+    rec_csv = tmp_path / "rec.csv"
+    code = run_cli(["recover", "--measurements", m_csv, "--out", rec_csv])
+    _assert_numeric_error(code, capsys, str(m_csv), message)
+    assert not rec_csv.exists()
+
+
 def test_recover_rejects_overflowing_measurement(tmp_path, capsys):
     # 1e308 is finite, but its square is not: the solve would end in NaN
     m_csv = tmp_path / "m.csv"

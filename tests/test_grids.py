@@ -6,6 +6,7 @@ import stat
 
 import numpy as np
 import pytest
+from oracles import csv_rows_text
 
 from sparsemag import detection, experiments, recovery
 from sparsemag.grids import (
@@ -13,10 +14,11 @@ from sparsemag.grids import (
     TimeGrid,
     Waveform,
     make_grids,
+    read_csv_columns,
     synth_waveform,
     waveform_from_csv,
     waveform_to_csv,
-    write_csv_rows,
+    write_csv_columns,
     write_text,
 )
 
@@ -200,6 +202,7 @@ def test_waveform_csv_accepts_decimal_uniform_times(tmp_path):
         ["0.00005", "0.0001", "0.0002", "0.0003"],  # spacing doubles halfway
         ["0.00005", "0.0001", "0.00015", "0.00015"],  # repeated time
         ["0.00005", "0.00015", "0.00025", "0.00035"],  # first time is not dt
+        ["1e305", "2e305", "3e305", "-1.7976e308"],  # its difference from j*dt overflows
     ],
 )
 def test_waveform_csv_rejects_non_uniform_times(tmp_path, times):
@@ -215,6 +218,57 @@ def test_waveform_csv_rejects_times_off_explicit_dt(tmp_path):
     waveform_to_csv(Waveform(np.ones(9), tgrid), path)
     with pytest.raises(ValueError, match="time column"):
         waveform_from_csv(path, dt=40e-6)
+
+
+# ------------------------------------------------------------- CSV columns
+#
+# The column writer must give the bytes of the csv.writer rows it replaced.
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 0.1, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("columns", [
+    (EDGE_FLOATS,),
+    (np.array(EDGE_FLOATS), EDGE_FLOATS[::-1]),
+    (np.array([0.1, -0.0, 1e-05, 1e-45, np.inf], dtype=np.float32),),
+    (np.arange(-5, 6, dtype=np.int64), EDGE_FLOATS),
+    (np.array([0, 7, 2**32 - 1], dtype=np.uint32), [1, 2, 3], (0.5, 2, 1e-05)),
+    ([2**63, 0], [np.int64(-(2**63)), np.int64(2**63 - 1)]),
+    ([], []),
+    (),
+])
+def test_column_writer_matches_the_csv_writer_rows(tmp_path, columns):
+    # each column is one kind: ints as they are, anything else as a float
+    header = [f"c{i}" for i in range(len(columns))]
+    ints = [np.asarray(column).dtype.kind in "iu" for column in columns]
+    rows = [[v if i else float(v) for v, i in zip(row, ints)] for row in zip(*columns)]
+    path = tmp_path / "cols.csv"
+    write_csv_columns(path, header, *columns)
+    assert path.read_bytes() == csv_rows_text(header, rows).encode()
+
+
+def test_column_writer_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv_columns(tmp_path / "cols.csv", ["a", "b"], [1.0, 2.0], [3.0])
+
+
+def test_csv_columns_round_trip_bit_for_bit(tmp_path):
+    bits = np.random.default_rng(5).integers(0, 2**64, 2000, dtype=np.uint64)
+    values = bits.view(float)
+    values = np.concatenate([values[np.isfinite(values)], EDGE_FLOATS[:-1]])
+    path = tmp_path / "cols.csv"
+    write_csv_columns(path, ["k", "x", "y"], np.arange(values.size), values, values[::-1])
+    ks, xs, ys = read_csv_columns(path, ["k", "x", "y"])
+    assert list(map(int, ks)) == list(range(values.size))
+    for column, expected in ((xs, values), (ys, values[::-1])):
+        read = np.array(list(map(float, column)))
+        np.testing.assert_array_equal(read.view(np.uint64), expected.view(np.uint64))
+
+
+def test_read_csv_columns_of_a_header_only_file(tmp_path):
+    path = tmp_path / "cols.csv"
+    path.write_text("a,b,c\n")
+    assert read_csv_columns(path, ["a", "b", "c"]) == [(), (), ()]
 
 
 # --------------------------------------------------------- artefact writes
@@ -291,7 +345,7 @@ def test_artefact_writers_open_without_truncation(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "open", spy)
     result = recovery.RecoveryResult(np.zeros(3), 7, True, 2.5)
     for _ in range(2):  # a new file, then a rewrite of it
-        write_csv_rows(tmp_path / "rows.csv", ["k", "x"], [(1, 0.5), (2, 1.5)])
+        write_csv_columns(tmp_path / "rows.csv", ["k", "x"], [1, 2], [0.5, 1.5])
         experiments.write_manifest(tmp_path / "m.json", "synth", {"n": 100}, 0, ["a.csv"])
         recovery.result_metadata_to_json(result, 1.04, tmp_path / "meta.json")
         detection.auc_to_json(0.75, tmp_path / "auc.json")

@@ -338,6 +338,20 @@ def test_at_midpoints_matches_direct_sum(n_grid):
         np.testing.assert_array_equal(signal(t), expected)
 
 
+def test_window_mean_shares_sinc_rows_bit_for_bit():
+    # one sinc row per distinct width, gathered, is one row per window
+    tgrid = TimeGrid(100, 50e-6)
+    signal = sine_interpolant(synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)]))
+    centres = np.concatenate([tgrid.times, [0.0, 10e-6, 4.99e-3, 5e-3]])  # clipped ends too
+    for window in (60e-6, 333e-6):
+        lo = np.clip(centres - window / 2.0, 0.0, tgrid.duration)
+        hi = np.clip(centres + window / 2.0, 0.0, tgrid.duration)
+        for windows in ((lo, hi), (lo[:, None], hi[:, None]), (lo[5], hi[5])):
+            np.testing.assert_array_equal(
+                signal.window_mean(*windows), oracles.window_mean(signal, *windows)
+            )
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 203, 2475, 5000])
 def test_dst_iii_matches_scipy(n):
     x = np.random.default_rng(n).normal(size=n)
