@@ -21,9 +21,9 @@ out_dir = pathlib.Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 # the paired grids: df = 1/(2T), W = 1/(2 dt)
-tgrid, fgrid = sm.make_grids(100, 50e-6)
-print(f"T = {tgrid.duration * 1e3:.1f} ms, df = {fgrid.df:.0f} Hz, "
-      f"W = {fgrid.bandwidth / 1e3:.0f} kHz")
+tgrid = sm.TimeGrid(100, 50e-6)
+print(f"T = {tgrid.duration * 1e3:.1f} ms, df = {tgrid.df:.0f} Hz, "
+      f"W = {tgrid.bandwidth / 1e3:.0f} kHz")
 
 # two single-cycle sine pulses, 1 kHz amplitude (143 nT), 200 us long;
 # start times are continuous and deliberately not grid-aligned
@@ -48,7 +48,7 @@ print(f"roundtrip error = {np.max(np.abs(back.samples - waveform.samples)):.2e} 
 sm.grids.waveform_to_csv(waveform, out_dir / "waveform.csv")
 transform.measurements_to_csv(
     transform.MeasurementVector(coefs, transform.SubsampleSet(100, tuple(range(1, 100)))),
-    fgrid,
+    tgrid,
     out_dir / "spectrum.csv",
 )
 print(f"wrote {out_dir / 'waveform.csv'} and {out_dir / 'spectrum.csv'}")

@@ -20,13 +20,13 @@ import numpy as np
 import sparsemag as sm
 from sparsemag import sensor, transform
 
-tgrid, fgrid = sm.make_grids(100, 50e-6)
+tgrid = sm.TimeGrid(100, 50e-6)
 waveform = sm.synth_waveform(
     tgrid, [sm.PulseSpec(amplitude=1000.0, pulse_duration=200e-6, start_time=1.025e-3)]
 )
 coefs = sm.apply_dst(transform.dst_matrix(100), waveform)
 k = int(np.argmax(np.abs(coefs))) + 1
-print(f"measuring k = {k} (f = {k * fgrid.df:.0f} Hz), exact m_k = {coefs[k-1]:.3f} Hz")
+print(f"measuring k = {k} (f = {k * tgrid.df:.0f} Hz), exact m_k = {coefs[k-1]:.3f} Hz")
 
 duration = tgrid.duration
 

@@ -22,7 +22,7 @@ from sparsemag import experiments
 out_dir = pathlib.Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-tgrid, _ = sm.make_grids(100, 50e-6)
+tgrid = sm.TimeGrid(100, 50e-6)
 waveform = sm.synth_waveform(
     tgrid, [sm.PulseSpec(amplitude=1000.0, pulse_duration=200e-6, start_time=1.025e-3)]
 )

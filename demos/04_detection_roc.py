@@ -20,7 +20,7 @@ from sparsemag import detection, experiments
 out_dir = pathlib.Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-tgrid, _ = sm.make_grids(100, 50e-6)
+tgrid = sm.TimeGrid(100, 50e-6)
 waveform = sm.synth_waveform(
     tgrid,
     [sm.PulseSpec(1000.0, 200e-6, 1.025e-3), sm.PulseSpec(1000.0, 200e-6, 3.21e-3)],

@@ -6,7 +6,7 @@ This sweep subsamples one complete simulated dataset at a range of
 measurement counts, recovers each subset with FISTA at the tuned
 lambda = 1.04 Hz, and averages the detection AUC over random subsets.
 
-Run:  python3 demos/05_sample_count_sweep.py   (about half a minute)
+Run:  python3 demos/05_sample_count_sweep.py
 Outputs land in demos/output/.
 """
 
@@ -21,7 +21,7 @@ out_dir.mkdir(exist_ok=True)
 for sparsity in (4, 8):
     print(f"bound(s={sparsity}, N=100) = {experiments.compute_bound(sparsity, 100)}")
 
-tgrid, _ = sm.make_grids(100, 50e-6)
+tgrid = sm.TimeGrid(100, 50e-6)
 noise = sm.NoiseModel(200.0, 1000.0, seed=0)
 template = detection.default_template(tgrid)
 

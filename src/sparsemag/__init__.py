@@ -3,11 +3,9 @@ magnetometer: DST-basis quantum sampling, FISTA sparse recovery and
 matched-filter grading."""
 
 from .grids import (
-    FrequencyGrid,
     PulseSpec,
     TimeGrid,
     Waveform,
-    make_grids,
     synth_waveform,
 )
 from .transform import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import re
 import sys
 
 import numpy as np
@@ -21,7 +22,6 @@ from . import detection, experiments, recovery, transform
 from .grids import (
     PulseSpec,
     TimeGrid,
-    make_grids,
     read_csv_columns,
     synth_waveform,
     waveform_from_csv,
@@ -127,18 +127,16 @@ def cmd_synth(args) -> int:
 
 def cmd_measure(args) -> int:
     waveform = waveform_from_csv(args.infile)
-    n_grid = waveform.grid.n_grid
     subset = None  # --full, or no subset given: every index
     if args.subset is not None:
         subset = transform.subsample_from_json(args.subset)
     elif args.m is not None:
-        subset = transform.random_subsample(n_grid, args.m, args.seed)
+        subset = transform.random_subsample(waveform.grid.n_grid, args.m, args.seed)
     noise = _noise_from_args(args)
     measured = experiments.simulate_measurements(
         waveform, subset, noise, master_seed=args.seed
     )
-    _, fgrid = make_grids(n_grid, waveform.grid.dt)
-    transform.measurements_to_csv(measured, fgrid, args.out)
+    transform.measurements_to_csv(measured, waveform.grid, args.out)
     _manifest(args, [args.out])
     return EXIT_OK
 
@@ -146,7 +144,7 @@ def cmd_measure(args) -> int:
 def cmd_recover(args) -> int:
     _check_lambda(args.lam)
     grid = TimeGrid(args.n, args.dt)
-    measured = transform.measurements_from_csv(args.measurements, args.n, grid.dt)
+    measured = transform.measurements_from_csv(args.measurements, grid)
     matrix = transform.dst_matrix(args.n)
     operator = transform.subsample_rows(matrix, measured.subsample)
     problem = recovery.LassoProblem(operator, measured.values, args.lam)
@@ -161,12 +159,10 @@ def cmd_recover(args) -> int:
 def cmd_roc(args) -> int:
     truth = waveform_from_csv(args.truth)
     headers = (["time_s", "recovered_hz"], ["time_s", "gamma_b_hz"])
-    recovered = np.array(list(map(float, read_csv_columns(args.recovered, *headers)[1])))
-    if recovered.size != truth.samples.size:
-        raise ValueError(
-            f"recovered length {recovered.size} does not match truth "
-            f"{truth.samples.size}"
-        )
+    times, recovered = read_csv_columns(args.recovered, (float, float), *headers)
+    if len(times) != truth.samples.size or not truth.grid.holds(times):
+        raise ValueError(f"{args.recovered}: time_s is not j*dt, j = 1..{truth.grid.n_grid - 1}, "
+                         f"of --truth {args.truth}, dt={truth.grid.dt!r}")
     template = detection.default_template(truth.grid)
     labels = detection.ground_truth_classification(truth.samples, template)
     curve = detection.roc_curve(recovered, template, labels)
@@ -202,7 +198,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--truth {args.truth} holds N = {truth.grid.n_grid}, not --n {args.n}")
     template = detection.default_template(truth.grid)
     measured = transform.measurements_from_csv(
-        args.base, args.n, truth.grid.dt, dt_flag=f"--truth {args.truth} dt"
+        args.base, truth.grid, dt_flag=f"--truth {args.truth} dt"
     )
     if measured.subsample.m != args.n - 1:
         raise ValueError(
@@ -234,9 +230,18 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with ``-`` and then a digit, ``.``,
+    ``inf`` or ``nan`` as a value, so ``--dt -5e-05`` reaches the checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.|inf|nan).*", re.IGNORECASE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsemag",
         description="Compressive waveform estimation with a simulated "
         "spin-1 magnetometer (units: seconds and hertz throughout)",

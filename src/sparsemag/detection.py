@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TimeGrid, write_csv_columns, write_text
+from .grids import PULSE_AMPLITUDE, PULSE_DURATION, TimeGrid, write_csv_columns, write_text
 
 
 @dataclass
@@ -36,7 +36,7 @@ class Template:
 
 
 def default_template(
-    grid: TimeGrid, amplitude: float = 1000.0, pulse_duration: float = 200e-6
+    grid: TimeGrid, amplitude: float = PULSE_AMPLITUDE, pulse_duration: float = PULSE_DURATION
 ) -> Template:
     """Single-cycle sine pulse sampled from relative index 0.
 

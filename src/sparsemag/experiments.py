@@ -35,7 +35,8 @@ from .detection import (
     positive_labels,
     roc_curve,
 )
-from .grids import PulseSpec, TimeGrid, Waveform, synth_waveform, write_csv_columns, write_text
+from .grids import (PULSE_AMPLITUDE, PULSE_DURATION, PulseSpec, TimeGrid, Waveform,
+                    synth_waveform, write_csv_columns, write_text)
 from .recovery import (
     DEFAULT_LAMBDA,
     LassoProblem,
@@ -100,8 +101,6 @@ class TrainingSetSpec:
 
     count: int = 1000
     pulse_count_choices: tuple[int, ...] = (0, 1, 2)
-    amplitude: float = 1000.0
-    pulse_duration: float = 200e-6
     n_grid: int = 100
     dt: float = 50e-6
     m: int = 60
@@ -112,9 +111,9 @@ class TrainingSetSpec:
         if self.count < 1:
             raise ValueError("count must be >= 1")
         duration = TimeGrid(self.n_grid, self.dt).duration
-        if any(self.pulse_count_choices) and duration < self.pulse_duration:
+        if any(self.pulse_count_choices) and duration < PULSE_DURATION:
             raise ValueError(f"T = N*dt = {duration:.3g} s (--n {self.n_grid}, --dt {self.dt}) "
-                             f"is shorter than the {self.pulse_duration} s training pulse")
+                             f"is shorter than the {PULSE_DURATION} s training pulse")
 
 
 @dataclass(frozen=True)
@@ -146,14 +145,9 @@ def _training_sequence(spec: TrainingSetSpec, index: int) -> Waveform:
     tgrid = TimeGrid(spec.n_grid, spec.dt)
     rng = next(streams(spec.master_seed, SEQUENCE, index))
     n_pulses = int(rng.choice(spec.pulse_count_choices))
+    latest_start = tgrid.duration - PULSE_DURATION
     pulses = [
-        PulseSpec(
-            amplitude=spec.amplitude,
-            pulse_duration=spec.pulse_duration,
-            start_time=float(
-                rng.uniform(0.0, tgrid.duration - spec.pulse_duration)
-            ),
-        )
+        PulseSpec(PULSE_AMPLITUDE, PULSE_DURATION, float(rng.uniform(0.0, latest_start)))
         for _ in range(n_pulses)
     ]
     return synth_waveform(tgrid, pulses)
@@ -258,7 +252,6 @@ class ScenarioResult:
     name: str
     recovered: Waveform
     auc_value: float
-    measurements: dict
     recovery: RecoveryResult | None = None
 
 
@@ -269,7 +262,6 @@ def run_scenario(
     master_seed: int = 0,
     m: int = 60,
     lam: float = DEFAULT_LAMBDA,
-    template: Template | None = None,
 ) -> ScenarioResult:
     """Measure a waveform with one of the three protocols and grade the
     recovery: Ramsey time sampling in 60 us windows, complete inverse DST, or
@@ -278,8 +270,7 @@ def run_scenario(
         raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     tgrid = waveform.grid
     matrix = dst_matrix(tgrid.n_grid)
-    if template is None:
-        template = default_template(tgrid)
+    template = default_template(tgrid)
     truth_labels = ground_truth_classification(waveform.samples, template)
     positive_labels(truth_labels)  # a degenerate truth fails before any shot
 
@@ -289,27 +280,18 @@ def run_scenario(
         seeds = derive_seed(master_seed, RAMSEY, np.arange(times.size))
         samples = sensor.ramsey_sample(waveform, times, 60e-6, noise, seeds)
         recovered = Waveform(samples, tgrid)
-        record = {"protocol": "ramsey", "samples": samples.tolist()}
     elif name == "full_dst":
         measured = simulate_measurements(waveform, None, noise, master_seed)
         recovered = apply_inverse_dst(matrix, measured.values, tgrid)
-        record = {"protocol": "full_dst", "coef_hz": measured.values.tolist()}
     else:
-        subset = random_subsample(
-            tgrid.n_grid, m, derive_seed(master_seed, SUBSET)
-        )
+        subset = random_subsample(tgrid.n_grid, m, derive_seed(master_seed, SUBSET))
         measured = simulate_measurements(waveform, subset, noise, master_seed)
         operator = subsample_rows(matrix, subset)
         recovery = fista_solve(LassoProblem(operator, measured.values, lam))
         recovered = Waveform(recovery.waveform, tgrid)
-        record = {
-            "protocol": "compressive",
-            "indices": list(subset.indices),
-            "coef_hz": measured.values.tolist(),
-        }
 
     curve = roc_curve(recovered.samples, template, truth_labels)
-    return ScenarioResult(name, recovered, auc(curve), record, recovery)
+    return ScenarioResult(name, recovered, auc(curve), recovery)
 
 
 def scenario_to_csv(result: ScenarioResult, truth: Waveform, path):

@@ -18,8 +18,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid of ``n_grid`` steps; the signal lives on the
-    ``n_grid - 1`` interior points ``j*dt`` for j = 1..n_grid-1."""
+    """Uniform time grid of ``n_grid`` steps and its paired frequency grid,
+    df = 1/(2T) and W = 1/(2 dt); the signal lives on the ``n_grid - 1``
+    interior points ``j*dt`` for j = 1..n_grid-1."""
 
     n_grid: int
     dt: float
@@ -44,18 +45,14 @@ class TimeGrid:
         """Interior sample times j*dt, j = 1..n_grid-1 (s)."""
         return np.arange(1, self.n_grid) * self.dt
 
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Frequency grid paired with a :class:`TimeGrid`: df = 1/(2T),
-    bandwidth W = n_grid * df = 1/(2 dt)."""
-
-    n_grid: int
-    df: float
+    @property
+    def df(self) -> float:
+        """Frequency step df = 1/(2T) of the paired sine grid (Hz)."""
+        return 1.0 / (2.0 * self.duration)
 
     @property
     def bandwidth(self) -> float:
-        """Bandwidth W = n_grid * df (Hz)."""
+        """Bandwidth W = n_grid * df = 1/(2 dt) (Hz)."""
         return self.n_grid * self.df
 
     @property
@@ -63,13 +60,14 @@ class FrequencyGrid:
         """Measurable frequencies k*df, k = 1..n_grid-1 (Hz)."""
         return np.arange(1, self.n_grid) * self.df
 
+    def holds(self, times) -> bool:
+        """Whether ``times`` read j*dt, j = 1..n_grid-1, each to a relative 1e-9."""
+        with np.errstate(over="ignore"):  # a difference that overflows reads as a mismatch
+            return bool(np.all(abs(np.asarray(times) - self.times) <= 1e-9 * self.times))
 
-def make_grids(n_grid: int, dt: float) -> tuple[TimeGrid, FrequencyGrid]:
-    """Build the paired time and frequency grids for ``n_grid`` steps of
-    ``dt`` seconds, satisfying df = 1/(2T) and W = 1/(2 dt)."""
-    tgrid = TimeGrid(n_grid, dt)
-    fgrid = FrequencyGrid(n_grid, 1.0 / (2.0 * tgrid.duration))
-    return tgrid, fgrid
+
+# the paper's test pulse: one 200 us cycle of 1 kHz (143 nT) amplitude
+PULSE_AMPLITUDE, PULSE_DURATION = 1000.0, 200e-6
 
 
 @dataclass(frozen=True)
@@ -158,9 +156,10 @@ def write_csv_columns(path, header: list[str], *columns):
     write_text(path, "\r\n".join(lines) + "\r\n")
 
 
-def read_csv_columns(path, *headers: list[str]) -> list[tuple[str, ...]]:
-    """The columns under a CSV file's header.  The header must be one of
-    ``headers`` and every row as wide as it, or ``ValueError`` is raised."""
+def read_csv_columns(path, converters, *headers: list[str]) -> list[list]:
+    """The columns under a CSV file's header, each cell passed through its
+    column's converter.  The header must be one of ``headers``, every row as
+    wide as it and every cell convertible, or ``ValueError`` is raised."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] not in headers:
@@ -168,7 +167,14 @@ def read_csv_columns(path, *headers: list[str]) -> list[tuple[str, ...]]:
     if set(map(len, rows)) != {len(rows[0])}:
         row = next(row for row in rows if len(row) != len(rows[0]))
         raise ValueError(f"CSV {path}: row {row} does not have {len(rows[0])} fields")
-    return list(zip(*rows[1:])) or [()] * len(rows[0])
+    cells = list(zip(*rows[1:])) or [()] * len(rows[0])
+    columns = []
+    for name, convert, column in zip(rows[0], converters, cells):
+        try:
+            columns.append(list(map(convert, column)))
+        except ValueError as exc:
+            raise ValueError(f"CSV {path}: column {name}: {exc}") from exc
+    return columns
 
 
 def waveform_to_csv(waveform: Waveform, path):
@@ -176,21 +182,14 @@ def waveform_to_csv(waveform: Waveform, path):
     write_csv_columns(path, ["time_s", "gamma_b_hz"], waveform.grid.times, waveform.samples)
 
 
-def waveform_from_csv(path, dt: float | None = None) -> Waveform:
-    """Read a waveform written by :func:`waveform_to_csv`.
-
-    The time step is inferred from the first time unless given explicitly;
-    either way the time column must read j*dt, j = 1..N-1, to a relative
-    1e-9, or a ``ValueError`` is raised.
-    """
-    times, samples = read_csv_columns(path, ["time_s", "gamma_b_hz"])
+def waveform_from_csv(path) -> Waveform:
+    """Read a waveform written by :func:`waveform_to_csv`.  The time step is
+    the first time, and the time column must read j*dt, j = 1..N-1, to a
+    relative 1e-9, or a ``ValueError`` is raised."""
+    times, samples = read_csv_columns(path, (float, float), ["time_s", "gamma_b_hz"])
     if not samples:
         raise ValueError(f"waveform CSV {path} holds no samples")
-    times, samples = list(map(float, times)), list(map(float, samples))
-    if dt is None:
-        dt = times[0]
-    grid = TimeGrid(len(samples) + 1, dt)
-    with np.errstate(over="ignore"):  # a difference that overflows reads as a mismatch
-        if not np.all(abs(np.array(times) - grid.times) <= 1e-9 * grid.times):
-            raise ValueError(f"waveform CSV {path}: time column is not j*dt, dt={dt!r}")
+    grid = TimeGrid(len(samples) + 1, times[0])
+    if not grid.holds(times):
+        raise ValueError(f"waveform CSV {path}: time column is not j*dt, dt={times[0]!r}")
     return Waveform(np.array(samples), grid)

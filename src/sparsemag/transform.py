@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FrequencyGrid, TimeGrid, Waveform, read_csv_columns, write_csv_columns
+from .grids import TimeGrid, Waveform, read_csv_columns, write_csv_columns
 from .seeds import streams
 
 
@@ -208,30 +208,29 @@ def subsample_from_json(path) -> SubsampleSet:
         raise ValueError(f"subset JSON {path} needs integer n_grid and indices") from exc
 
 
-def measurements_to_csv(measurement: MeasurementVector, fgrid: FrequencyGrid, path):
-    """Write ``k,freq_hz,coef_hz`` rows."""
+def measurements_to_csv(measurement: MeasurementVector, grid: TimeGrid, path):
+    """Write ``k,freq_hz,coef_hz`` rows, freq_hz = k * df of ``grid``."""
     k = np.array(measurement.subsample.indices)
-    write_csv_columns(path, ["k", "freq_hz", "coef_hz"], k, k * fgrid.df, measurement.values)
+    write_csv_columns(path, ["k", "freq_hz", "coef_hz"], k, k * grid.df, measurement.values)
 
 
-def measurements_from_csv(path, n_grid: int, dt: float | None = None,
-                          dt_flag: str = "--dt") -> MeasurementVector:
-    """Read ``k,freq_hz,coef_hz`` rows; given ``dt``, every freq_hz must read
-    k/(2 N dt) to a relative 1e-9, or a ``ValueError`` naming ``dt_flag`` is
-    raised."""
-    ks, freqs, coefs = read_csv_columns(path, ["k", "freq_hz", "coef_hz"])
-    indices, values = list(map(int, ks)), list(map(float, coefs))
+def measurements_from_csv(path, grid: TimeGrid, dt_flag: str = "--dt") -> MeasurementVector:
+    """Read ``k,freq_hz,coef_hz`` rows for ``grid``: every k must lie in
+    1..N-1 and every freq_hz read k/(2 N dt) to a relative 1e-9, or a
+    ``ValueError`` naming ``--n`` or ``dt_flag`` is raised."""
+    n_grid, dt = grid.n_grid, grid.dt
+    header = ["k", "freq_hz", "coef_hz"]
+    indices, freqs, values = read_csv_columns(path, (int, float, float), header)
     if indices and max(indices) > n_grid - 1:
         raise ValueError(f"{path} holds index {max(indices)} > N - 1 for N = {n_grid} (--n)")
-    if dt is not None:
-        freqs = np.array(list(map(float, freqs)))
-        # compared as k: k/(2 N dt) overflows for a subnormal dt, and a product
-        # that overflows reads as a mismatch
-        with np.errstate(over="ignore"):
-            matches = abs(freqs * (2.0 * n_grid * dt) - indices) <= 1e-9 * np.array(indices)
-        if not np.all(matches):
-            raise ValueError(f"{path}: freq_hz is not k/(2 N dt) for --n {n_grid}, {dt_flag} {dt}")
-    order = np.argsort(indices)
+    k = np.array(indices)
+    # compared as k: k/(2 N dt) overflows for a subnormal dt, and a product
+    # that overflows reads as a mismatch
+    with np.errstate(over="ignore"):
+        matches = abs(np.array(freqs) * (2.0 * n_grid * dt) - k) <= 1e-9 * k
+    if not np.all(matches):
+        raise ValueError(f"{path}: freq_hz is not k/(2 N dt) for --n {n_grid}, {dt_flag} {dt}")
+    order = np.argsort(k)
     try:
         subsample = SubsampleSet(n_grid, tuple(int(indices[i]) for i in order))
     except ValueError as exc:

@@ -67,7 +67,7 @@ def test_criterion_1_transform_correctness(capsys):
 
 
 def _unitary_sweep(amplitude):
-    tgrid, _ = sm.make_grids(100, 50e-6)
+    tgrid = sm.TimeGrid(100, 50e-6)
     waveform = sm.synth_waveform(tgrid, [sm.PulseSpec(amplitude, 200e-6, 1.0e-3)])
     coefs = transform.apply_dst(transform.dst_matrix(100), waveform)
     simulated = np.array(
@@ -178,7 +178,7 @@ def test_criterion_4_rwa_validation(capsys):
 
 def test_criterion_5_exact_sparse_recovery(capsys):
     start = time.perf_counter()
-    tgrid, _ = sm.make_grids(100, 50e-6)
+    tgrid = sm.TimeGrid(100, 50e-6)
     waveform = sm.synth_waveform(tgrid, [sm.PulseSpec(1000.0, 200e-6, 1.025e-3)])
     matrix = transform.dst_matrix(100)
     true_support = np.abs(waveform.samples) > 1e-9
@@ -223,7 +223,7 @@ def test_criterion_6_bound_anchors(capsys):
 @pytest.fixture(scope="module")
 def sample_sweeps():
     start = time.perf_counter()
-    tgrid, _ = sm.make_grids(100, 50e-6)
+    tgrid = sm.TimeGrid(100, 50e-6)
     noise = sm.NoiseModel(200.0, 1000.0, seed=0)
     template = detection.default_template(tgrid)
     m_grid = (10,) + tuple(range(20, 81, 2)) + (99,)
@@ -314,7 +314,7 @@ def test_criterion_8_lambda_tuning(capsys):
 
 
 def test_criterion_9_scenario_ordering(capsys):
-    tgrid, _ = sm.make_grids(100, 50e-6)
+    tgrid = sm.TimeGrid(100, 50e-6)
     waveform = sm.synth_waveform(tgrid, [sm.PulseSpec(1000.0, 200e-6, 1.025e-3)])
     seed = 19
     noise = sm.NoiseModel(200.0, 1000.0, seed=seed)
@@ -334,7 +334,7 @@ def test_criterion_9_scenario_ordering(capsys):
 
 
 def test_criterion_10_detection_unit_suite(capsys):
-    tgrid, _ = sm.make_grids(100, 50e-6)
+    tgrid = sm.TimeGrid(100, 50e-6)
     template = detection.default_template(tgrid)
     waveform = sm.synth_waveform(tgrid, [sm.PulseSpec(1000.0, 200e-6, 1.025e-3)])
     truth = detection.ground_truth_classification(waveform.samples, template)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sparsemag import cli
 from sparsemag.cli import main
-from sparsemag.grids import PulseSpec, make_grids, synth_waveform, waveform_from_csv
+from sparsemag.grids import TimeGrid, waveform_from_csv
 from sparsemag.transform import apply_dst, dst_matrix, measurements_from_csv
 
 
@@ -117,7 +117,7 @@ def test_measure_full_noiseless_matches_dst(tmp_path, pulse_csv):
     out = tmp_path / "m.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--full", "--no-noise",
                     "--out", out]) == 0
-    measured = measurements_from_csv(out, 100)
+    measured = measurements_from_csv(out, TimeGrid(100, 50e-6))
     assert measured.subsample.m == 99
     truth = apply_dst(dst_matrix(100), waveform_from_csv(pulse_csv))
     # Magnus tolerance at the full 1 kHz amplitude
@@ -128,7 +128,7 @@ def test_measure_subset_row_count(tmp_path, pulse_csv):
     out = tmp_path / "m60.csv"
     assert run_cli(["measure", "--in", pulse_csv, "--m", 60, "--seed", 7,
                     "--out", out]) == 0
-    assert measurements_from_csv(out, 100).subsample.m == 60
+    assert measurements_from_csv(out, TimeGrid(100, 50e-6)).subsample.m == 60
 
 
 def test_measure_m_out_of_range(tmp_path, pulse_csv, capsys):
@@ -326,6 +326,63 @@ def test_roc_blank_row_in_recovered(tmp_path, pulse_csv, capsys):
     code = run_cli(["roc", "--recovered", recovered, "--truth", pulse_csv,
                     "--out", tmp_path / "roc.csv"])
     _assert_numeric_error(code, capsys, "2 fields")
+
+
+@pytest.mark.parametrize("kind", ["waveform", "measurement", "recovered"])
+def test_csv_cell_that_does_not_parse_names_file_and_column(tmp_path, pulse_csv, capsys, kind):
+    # waveform cells read as floats, measurement k as ints, recovered cells as floats
+    m_csv, rec_csv = tmp_path / "m.csv", tmp_path / "rec.csv"
+    assert run_cli(["measure", "--in", pulse_csv, "--m", 40, "--out", m_csv]) == 0
+    assert run_cli(["recover", "--measurements", m_csv, "--out", rec_csv]) == 0
+    path, column, cell, command = {
+        "waveform": (pulse_csv, "gamma_b_hz", "abc", ["measure", "--in", pulse_csv]),
+        "measurement": (m_csv, "k", "1.5", ["recover", "--measurements", m_csv]),
+        "recovered": (rec_csv, "recovered_hz", "abc",
+                      ["roc", "--recovered", rec_csv, "--truth", pulse_csv]),
+    }[kind]
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[lines[0].split(",").index(column)] = cell
+    path.write_text("\n".join([*lines[:3], ",".join(fields), *lines[4:]]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    code = run_cli([*command, "--out", out])
+    _assert_numeric_error(code, capsys, f"CSV {path}: column {column}: ", repr(cell))
+    assert not out.exists()
+
+
+def test_roc_refuses_a_recovery_on_another_time_grid(tmp_path, pulse_csv, capsys):
+    # a 25 us recovery graded against a 50 us truth with the same N
+    fast, m_csv, rec_csv = tmp_path / "fast.csv", tmp_path / "m.csv", tmp_path / "rec.csv"
+    assert run_cli(["synth", "--dt", 25e-6, "--pulses", "1e-3,1000,200e-6", "--out", fast]) == 0
+    assert run_cli(["measure", "--in", fast, "--m", 60, "--out", m_csv]) == 0
+    assert run_cli(["recover", "--measurements", m_csv, "--dt", 25e-6, "--out", rec_csv]) == 0
+    roc_csv = tmp_path / "roc.csv"
+    code = run_cli(["roc", "--recovered", rec_csv, "--truth", pulse_csv, "--out", roc_csv])
+    _assert_numeric_error(code, capsys, str(rec_csv), str(pulse_csv), "time_s", "j*dt")
+    assert not roc_csv.exists()
+    # on its own grid the same recovery is graded
+    assert run_cli(["roc", "--recovered", rec_csv, "--truth", fast, "--out", roc_csv]) == 0
+
+
+@pytest.mark.parametrize("args, words", [
+    (["recover", "--measurements", "m.csv", "--lambda", "-inf"], "--lambda must be positive"),
+    (["synth", "--dt", "-5e-05"], "dt must be positive and finite, got -5e-05"),
+    (["measure", "--in", "WF", "--atoms", "-1e3"], "mean_atoms must be finite"),
+    (["tune", "--count", 1, "--lambda-low", "-1e-3"], "lambda grid needs 0 < low"),
+    (["synth", "--pulses", "-1e-3,1000,2e-4"], "pulse at t0=-0.001 s"),
+    (["recover", "--measurements", "m.csv", "--lambda", "-.5"], "--lambda must be positive"),
+    (["recover", "--measurements", "m.csv", "--lambda", "-NaN"], "--lambda must be positive"),
+])
+def test_negative_float_given_as_its_own_argument_is_a_value(tmp_path, pulse_csv, capsys,
+                                                             args, words):
+    # argparse alone reads only -1 and -0.5 as numbers: -inf, -5e-05 and the
+    # like would be options, and exit 2 with the usage text
+    args = [pulse_csv if a == "WF" else a for a in args]
+    out = tmp_path / "out.csv"
+    code = run_cli([*args, "--out", out])
+    _assert_numeric_error(code, capsys, words)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--seed", -1], ["--full", "--seed", -1],
@@ -762,7 +819,7 @@ _pulse = st.one_of(
     subsets=st.integers(-2, 3),
 )
 def test_cli_fuzz_exit_codes(tmp_path_factory, pulses, m, atoms, drift, subsets):
-    # every input either succeeds with finite CSVs or exits 2, 3 or 4; no
+    # every input either succeeds with finite CSVs or exits 3 or 4; no
     # exception escapes cli.main
     d = tmp_path_factory.mktemp("fuzz")
     wf, full = d / "wf.csv", d / "full.csv"
@@ -776,7 +833,7 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, pulses, m, atoms, drift, subsets)
     ]
     for args in steps:
         code = _exit_code(args)
-        assert code in (0, 2, 3, 4), (args, code)
+        assert code in (0, 3, 4), (args, code)  # every drawn value parses: no usage error
         if code == 0:
             _assert_finite_csvs(d)
 
@@ -864,8 +921,8 @@ _subset_json = st.one_of(
 )
 def test_cli_fuzz_lambda(tmp_path_factory, capsys, valid_inputs, command, lam):
     # every IEEE edge of --lambda either solves with finite outputs or exits 4
-    # with one line that names the flag; the value goes in the --lambda=
-    # form because argparse reads a separate "-inf" as an option
+    # with one line that names the flag, given as --lambda=VALUE or as its
+    # own argument (a "-inf" there is a value, not an option)
     d = tmp_path_factory.mktemp("lambda")
     for name, text in valid_inputs.items():
         (d / name).write_text(text)
@@ -874,18 +931,19 @@ def test_cli_fuzz_lambda(tmp_path_factory, capsys, valid_inputs, command, lam):
         "sweep": ["--base", d / "full.csv", "--truth", d / "wf.csv", "--m-list", "10,60",
                   "--subsets", 1],
     }
-    out = d / "out"
-    out.mkdir()
-    code = _exit_code([command, *inputs[command], f"--lambda={lam!r}", "--out", out / "out.csv"])
-    err = capsys.readouterr().err
-    if code == 0:
-        _assert_finite_csvs(out)
-        for path in out.glob("*.json"):
-            assert _finite(json.loads(path.read_text())), path
-    else:
-        assert code == 4, (command, lam, err)
-        assert err.startswith("error: numeric: --lambda must be positive and finite"), err
-        assert len(err.strip().splitlines()) == 1
+    for flag in ([f"--lambda={lam!r}"], ["--lambda", repr(lam)]):
+        out = d / f"out{len(flag)}"
+        out.mkdir()
+        code = _exit_code([command, *inputs[command], *flag, "--out", out / "out.csv"])
+        err = capsys.readouterr().err
+        if code == 0:
+            _assert_finite_csvs(out)
+            for path in out.glob("*.json"):
+                assert _finite(json.loads(path.read_text())), path
+        else:
+            assert code == 4, (command, flag, err)
+            assert err.startswith("error: numeric: --lambda must be positive and finite"), err
+            assert len(err.strip().splitlines()) == 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,

@@ -19,7 +19,7 @@ from sparsemag.detection import (
     roc_curve_from_scores,
     roc_to_csv,
 )
-from sparsemag.grids import PulseSpec, make_grids, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
 
 
 def test_template_validation_and_energy():
@@ -32,7 +32,7 @@ def test_template_validation_and_energy():
 
 
 def test_default_template_shape():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     template = default_template(tgrid)
     np.testing.assert_allclose(
         template.samples, [0.0, 1000.0, 0.0, -1000.0], atol=1e-9
@@ -40,7 +40,7 @@ def test_default_template_shape():
 
 
 def test_default_template_must_fit_the_grid():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     # 99.4 samples round to the 99 the grid holds
     assert default_template(tgrid, pulse_duration=99.4 * 50e-6).samples.size == 99
     for duration in (99.6 * 50e-6, np.inf, np.nan):
@@ -87,7 +87,7 @@ def test_matched_filter_rejects_long_template():
 
 
 def test_ground_truth_classification_on_pulse():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     template = default_template(tgrid)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.0e-3)])
     labels = ground_truth_classification(waveform.samples, template)
@@ -272,7 +272,7 @@ def test_auc_negation_antisymmetry(seed):
 
 
 def test_roc_end_to_end_perfect_recovery():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     template = default_template(tgrid)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     truth = ground_truth_classification(waveform.samples, template)

@@ -5,7 +5,7 @@ import pytest
 
 from sparsemag import experiments, sensor
 from sparsemag.detection import default_template
-from sparsemag.grids import PulseSpec, make_grids, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
 import oracles
 from oracles import magnus_coefficients
 from sparsemag.sensor import (
@@ -28,12 +28,18 @@ from sparsemag.experiments import (
     write_manifest,
 )
 from sparsemag.seeds import derive_seed
-from sparsemag.transform import apply_dst, dst_matrix, random_subsample, sine_interpolant
+from sparsemag.transform import (
+    apply_dst,
+    apply_inverse_dst,
+    dst_matrix,
+    random_subsample,
+    sine_interpolant,
+)
 
 
 @pytest.fixture(scope="module")
 def one_pulse():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     return synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
 
 
@@ -93,7 +99,7 @@ def test_simulate_measurements_matches_per_shot(one_pulse):
 
 
 def test_simulate_measurements_noiseless_weak_matches_dst():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     weak = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     coefs = apply_dst(dst_matrix(100), weak)
     measured = simulate_measurements(weak, None, None)
@@ -230,7 +236,7 @@ def test_sweep_rejects_degenerate_truth_before_solving(one_pulse, monkeypatch):
 
 @pytest.mark.parametrize("name", ["ramsey", "full_dst", "compressive"])
 def test_run_scenario_rejects_degenerate_truth_before_shots(name, monkeypatch):
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     zero = synth_waveform(tgrid, [])
     _forbid(monkeypatch, experiments, "simulate_measurements", "fista_solve")
     _forbid(monkeypatch, sensor, "ramsey_sample")
@@ -243,15 +249,15 @@ def test_run_scenario_unknown_name(one_pulse):
         run_scenario("fourier", one_pulse, None)
 
 
-def test_run_scenario_full_dst_noiseless_weak():
-    # zero noise: inverse DST reproduces the waveform up to the Magnus
-    # correction, which vanishes with amplitude
-    tgrid, _ = make_grids(100, 50e-6)
-    weak = synth_waveform(tgrid, [PulseSpec(1e-3, 200e-6, 1.025e-3)])
-    # the half-energy ground-truth rule needs a template at the truth's scale
-    template = default_template(tgrid, amplitude=1e-3)
-    result = run_scenario("full_dst", weak, None, template=template)
-    assert np.max(np.abs(result.recovered.samples - weak.samples)) < 1e-10
+def test_run_scenario_full_dst_noiseless(one_pulse):
+    # zero noise: the scenario is the exact inverse DST of the noiseless
+    # shots (which match the DST for a weak pulse, see
+    # test_simulate_measurements_noiseless_weak_matches_dst)
+    result = run_scenario("full_dst", one_pulse, None)
+    shots = simulate_measurements(one_pulse, None, None)
+    expected = apply_inverse_dst(dst_matrix(100), shots.values, one_pulse.grid)
+    np.testing.assert_array_equal(result.recovered.samples, expected.samples)
+    assert result.recovery is None
     assert result.auc_value == 1.0
 
 
@@ -259,14 +265,13 @@ def test_run_scenario_compressive_noisy(one_pulse):
     noise = NoiseModel(200.0, 1000.0, seed=0)
     result = run_scenario("compressive", one_pulse, noise, master_seed=0, m=60)
     assert result.auc_value >= 0.99
-    assert len(result.measurements["indices"]) == 60
-    assert result.recovery is not None
+    np.testing.assert_array_equal(result.recovery.waveform, result.recovered.samples)
 
 
 def test_run_scenario_ramsey_record(one_pulse):
     result = run_scenario("ramsey", one_pulse, None)
-    assert result.measurements["protocol"] == "ramsey"
-    assert len(result.measurements["samples"]) == 99
+    assert result.recovered.samples.shape == (99,)
+    assert result.recovery is None
     # noiseless ramsey tracks the waveform closely away from pulse edges
     assert result.auc_value == pytest.approx(1.0)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -13,7 +14,6 @@ from sparsemag.grids import (
     PulseSpec,
     TimeGrid,
     Waveform,
-    make_grids,
     read_csv_columns,
     synth_waveform,
     waveform_from_csv,
@@ -31,36 +31,37 @@ from sparsemag.grids import (
         (16, 1e-3, 16e-3, 31.25, 500.0),
     ],
 )
-def test_make_grids_pairing(n_grid, dt, duration, df, bandwidth):
-    tgrid, fgrid = make_grids(n_grid, dt)
+def test_time_grid_frequency_pairing(n_grid, dt, duration, df, bandwidth):
+    tgrid = TimeGrid(n_grid, dt)
     assert tgrid.duration == pytest.approx(duration, rel=1e-15)
-    assert fgrid.df == pytest.approx(df, rel=1e-15)
-    assert fgrid.bandwidth == pytest.approx(bandwidth, rel=1e-15)
-    # pairing identities df = 1/(2T), W = 1/(2 dt)
-    assert fgrid.df == pytest.approx(1.0 / (2.0 * tgrid.duration), rel=1e-15)
-    assert fgrid.bandwidth == pytest.approx(1.0 / (2.0 * dt), rel=1e-15)
+    assert tgrid.df == pytest.approx(df, rel=1e-15)
+    assert tgrid.bandwidth == pytest.approx(bandwidth, rel=1e-15)
+    # pairing identities df = 1/(2T), W = 1/(2 dt); df is exactly 1/(2T),
+    # the value every freq_hz cell is written from
+    assert tgrid.df == 1.0 / (2.0 * tgrid.duration)
+    assert tgrid.bandwidth == pytest.approx(1.0 / (2.0 * dt), rel=1e-15)
 
 
-def test_make_grids_rejects_bad_inputs():
+def test_time_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        make_grids(1, 1e-3)
+        TimeGrid(1, 1e-3)
     with pytest.raises(ValueError):
-        make_grids(10, 0.0)
+        TimeGrid(10, 0.0)
     with pytest.raises(ValueError):
-        make_grids(10, -1e-6)
+        TimeGrid(10, -1e-6)
 
 
 def test_grid_sample_axes():
-    tgrid, fgrid = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     assert tgrid.times.shape == (99,)
     assert tgrid.times[0] == pytest.approx(50e-6)
     assert tgrid.times[-1] == pytest.approx(4.95e-3)
-    assert fgrid.frequencies[0] == pytest.approx(100.0)
-    assert fgrid.frequencies[-1] == pytest.approx(9900.0)
+    assert tgrid.frequencies[0] == pytest.approx(100.0)
+    assert tgrid.frequencies[-1] == pytest.approx(9900.0)
 
 
 def test_synth_aligned_pulse_samples():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     pulse = PulseSpec(amplitude=1000.0, pulse_duration=200e-6, start_time=1.0e-3)
     waveform = synth_waveform(tgrid, [pulse])
     # grid-aligned single-cycle sine: samples at j = 20..23 are
@@ -77,13 +78,13 @@ def test_synth_aligned_pulse_samples():
 
 
 def test_synth_empty_pulse_list_is_zero():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [])
     assert np.all(waveform.samples == 0.0)
 
 
 def test_synth_offset_pulse_matches_pointwise_formula():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     pulse = PulseSpec(amplitude=1000.0, pulse_duration=200e-6, start_time=1.025e-3)
     waveform = synth_waveform(tgrid, [pulse])
 
@@ -103,7 +104,7 @@ def test_synth_offset_pulse_matches_pointwise_formula():
 
 
 def test_synth_is_linear_in_pulses():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     p1 = PulseSpec(1000.0, 200e-6, 1.025e-3)
     p2 = PulseSpec(-400.0, 300e-6, 3.1e-3)
     combined = synth_waveform(tgrid, [p1, p2])
@@ -112,7 +113,7 @@ def test_synth_is_linear_in_pulses():
 
 
 def test_synth_amplitude_bound():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     pulses = [
         PulseSpec(1000.0, 200e-6, 1.025e-3),
         PulseSpec(700.0, 500e-6, 1.1e-3),
@@ -124,7 +125,7 @@ def test_synth_amplitude_bound():
 
 
 def test_synth_rejects_out_of_range_pulse():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     with pytest.raises(ValueError):
         synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 9.9e-3)])
     with pytest.raises(ValueError):
@@ -176,7 +177,7 @@ def test_time_grid_rejects_overflowing_span(n_grid, dt):
 
 
 def test_waveform_csv_round_trip(tmp_path):
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     path = tmp_path / "wf.csv"
     waveform_to_csv(waveform, path)
@@ -193,7 +194,6 @@ def test_waveform_csv_accepts_decimal_uniform_times(tmp_path):
     loaded = waveform_from_csv(path)
     assert loaded.grid == TimeGrid(5, 0.00005)
     np.testing.assert_array_equal(loaded.samples, [1.0, 2.0, 3.0, 4.0])
-    assert waveform_from_csv(path, dt=0.00005).grid == loaded.grid
 
 
 @pytest.mark.parametrize(
@@ -210,14 +210,6 @@ def test_waveform_csv_rejects_non_uniform_times(tmp_path, times):
     path.write_text("time_s,gamma_b_hz\n" + "".join(f"{t},1\n" for t in times))
     with pytest.raises(ValueError, match="time column"):
         waveform_from_csv(path)
-
-
-def test_waveform_csv_rejects_times_off_explicit_dt(tmp_path):
-    tgrid, _ = make_grids(10, 50e-6)
-    path = tmp_path / "wf.csv"
-    waveform_to_csv(Waveform(np.ones(9), tgrid), path)
-    with pytest.raises(ValueError, match="time column"):
-        waveform_from_csv(path, dt=40e-6)
 
 
 # ------------------------------------------------------------- CSV columns
@@ -258,17 +250,26 @@ def test_csv_columns_round_trip_bit_for_bit(tmp_path):
     values = np.concatenate([values[np.isfinite(values)], EDGE_FLOATS[:-1]])
     path = tmp_path / "cols.csv"
     write_csv_columns(path, ["k", "x", "y"], np.arange(values.size), values, values[::-1])
-    ks, xs, ys = read_csv_columns(path, ["k", "x", "y"])
-    assert list(map(int, ks)) == list(range(values.size))
+    ks, xs, ys = read_csv_columns(path, (int, float, float), ["k", "x", "y"])
+    assert ks == list(range(values.size))
     for column, expected in ((xs, values), (ys, values[::-1])):
-        read = np.array(list(map(float, column)))
+        read = np.array(column)
         np.testing.assert_array_equal(read.view(np.uint64), expected.view(np.uint64))
 
 
 def test_read_csv_columns_of_a_header_only_file(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("a,b,c\n")
-    assert read_csv_columns(path, ["a", "b", "c"]) == [(), (), ()]
+    assert read_csv_columns(path, (int, float, str), ["a", "b", "c"]) == [[], [], []]
+
+
+@pytest.mark.parametrize("convert, cell", [(int, "1.5"), (int, ""), (float, "abc"), (float, "1,5")])
+def test_read_csv_columns_names_the_file_and_column_of_a_bad_cell(tmp_path, convert, cell):
+    path = tmp_path / "cols.csv"
+    path.write_text(f'a,b\n1,2\n3,"{cell}"\n')
+    message = re.escape(f"CSV {path}: column b: ") + ".*" + re.escape(repr(cell))
+    with pytest.raises(ValueError, match=message):
+        read_csv_columns(path, (int, convert), ["a", "b"])
 
 
 # --------------------------------------------------------- artefact writes

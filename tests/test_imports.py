@@ -73,7 +73,7 @@ def test_unitary_shots_leave_scipy_unloaded():
     code = (
         "import json, sys\n"
         "import sparsemag as sm\n"
-        "tgrid, _ = sm.make_grids(100, 50e-6)\n"
+        "tgrid = sm.TimeGrid(100, 50e-6)\n"
         "waveform = sm.synth_waveform(tgrid, [sm.PulseSpec(1000.0, 200e-6, 1e-3)])\n"
         "shots = [sm.measure_sine_coefficient(waveform, 17, noise, shot_seed=3)\n"
         "         for noise in (None, sm.NoiseModel(200.0, 1000.0, seed=4))]\n"

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from oracles import objective, soft_threshold
 from sparsemag.experiments import LambdaGrid, simulate_measurements
-from sparsemag.grids import PulseSpec, make_grids, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
 from sparsemag.recovery import (
     DEFAULT_LAMBDA,
     FistaConfig,
@@ -32,7 +32,7 @@ from sparsemag.transform import (
 
 def _pulse_instance(subset_seed, lam):
     """Noiseless 4-sparse instance: one offset pulse, M=60 random rows."""
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     matrix = dst_matrix(100)
     subset = random_subsample(100, 60, subset_seed)
@@ -220,7 +220,7 @@ def test_fista_exact_recovery_support():
 
 def test_fista_least_squares_limit():
     # full sampling, lambda -> 0+: recovery approaches the inverse DST
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     matrix = dst_matrix(100)
     m = apply_dst(matrix, waveform)
@@ -306,7 +306,7 @@ def test_huge_lambda_gives_zero_without_overflow_warning():
 
 def test_block_matches_scalar_on_lambda_grid():
     # a tune-style block: one noisy m = 60 measurement, the 200-point grid
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(
         tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3), PulseSpec(1000.0, 200e-6, 3.21e-3)]
     )
@@ -330,7 +330,7 @@ def test_block_matches_scalar_on_lambda_grid():
 def test_masked_block_matches_subsampled_rows():
     # criterion-7 base vector: all 99 noisy coefficients of the one-pulse
     # waveform; each column keeps the rows of one random subset
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     base = simulate_measurements(waveform, None, NoiseModel(seed=0), master_seed=0).values
     matrix = dst_matrix(100)
@@ -445,7 +445,7 @@ def test_default_lambda_value():
 
 
 def test_result_serialization(tmp_path):
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     result = RecoveryResult(
         waveform=np.linspace(-1.0, 1.0, 99),
         iterations_used=1,

@@ -10,7 +10,7 @@ from oracles import FX, FY, FZ, STATE_MINUS_Z, expectation, second_frame_state, 
 from sparsemag import sensor
 from sparsemag.experiments import simulate_measurements
 
-from sparsemag.grids import PulseSpec, make_grids, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
 from sparsemag.sensor import (
     NoiseModel,
     SensorParams,
@@ -76,7 +76,7 @@ def test_evolve_rejects_large_step():
 
 
 def test_norm_preserved_with_signal():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     signal = sine_interpolant(waveform)
     params = SensorParams(0.0, 1000.0, 0.0, tgrid.duration, 1e-5)
@@ -111,7 +111,7 @@ def test_magnus_prediction_closed_form():
 
 def test_simulation_matches_magnus_on_pulse():
     # second-frame <Fx> of the full unitary simulation vs the closed form
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     signal = sine_interpolant(waveform)
     rabi = 1000.0
@@ -168,7 +168,7 @@ def test_readout_rejects_unnormalised_state():
 
 
 def test_measure_zero_waveform_is_zero():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [])
     for k in (1, 50, 99):
         assert measure_sine_coefficient(waveform, k, None) == pytest.approx(
@@ -177,7 +177,7 @@ def test_measure_zero_waveform_is_zero():
 
 
 def test_measure_unitary_single_shot_matches_dst():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     coefs = apply_dst(dst_matrix(100), waveform)
     k = int(np.argmax(np.abs(coefs))) + 1
@@ -186,7 +186,7 @@ def test_measure_unitary_single_shot_matches_dst():
 
 
 def test_measure_linearity_weak_regime():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     base = synth_waveform(tgrid, [PulseSpec(50.0, 200e-6, 1.025e-3)])
     double = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     k = 21
@@ -198,7 +198,7 @@ def test_measure_linearity_weak_regime():
 def test_measure_shot_noise_scale():
     # repeated noisy shots at one k: sample std within a factor 2 of the
     # drift-propagation + multinomial prediction
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [])
     noise = NoiseModel(200.0, 1000.0, seed=0)
     k = 33  # odd index, weak-drift (linear) regime
@@ -211,7 +211,7 @@ def test_measure_shot_noise_scale():
 
 
 def test_measure_shot_determinism():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     noise = NoiseModel(200.0, 1000.0, seed=4)
     a = measure_sine_coefficient(waveform, 17, noise, shot_seed=2)
@@ -220,7 +220,7 @@ def test_measure_shot_determinism():
 
 
 def test_measure_validates_k():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [])
     with pytest.raises(ValueError):
         measure_sine_coefficient(waveform, 0, None)
@@ -229,9 +229,9 @@ def test_measure_validates_k():
 
 
 def test_ramsey_constant_waveform():
-    tgrid, _ = make_grids(100, 50e-6)
     from sparsemag.grids import Waveform
 
+    tgrid = TimeGrid(100, 50e-6)
     waveform = Waveform(np.full(99, 120.0), tgrid)
     value = ramsey_sample(waveform, 2.5e-3, 60e-6, None)
     assert value == pytest.approx(120.0, rel=0.05)
@@ -239,14 +239,14 @@ def test_ramsey_constant_waveform():
 
 def test_ramsey_pulse_zero_crossing():
     # window centred on the pulse midpoint: odd symmetry integrates to ~0
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.0e-3)])
     value = ramsey_sample(waveform, 1.1e-3, 200e-6, None)
     assert abs(value) < 15.0
 
 
 def test_ramsey_drift_statistics():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [])
     noise = NoiseModel(200.0, 1000.0, seed=12)
     samples = np.array(
@@ -259,7 +259,7 @@ def test_ramsey_drift_statistics():
 
 
 def test_ramsey_window_validation():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [])
     with pytest.raises(ValueError):
         ramsey_sample(waveform, 2.5e-3, 0.0, None)
@@ -392,7 +392,7 @@ def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
 
 def _pulse_pool(count, seed=0):
     """1- and 2-pulse 1 kHz waveforms with seeded, separated start times."""
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     rng = np.random.default_rng(seed)
     pool = []
     for index in range(count):
@@ -515,7 +515,7 @@ def test_zero_magnitude_steps_are_identity():
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 8, 1001])
 def test_evolve_amplitudes_match_oracle(n_steps):
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     signal = sine_interpolant(synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)]))
     duration = tgrid.duration
     dt = duration / n_steps
@@ -586,7 +586,7 @@ def test_interpolant_of_other_duration_is_called_directly():
     # a sine interpolant stepped over a duration other than its own cannot use
     # the DST-III midpoint evaluation; it must give the same state as a plain
     # callable
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     signal = sine_interpolant(waveform)
     params = SensorParams(0.0, 1000.0, 0.0, 3e-3, 1e-6)
@@ -645,7 +645,7 @@ def test_readout_vector_call_equals_scalar_calls():
 
 @pytest.mark.parametrize("amplitude", [1000.0, 2000.0, 3000.0])
 def test_simulate_measurements_matches_per_shot_loop(amplitude):
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     for master_seed in (0, 7, 123):
         rng = np.random.default_rng(master_seed)
         starts = rng.uniform(tgrid.dt, tgrid.duration - 200e-6, size=1 + master_seed % 2)

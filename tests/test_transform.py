@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 import oracles
-from sparsemag.grids import PulseSpec, TimeGrid, Waveform, make_grids, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, Waveform, synth_waveform
 from sparsemag.transform import (
     MeasurementVector,
     SubsampleSet,
@@ -77,7 +77,7 @@ def test_dst_orthogonality_and_singular_values(n_grid):
 
 
 def test_apply_dst_zero_waveform():
-    tgrid, _ = make_grids(16, 1e-3)
+    tgrid = TimeGrid(16, 1e-3)
     matrix = dst_matrix(16)
     assert np.all(apply_dst(matrix, Waveform(np.zeros(15), tgrid)) == 0.0)
 
@@ -94,7 +94,7 @@ def test_apply_dst_pure_row_input():
 
 
 def test_apply_dst_matches_brute_force_on_pulse():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.0e-3)])
     coefs = apply_dst(dst_matrix(100), waveform)
     n = 100
@@ -112,14 +112,14 @@ def test_apply_dst_matches_brute_force_on_pulse():
 
 def test_apply_dst_equals_riemann_sum_form():
     # m_k = (1/T) sum_j sin(2 pi k df j dt) x_j dt with df dt = 1/(2N)
-    tgrid, fgrid = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     rng = np.random.default_rng(3)
     waveform = Waveform(rng.normal(size=99), tgrid)
     coefs = apply_dst(dst_matrix(100), waveform)
     riemann = np.array(
         [
             np.sum(
-                np.sin(2.0 * np.pi * k * fgrid.df * tgrid.times) * waveform.samples
+                np.sin(2.0 * np.pi * k * tgrid.df * tgrid.times) * waveform.samples
             )
             * tgrid.dt
             / tgrid.duration
@@ -130,13 +130,13 @@ def test_apply_dst_equals_riemann_sum_form():
 
 
 def test_apply_dst_grid_mismatch():
-    tgrid, _ = make_grids(16, 1e-3)
+    tgrid = TimeGrid(16, 1e-3)
     with pytest.raises(ValueError):
         apply_dst(dst_matrix(100), Waveform(np.zeros(15), tgrid))
 
 
 def test_inverse_dst_round_trip():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     matrix = dst_matrix(100)
     rng = np.random.default_rng(11)
     waveform = Waveform(rng.normal(size=99), tgrid)
@@ -145,7 +145,7 @@ def test_inverse_dst_round_trip():
 
 
 def test_inverse_dst_zero_and_single_coefficient():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     matrix = dst_matrix(100)
     assert np.all(apply_inverse_dst(matrix, np.zeros(99), tgrid).samples == 0.0)
     m = np.zeros(99)
@@ -156,7 +156,7 @@ def test_inverse_dst_zero_and_single_coefficient():
 
 
 def test_inverse_dst_dimension_checks():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     with pytest.raises(ValueError):
         apply_inverse_dst(dst_matrix(100), np.zeros(60), tgrid)
 
@@ -266,7 +266,7 @@ def test_subsample_rows_extraction():
 
 
 def test_subsample_restriction_consistency():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     matrix = dst_matrix(100)
     rng = np.random.default_rng(2)
     waveform = Waveform(rng.normal(size=99), tgrid)
@@ -292,7 +292,7 @@ def test_subsample_set_validation():
 
 
 def test_sine_interpolant_passes_through_samples():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     signal = sine_interpolant(waveform)
     np.testing.assert_allclose(signal(tgrid.times), waveform.samples, atol=1e-9)
@@ -304,13 +304,13 @@ def test_sine_interpolant_passes_through_samples():
 def test_sine_interpolant_continuous_coefficients():
     # the continuous sine coefficient (1/T) int sin(2 pi k df t) B(t) dt of the
     # interpolant equals the DST output m_k exactly
-    tgrid, fgrid = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     signal = sine_interpolant(waveform)
     coefs = apply_dst(dst_matrix(100), waveform)
     t = np.linspace(0.0, tgrid.duration, 20001)
     for k in (1, 7, 21, 60):
-        integral = simpson(np.sin(2.0 * np.pi * k * fgrid.df * t) * signal(t), x=t)
+        integral = simpson(np.sin(2.0 * np.pi * k * tgrid.df * t) * signal(t), x=t)
         assert integral / tgrid.duration == pytest.approx(coefs[k - 1], abs=1e-8)
 
 
@@ -360,7 +360,7 @@ def test_dst_iii_matches_scipy(n):
 
 
 def test_window_mean_is_exact_integral():
-    tgrid, _ = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
     signal = sine_interpolant(waveform)
     lo = np.array([0.0, 1.0e-3, 1.07e-3, 4.97e-3])
@@ -392,11 +392,11 @@ def test_subsample_json_round_trip(tmp_path):
 
 
 def test_measurements_csv_round_trip(tmp_path):
-    _, fgrid = make_grids(100, 50e-6)
+    tgrid = TimeGrid(100, 50e-6)
     subset = random_subsample(100, 12, 4)
     measured = MeasurementVector(np.linspace(-2.0, 2.0, 12), subset)
     path = tmp_path / "m.csv"
-    measurements_to_csv(measured, fgrid, path)
-    loaded = measurements_from_csv(path, 100)
+    measurements_to_csv(measured, tgrid, path)
+    loaded = measurements_from_csv(path, tgrid)
     assert loaded.subsample == subset
     np.testing.assert_allclose(loaded.values, measured.values)
