@@ -113,6 +113,29 @@ def _check_lambda(lam: float):
         raise ValueError(f"--lambda must be positive and finite, got {lam!r}")
 
 
+# the least value of each integer flag; the library checks the same ranges,
+# but its messages name its own parameters, not the flags
+_FLAG_FLOORS = {
+    "--n": 2, "--count": 1, "--lambda-count": 2, "--subsets": 1, "--seed": 0, "--noise-seed": 0,
+}
+
+
+def _check_flags(args):
+    """Range checks that need no file, each naming its flag."""
+    for flag, floor in _FLAG_FLOORS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < floor:
+            raise ValueError(f"{flag} must be >= {floor}, got {value}")
+    dt = getattr(args, "dt", None)
+    if dt is not None and not 0 < dt < np.inf:
+        raise ValueError(f"--dt must be positive and finite, got {dt!r}")
+
+
+def _check_m(m: int, n_grid: int, where: str):
+    if not 1 <= m <= n_grid - 1:
+        raise ValueError(f"--m must lie in 1..{n_grid - 1} for N = {n_grid} ({where}), got {m}")
+
+
 def cmd_synth(args) -> int:
     grid = TimeGrid(args.n, args.dt)
     args.pulses = [
@@ -131,6 +154,7 @@ def cmd_measure(args) -> int:
     if args.subset is not None:
         subset = transform.subsample_from_json(args.subset)
     elif args.m is not None:
+        _check_m(args.m, waveform.grid.n_grid, f"--in {args.infile}")
         subset = transform.random_subsample(waveform.grid.n_grid, args.m, args.seed)
     noise = _noise_from_args(args)
     measured = experiments.simulate_measurements(
@@ -175,6 +199,11 @@ def cmd_roc(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _check_m(args.m, args.n, "--n")
+    low, high = args.lambda_low, args.lambda_high
+    if not 0 < low < high < np.inf:
+        raise ValueError(f"--lambda-low {low!r} and --lambda-high {high!r}: "
+                         "lambda grid needs 0 < low < high < inf")
     spec = experiments.TrainingSetSpec(
         count=args.count,
         n_grid=args.n,
@@ -209,6 +238,8 @@ def cmd_sweep(args) -> int:
         m_values = tuple(int(v) for v in args.m_list.split(","))
     except ValueError:
         raise ValueError(f"--m-list must be comma-separated integers, got {args.m_list!r}")
+    if not all(1 <= m <= args.n - 1 for m in m_values):
+        raise ValueError(f"--m-list values must lie in 1..{args.n - 1} (--n), got {args.m_list!r}")
     spec = experiments.SweepSpec(
         m_values=m_values,
         base_measurements=measured.values,
@@ -223,6 +254,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if not 1 <= args.sparsity <= args.n:
+        raise ValueError(f"--sparsity must lie in 1..{args.n} (--n), got {args.sparsity}")
     bound = experiments.compute_bound(args.sparsity, args.n)
     print(bound)
     if bound > args.n - 1:
@@ -322,6 +355,7 @@ def main(argv=None) -> int:
     # cached parser, so a replaced module-level cmd_* is the one that runs.
     command = globals()[f"cmd_{args.command}"]
     try:
+        _check_flags(args)
         return command(args)
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

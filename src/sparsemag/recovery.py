@@ -15,13 +15,15 @@ iteration makes two products with the operator: the residual D (A x - m) at
 the new iterate x, computed afresh so that the objective is exact, and the
 gradient step at y.  The residual at y is carried, not computed: y is the
 same affine combination of the last two iterates for every problem, so its
-residual is that combination of their two residuals.  Each problem keeps the
-stopping rule of a single solve: it stops once its objective changes by at
-most ``rel_tolerance`` relative to the larger of the last two values,
-counting from the objective at zero, and then leaves the block while the
-others go on.  The block comes back as one :class:`RecoveryResult` of arrays,
-one row per problem; only each problem's last objective is kept.
-:func:`fista_solve` is a block of one with scalar fields.
+residual is that combination of their two residuals.  The loop writes into
+work arrays allocated once per block, soft-thresholds as a - min(a, tau),
+which is max(a - tau, 0) bit for bit, and keeps the rows that go on with
+``take``.  Each problem stops once its objective changes by at most
+``rel_tolerance`` relative to the larger of the last two values, counting
+from the objective at zero, and then leaves the block while the others go
+on.  The block comes back as one :class:`RecoveryResult` of arrays, one row
+per problem; only each problem's last objective is kept.  :func:`fista_solve`
+is a block of one with scalar fields.
 """
 
 from __future__ import annotations
@@ -111,39 +113,44 @@ def fista_solve_block(
     # 0.9 / (2 sigma_max^2), sigma_max = 1/sqrt(2N); 0.9 * N rounds differently
     step = 0.9 / (2.0 * (1.0 / np.sqrt(2.0 * (n_unknowns + 1))) ** 2)
     # One row per column of the block: row j of x is column j's waveform, so
-    # per-column sums and the rows dropped on stalling stay contiguous.  The
-    # thresholds are stored per row because same-shape arithmetic costs less
-    # than broadcasting, which matters for a block of one.
+    # per-column sums and the rows dropped on stalling stay contiguous.  tau
+    # and m are stored per row: same-shape arithmetic beats broadcasting.
     operator_t = operator.T
     gradient_step = (2.0 * step) * operator  # the gradient is 2 r A
     with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
         tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
 
     active = np.arange(count)
-    x = y = np.zeros((count, n_unknowns))
+    x, y = np.zeros((2, count, n_unknowns))
     # D (x A^T - m) at x = y = 0
-    residual = residual_y = -measurements * (np.ones((count, 1)) if mask is None else mask)
+    targets = np.repeat(measurements[None], count, axis=0)
+    residual = -targets if mask is None else -targets * mask
+    residual_y = residual.copy()
     previous = np.vecdot(residual, residual)  # the objective at x = 0
     theta = 1.0
     waveforms = np.empty((count, n_unknowns))
     iterations = np.full(count, config.max_iters)
     converged = np.zeros(count, dtype=bool)
     finals = np.empty(count)
+    step_point, magnitude, x_next = np.empty((3, count, n_unknowns))
+    residual_next = np.empty_like(residual)
 
     for iteration in range(1, config.max_iters + 1):
-        step_point = y - residual_y @ gradient_step
-        # soft_threshold, keeping |x_next| for the l1 term
-        magnitude = np.maximum(np.abs(step_point) - tau, 0.0)
-        x_next = np.copysign(magnitude, step_point)
+        np.subtract(y, np.matmul(residual_y, gradient_step, out=step_point), out=step_point)
+        # soft_threshold, keeping |x_next| for the l1 term; a - min(a, tau) = max(a - tau, 0)
+        np.abs(step_point, out=magnitude)
+        np.subtract(magnitude, np.minimum(magnitude, tau, out=x_next), out=magnitude)
+        np.copysign(magnitude, step_point, out=x_next)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
         momentum = (theta - 1.0) / theta_next
-        residual_next = x_next @ operator_t - measurements
+        np.subtract(np.matmul(x_next, operator_t, out=residual_next), targets, out=residual_next)
         if mask is not None:
             residual_next *= mask
-        y = x_next + momentum * (x_next - x)
+        np.add(x_next, np.multiply(momentum, np.subtract(x_next, x, out=y), out=y), out=y)
         # exact: D is linear and m cancels from the combination
-        residual_y = residual_next + momentum * (residual_next - residual)
-        x, residual, theta = x_next, residual_next, theta_next
+        np.subtract(residual_next, residual, out=residual_y)
+        np.add(residual_next, np.multiply(momentum, residual_y, out=residual_y), out=residual_y)
+        x, x_next, residual, residual_next, theta = x_next, x, residual_next, residual, theta_next
 
         value = np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
         # objectives are non-negative, so max(|a|, |b|) is max(a, b), and at
@@ -158,18 +165,21 @@ def fista_solve_block(
             stalled = abs(previous - value) <= config.rel_tolerance * np.maximum(previous, value)
         previous = value
         if np.count_nonzero(stalled):
-            done = active[stalled]
-            waveforms[done] = x[stalled]
+            gone, keep = stalled.nonzero()[0], (~stalled).nonzero()[0]
+            done = active.take(gone)
+            waveforms[done] = x.take(gone, axis=0)
             iterations[done] = iteration
             converged[done] = True
-            finals[done] = previous[stalled]
-            going = ~stalled
-            active, previous, lam, tau = active[going], previous[going], lam[going], tau[going]
-            x, y, residual, residual_y = x[going], y[going], residual[going], residual_y[going]
-            if mask is not None:
-                mask = mask[going]
-            if active.size == 0:
+            finals[done] = previous.take(gone)
+            active, previous, lam, tau, targets, x, y, residual, residual_y, mask = (
+                v if v is None else v.take(keep, axis=0)
+                for v in (active, previous, lam, tau, targets, x, y, residual, residual_y, mask)
+            )
+            if keep.size == 0:
                 break
+            step_point, magnitude, x_next, residual_next = (
+                v[: keep.size] for v in (step_point, magnitude, x_next, residual_next)
+            )
     waveforms[active] = x
     finals[active] = previous
     return RecoveryResult(waveforms, iterations, converged, finals)

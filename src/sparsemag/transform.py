@@ -223,6 +223,8 @@ def measurements_from_csv(path, grid: TimeGrid, dt_flag: str = "--dt") -> Measur
     indices, freqs, values = read_csv_columns(path, (int, float, float), header)
     if indices and max(indices) > n_grid - 1:
         raise ValueError(f"{path} holds index {max(indices)} > N - 1 for N = {n_grid} (--n)")
+    if indices and min(indices) < 1:
+        raise ValueError(f"{path} holds index {min(indices)}: indices must lie in 1..N-1")
     k = np.array(indices)
     # compared as k: k/(2 N dt) overflows for a subnormal dt, and a product
     # that overflows reads as a mismatch

@@ -22,6 +22,10 @@
   3x3 complex matrices, one spin-1 rotation per step, multiplied pairwise.
 * ``soft_threshold`` and ``objective``: the LASSO pieces of the scalar FISTA
   loop, which the block engine inlines.
+* ``fista_solve_block``: the block engine with a fresh array for every
+  update, a soft threshold of ``np.maximum(|a| - tau, 0.0)`` and boolean-mask
+  compaction; the package engine writes into reused arrays and must give
+  the same bits.
 * ``random_subsample``: one subset's partial Fisher-Yates shuffle on a numpy
   pool, seeded with ``default_rng(seed)``, returned as sorted indices.
 * ``roc_curve_from_scores``: one row's ROC from ``np.unique`` and per-score
@@ -36,11 +40,13 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 from scipy.integrate import simpson
 
 from sparsemag import detection, experiments, recovery, seeds, sensor
+from sparsemag.recovery import FistaConfig, RecoveryResult, _checked_block
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix, sine_interpolant
 
 SQRT2 = np.sqrt(2.0)
@@ -224,6 +230,97 @@ def objective(problem, x):
         )
     residual = problem.operator @ x - problem.measurements
     return float(residual @ residual + problem.lam * np.abs(x).sum())
+
+
+def fista_solve_block(
+    operator,
+    measurements,
+    lams,
+    row_masks=None,
+    config: FistaConfig | None = None,
+) -> RecoveryResult:
+    """Solve one LASSO per column of a block, all on one shared operator.
+
+    Column j minimises ||D_j (A x - m)||_2^2 + lams[j] ||x||_1, where D_j keeps
+    the rows ``row_masks[j]`` (every row when ``row_masks`` is None).  A
+    masked row adds zero residual and zero gradient, so a masked column solves
+    the same problem as the row-subsampled operator.  Every column runs the
+    update and stopping rule of a single solve; ``theta`` depends only on the
+    iteration count, so the columns share it.  A column that stalls is written
+    out and dropped from the working arrays while the rest go on.  The result
+    holds one row per column: ``waveform`` is (count, N - 1), the other fields
+    are (count,).
+    """
+    config = config or FistaConfig()
+    operator, measurements, lam, mask = _checked_block(
+        operator, measurements, lams, row_masks
+    )
+    count, n_unknowns = lam.size, operator.shape[1]
+    # 0.9 / (2 sigma_max^2), sigma_max = 1/sqrt(2N); 0.9 * N rounds differently
+    step = 0.9 / (2.0 * (1.0 / np.sqrt(2.0 * (n_unknowns + 1))) ** 2)
+    # One row per column of the block: row j of x is column j's waveform, so
+    # per-column sums and the rows dropped on stalling stay contiguous.  The
+    # thresholds are stored per row because same-shape arithmetic costs less
+    # than broadcasting, which matters for a block of one.
+    operator_t = operator.T
+    gradient_step = (2.0 * step) * operator  # the gradient is 2 r A
+    with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
+        tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
+
+    active = np.arange(count)
+    x = y = np.zeros((count, n_unknowns))
+    # D (x A^T - m) at x = y = 0
+    residual = residual_y = -measurements * (np.ones((count, 1)) if mask is None else mask)
+    previous = np.vecdot(residual, residual)  # the objective at x = 0
+    theta = 1.0
+    waveforms = np.empty((count, n_unknowns))
+    iterations = np.full(count, config.max_iters)
+    converged = np.zeros(count, dtype=bool)
+    finals = np.empty(count)
+
+    for iteration in range(1, config.max_iters + 1):
+        step_point = y - residual_y @ gradient_step
+        # soft_threshold, keeping |x_next| for the l1 term
+        magnitude = np.maximum(np.abs(step_point) - tau, 0.0)
+        x_next = np.copysign(magnitude, step_point)
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        momentum = (theta - 1.0) / theta_next
+        residual_next = x_next @ operator_t - measurements
+        if mask is not None:
+            residual_next *= mask
+        y = x_next + momentum * (x_next - x)
+        # exact: D is linear and m cancels from the combination
+        residual_y = residual_next + momentum * (residual_next - residual)
+        x, residual, theta = x_next, residual_next, theta_next
+
+        value = np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
+        # objectives are non-negative, so max(|a|, |b|) is max(a, b), and at
+        # a = b = 0 the rule stalls.  A lone problem (every single solve)
+        # evaluates the rule in Python floats: the same IEEE operations,
+        # without six ufunc calls on one-element arrays, which would cost a
+        # block of one 15 % per iteration
+        if active.size == 1:
+            a, b = float(previous[0]), float(value[0])
+            stalled = np.array([abs(a - b) <= config.rel_tolerance * max(a, b)])
+        else:
+            stalled = abs(previous - value) <= config.rel_tolerance * np.maximum(previous, value)
+        previous = value
+        if np.count_nonzero(stalled):
+            done = active[stalled]
+            waveforms[done] = x[stalled]
+            iterations[done] = iteration
+            converged[done] = True
+            finals[done] = previous[stalled]
+            going = ~stalled
+            active, previous, lam, tau = active[going], previous[going], lam[going], tau[going]
+            x, y, residual, residual_y = x[going], y[going], residual[going], residual_y[going]
+            if mask is not None:
+                mask = mask[going]
+            if active.size == 0:
+                break
+    waveforms[active] = x
+    finals[active] = previous
+    return RecoveryResult(waveforms, iterations, converged, finals)
 
 
 def random_subsample(n_grid, m, seed):

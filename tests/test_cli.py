@@ -389,7 +389,7 @@ def test_negative_float_given_as_its_own_argument_is_a_value(tmp_path, pulse_csv
                                    ["--full", "--noise-seed", -1]])
 def test_measure_negative_seed(tmp_path, pulse_csv, capsys, flags):
     code = run_cli(["measure", "--in", pulse_csv, *flags, "--out", tmp_path / "m.csv"])
-    _assert_numeric_error(code, capsys, "non-negative")
+    _assert_numeric_error(code, capsys, f"{flags[-2]} must be >= 0, got -1")
 
 
 @pytest.mark.parametrize("args, bad", [
@@ -400,7 +400,7 @@ def test_measure_negative_seed(tmp_path, pulse_csv, capsys, flags):
 def test_negative_seeds_are_named(tmp_path, pulse_csv, capsys, args, bad):
     command = [*args[:1], "--in", pulse_csv, *args[1:]] if args[0] == "measure" else args
     code = run_cli([*command, "--out", tmp_path / "out.csv"])
-    _assert_numeric_error(code, capsys, f"seed keys must be non-negative integers, got {bad}")
+    _assert_numeric_error(code, capsys, f"{args[-2]} must be >= 0, got {bad}")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -435,7 +435,7 @@ def test_bound_rejects_grid_without_coefficients(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no "exceeds the 0 available" warning
         code = run_cli(["bound", "--sparsity", 1, "--n", 1])
-    _assert_numeric_error(code, capsys, "n_grid must be >= 2")
+    _assert_numeric_error(code, capsys, "--n must be >= 2, got 1")
     assert capsys.readouterr().out == ""
 
 
@@ -450,11 +450,17 @@ def test_bound_rejects_grid_without_coefficients(capsys):
      "full400.csv holds index 399 > N - 1 for N = 100 (--n)"),
     (["sweep", "--base", "full400.csv", "--m-list", 10],
      "full400.csv holds index 399 > N - 1 for N = 100 (--n)"),
+    (["recover", "--measurements", "negative.csv"],
+     "negative.csv holds index -2: indices must lie in 1..N-1"),
+    (["sweep", "--base", "negative.csv", "--m-list", 10],
+     "negative.csv holds index -2: indices must lie in 1..N-1"),
 ])
 def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
-    # a 5e-324 s grid (which synth accepts), a malformed --m-list, and a
-    # 399-row base read without --n each exit 4 with one line naming them
+    # a 5e-324 s grid (which synth accepts), a malformed --m-list, a 399-row
+    # base read without --n and a negative k (whose freq_hz k/(2 N dt) is
+    # consistent) each exit 4 with one line naming them
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "negative.csv").write_text("k,freq_hz,coef_hz\r\n-2,-200.0,1.0\r\n")
     for setup in (
         ["synth", "--dt", 5e-324, "--out", "tiny.csv"],
         ["measure", "--in", pulse_csv, "--full", "--out", "full.csv"],
@@ -466,6 +472,34 @@ def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, me
     truth = ["--truth", pulse_csv] if args[0] == "sweep" else []
     code = run_cli([*args, *truth, "--out", "out.csv"])
     _assert_numeric_error(code, capsys, message)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["synth", "--n", 1], "--n must be >= 2, got 1"),
+    (["recover", "--measurements", "full.csv", "--n", 1], "--n must be >= 2, got 1"),
+    (["tune", "--n", 1], "--n must be >= 2, got 1"),
+    (["bound", "--sparsity", 1, "--n", 1], "--n must be >= 2, got 1"),
+    (["tune", "--count", 0], "--count must be >= 1, got 0"),
+    (["measure", "--in", "wf.csv", "--m", 0], "--m must lie in 1..99 for N = 100 (--in wf.csv), got 0"),
+    (["tune", "--m", 100], "--m must lie in 1..99 for N = 100 (--n), got 100"),
+    (["measure", "--in", "wf.csv", "--m", 10, "--seed", -1], "--seed must be >= 0, got -1"),
+    (["tune", "--noise-seed", -1], "--noise-seed must be >= 0, got -1"),
+    (["sweep", "--base", "full.csv", "--truth", "wf.csv", "--m-list", 10, "--subsets", 0],
+     "--subsets must be >= 1, got 0"),
+    (["tune", "--lambda-count", 1], "--lambda-count must be >= 2, got 1"),
+    (["tune", "--lambda-low", 0], "--lambda-low 0.0 and --lambda-high 10.0: lambda grid needs"),
+    (["synth", "--dt", 0], "--dt must be positive and finite, got 0.0"),
+    (["sweep", "--base", "full.csv", "--truth", "wf.csv", "--m-list", 0],
+     "--m-list values must lie in 1..99 (--n), got '0'"),
+    (["bound", "--sparsity", 0], "--sparsity must lie in 1..100 (--n), got 0"),
+])
+def test_flag_range_errors_name_the_flag(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["measure", "--in", pulse_csv, "--full", "--out", "full.csv"]) == 0
+    capsys.readouterr()
+    out = [] if args[0] == "bound" else ["--out", "out.csv"]
+    _assert_numeric_error(run_cli([*args, *out]), capsys, message)
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -489,7 +523,7 @@ def test_sweep_rejects_zero_subsets(tmp_path, pulse_csv, capsys):
                     "--subsets", 0, "--out", out])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: numeric") and "subsets_per_m" in err
+    assert err.startswith("error: numeric") and "--subsets must be >= 1, got 0" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
@@ -600,8 +634,8 @@ def test_tune_lambda_count_error_names_the_lambda_count(tmp_path, capsys):
     count_line = capsys.readouterr().err
     assert run_cli(["tune", "--count", 1, "--lambda-count", 1, "--out", out]) == 4
     lambda_line = capsys.readouterr().err
-    assert count_line == "error: numeric: count must be >= 1\n"
-    assert lambda_line == "error: numeric: lambda count must be >= 2\n"
+    assert count_line == "error: numeric: --count must be >= 1, got 0\n"
+    assert lambda_line == "error: numeric: --lambda-count must be >= 2, got 1\n"
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from oracles import objective, soft_threshold
 from sparsemag.experiments import LambdaGrid, simulate_measurements
 from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
@@ -26,6 +27,7 @@ from sparsemag.transform import (
     apply_inverse_dst,
     dst_matrix,
     random_subsample,
+    random_subsample_masks,
     subsample_rows,
 )
 
@@ -130,6 +132,13 @@ def _assert_matches_reference(result, reference):
     np.testing.assert_allclose(
         result.final_objective, reference.final_objective, rtol=1e-12, atol=0
     )
+
+
+def _assert_same_bits(block, reference):
+    for field in ("waveform", "iterations_used", "converged", "final_objective"):
+        ours, theirs = getattr(block, field), getattr(reference, field)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, field
+        assert ours.tobytes() == theirs.tobytes(), field
 
 
 def _block_rows(block):
@@ -372,6 +381,10 @@ def test_single_solve_matches_scalar(subset_seed, lam, config):
     # multiplies at y, stops at 12287 / 114 / 44 iterations where the engine
     # and its carried-residual oracle stop at 12269 / 112 / 45
     _, problem = _pulse_instance(subset_seed, lam)
+    args = (problem.operator, problem.measurements, [lam])
+    _assert_same_bits(
+        fista_solve_block(*args, config=config), oracles.fista_solve_block(*args, config=config)
+    )
     result = fista_solve(problem, config)
     if config is not None and config.rel_tolerance == 0.0:
         reference = _carried_fista(problem, config)
@@ -402,6 +415,42 @@ def test_block_rows_match_single_solves():
     for lam, result in zip(lams, _block_rows(block)):
         single = fista_solve(LassoProblem(problem.operator, problem.measurements, lam))
         _assert_matches_reference(result, single)
+
+
+def _tune_block():
+    # one noisy m = 60 training measurement on the 200-point grid, with
+    # lambdas so large that their rows stall at iteration 1
+    waveform, _ = _pulse_instance(0, 1.0)
+    subset = random_subsample(100, 60, 11)
+    measured = simulate_measurements(waveform, subset, NoiseModel(seed=4), master_seed=5)
+    operator = subsample_rows(dst_matrix(100), subset)
+    lams = np.concatenate((LambdaGrid().values, [1e5, 1e308]))
+    return (operator, measured.values, lams), {}
+
+
+def _sweep_block():
+    # criterion-7 masks: 33 m values from 10 to 99, two subsets each
+    waveform, _ = _pulse_instance(0, 1.0)
+    base = simulate_measurements(waveform, None, NoiseModel(seed=0), master_seed=0).values
+    ms = np.repeat(np.linspace(10, 99, 33).astype(int), 2)
+    masks = random_subsample_masks(100, ms, range(ms.size))
+    return (dst_matrix(100), base, np.full(ms.size, DEFAULT_LAMBDA)), {"row_masks": masks}
+
+
+def _all_stall_block():
+    # every row's threshold clears every step point: all stall together
+    _, problem = _pulse_instance(4, 1.0)
+    return (problem.operator, problem.measurements, [1e5, 1e100, 1e308]), {}
+
+
+@pytest.mark.parametrize("make", [_tune_block, _sweep_block, _all_stall_block])
+def test_block_engine_gives_the_oracle_bits(make):
+    args, kwargs = make()
+    block = fista_solve_block(*args, **kwargs)
+    _assert_same_bits(block, oracles.fista_solve_block(*args, **kwargs))
+    assert np.all(block.converged)
+    if make is not _sweep_block:
+        assert np.any(block.iterations_used == 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
