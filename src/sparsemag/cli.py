@@ -27,7 +27,7 @@ from .grids import (
     waveform_from_csv,
     waveform_to_csv,
 )
-from .sensor import NoiseModel
+from .sensor import NoiseModel, NoiseParameterError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,10 +120,18 @@ _FLAG_FLOORS = {
 }
 
 
+# the flag that sets each NoiseModel field
+_NOISE_FLAGS = {"bias_drift_std_hz": "--drift-std", "mean_atoms": "--atoms"}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _check_flags(args):
     """Range checks that need no file, each naming its flag."""
     for flag, floor in _FLAG_FLOORS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+        value = getattr(args, _dest(flag), None)
         if value is not None and value < floor:
             raise ValueError(f"{flag} must be >= {floor}, got {value}")
     dt = getattr(args, "dt", None)
@@ -361,6 +369,9 @@ def main(argv=None) -> int:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, OverflowError, MemoryError, csv.Error) as exc:
+        if isinstance(exc, NoiseParameterError):
+            flag = _NOISE_FLAGS[exc.field]
+            exc = f"{flag} {getattr(args, _dest(flag))!r}: {exc}"
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

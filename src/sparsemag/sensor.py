@@ -82,6 +82,14 @@ _POISSON_MEAN_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 1
 _SHORTEST_DURATION = 1.0 / (2.0 * np.pi) / np.finfo(float).max
 
 
+class NoiseParameterError(ValueError):
+    """A noise parameter out of range; ``field`` names its NoiseModel field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-shot constant bias drift plus Poisson atom shot noise."""
@@ -92,9 +100,11 @@ class NoiseModel:
 
     def __post_init__(self):
         if not 0 <= self.bias_drift_std_hz < np.inf:
-            raise ValueError("bias_drift_std_hz must be non-negative and finite")
+            raise NoiseParameterError("bias_drift_std_hz",
+                                      "bias_drift_std_hz must be non-negative and finite")
         if not 1 <= self.mean_atoms <= _POISSON_MEAN_MAX:
-            raise ValueError(
+            raise NoiseParameterError(
+                "mean_atoms",
                 f"mean_atoms must be finite and in [1, {_POISSON_MEAN_MAX:.4g}], "
                 f"got {self.mean_atoms}"
             )
@@ -219,7 +229,9 @@ def magnus_quadratures(
         a = 2.0 * np.pi * duration * coefs + drift_term
         b = 2.0 * np.pi * duration * (cosine_coupling_matrix(coefs.size + 1) @ coefs)
     if not np.all(np.isfinite(drift_term)):
-        raise ValueError(f"bias drift std too large: drift*2T overflows at T = {duration} s")
+        raise NoiseParameterError(
+            "bias_drift_std_hz", f"bias drift std too large: drift*2T overflows at T = {duration} s"
+        )
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError(f"Magnus quadratures overflow: waveform too large for T = {duration} s")
     return a, b

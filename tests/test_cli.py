@@ -493,6 +493,15 @@ def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, me
     (["sweep", "--base", "full.csv", "--truth", "wf.csv", "--m-list", 0],
      "--m-list values must lie in 1..99 (--n), got '0'"),
     (["bound", "--sparsity", 0], "--sparsity must lie in 1..100 (--n), got 0"),
+    (["measure", "--in", "wf.csv", "--m", 10, "--atoms", 1e-300],
+     "--atoms 1e-300: mean_atoms must be finite and in [1, 9.223e+18], got 1e-300"),
+    (["tune", "--count", 1, "--atoms", 1e-300], "--atoms 1e-300: mean_atoms must be finite"),
+    (["measure", "--in", "wf.csv", "--m", 10, "--drift-std", "nan"],
+     "--drift-std nan: bias_drift_std_hz must be non-negative and finite"),
+    (["tune", "--count", 1, "--drift-std", "nan"], "--drift-std nan: bias_drift_std_hz must be"),
+    (["measure", "--in", "wf.csv", "--m", 99, "--drift-std", 1e308],
+     "--drift-std 1e+308: bias drift std too large: drift*2T overflows at T = 0.005 s"),
+    (["tune", "--count", 1, "--drift-std", 1e308], "--drift-std 1e+308: bias drift std too large"),
 ])
 def test_flag_range_errors_name_the_flag(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from sparsemag import experiments, sensor
 from sparsemag.detection import default_template
-from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, Waveform, synth_waveform
 import oracles
 from oracles import magnus_coefficients
 from sparsemag.sensor import (
@@ -29,6 +29,7 @@ from sparsemag.experiments import (
 )
 from sparsemag.seeds import derive_seed
 from sparsemag.transform import (
+    SubsampleSet,
     apply_dst,
     apply_inverse_dst,
     dst_matrix,
@@ -114,6 +115,109 @@ def test_simulate_measurements_deterministic(one_pulse):
     first = simulate_measurements(one_pulse, None, noise, master_seed=4)
     second = simulate_measurements(one_pulse, None, noise, master_seed=4)
     np.testing.assert_array_equal(first.values, second.values)
+
+
+def _forbid_shots(monkeypatch):
+    """Make any shot computation or noise draw fail the test."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a shared shot was computed again")
+
+    monkeypatch.setattr(experiments, "streams", boom)
+    monkeypatch.setattr(sensor, "magnus_quadratures", boom)
+
+
+def _count_shot_batches(monkeypatch):
+    """Count the shot batches computed from here on."""
+    calls = []
+    real = sensor.magnus_quadratures
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sensor, "magnus_quadratures", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_grid", [20, 100, 257])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_subset_is_the_full_vector_slice_cold_and_warm(monkeypatch, n_grid, noisy):
+    tgrid = TimeGrid(n_grid, 50e-6)
+    wf = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 0.3 * tgrid.duration)])
+    noise = NoiseModel(200.0, 1000.0, seed=n_grid) if noisy else None
+    subset = random_subsample(n_grid, n_grid // 2, 11)
+    picked = np.asarray(subset.indices) - 1
+
+    monkeypatch.setattr(experiments, "_last_full", None)
+    cold = simulate_measurements(wf, subset, noise, master_seed=7).values
+    full = simulate_measurements(wf, None, noise, master_seed=7).values
+    assert cold.tobytes() == full[picked].tobytes()
+
+    with monkeypatch.context() as m:
+        _forbid_shots(m)
+        warm = simulate_measurements(wf, subset, noise, master_seed=7).values
+        again = simulate_measurements(wf, None, noise, master_seed=7).values
+    assert warm.tobytes() == cold.tobytes()
+    assert again.tobytes() == full.tobytes()
+
+
+def test_returned_values_are_fresh_arrays(one_pulse):
+    noise = NoiseModel(200.0, 1000.0, seed=2)
+    subset = random_subsample(100, 30, 4)
+    full = simulate_measurements(one_pulse, None, noise, master_seed=9)
+    expected = full.values.copy()
+    full.values[:] = 0.0
+    hit = simulate_measurements(one_pulse, subset, noise, master_seed=9)
+    assert hit.values.tobytes() == expected[np.asarray(subset.indices) - 1].tobytes()
+    hit.values[:] = 0.0
+    again = simulate_measurements(one_pulse, None, noise, master_seed=9)
+    assert again.values.tobytes() == expected.tobytes()
+
+
+def _near_misses(one_pulse):
+    """(waveform, noise, master_seed) keys that differ from the base key
+    (one_pulse, NoiseModel(200, 1000, seed=3), 5) in one part only."""
+    zero = int(np.flatnonzero(one_pulse.samples == 0.0)[0])
+    signed = one_pulse.samples.copy()
+    signed[zero] = -0.0
+    noise = NoiseModel(200.0, 1000.0, seed=3)
+    return {
+        "negative zero sample": (Waveform(signed, one_pulse.grid), noise, 5),
+        "other dt": (Waveform(one_pulse.samples, TimeGrid(100, 25e-6)), noise, 5),
+        "other noise seed": (one_pulse, NoiseModel(200.0, 1000.0, seed=4), 5),
+        "other master seed": (one_pulse, noise, 6),
+        "noiseless": (one_pulse, None, 5),
+    }
+
+
+@pytest.mark.parametrize("case", ["negative zero sample", "other dt", "other noise seed",
+                                  "other master seed", "noiseless"])
+def test_a_near_miss_key_recomputes(one_pulse, monkeypatch, case):
+    wf, noise, master_seed = _near_misses(one_pulse)[case]
+    subset = random_subsample(100, 60, 8)
+    monkeypatch.setattr(experiments, "_last_full", None)
+    cold = simulate_measurements(wf, subset, noise, master_seed).values
+
+    simulate_measurements(one_pulse, None, NoiseModel(200.0, 1000.0, seed=3), 5)
+    calls = _count_shot_batches(monkeypatch)
+    warm = simulate_measurements(wf, subset, noise, master_seed).values
+    assert calls == [1]
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_a_negative_zero_drift_std_is_not_read_as_zero(one_pulse):
+    # NoiseModel(-0.0) == NoiseModel(0.0), but numpy refuses a scale of -0.0
+    # when the drift is drawn: the stored vector must not hide that
+    subset = random_subsample(100, 60, 8)
+    simulate_measurements(one_pulse, None, NoiseModel(0.0, 1000.0, seed=3), 5)
+    with pytest.raises(ValueError, match="scale < 0"):
+        simulate_measurements(one_pulse, subset, NoiseModel(-0.0, 1000.0, seed=3), 5)
+
+
+def test_a_subset_for_another_grid_raises_before_the_lookup(one_pulse):
+    simulate_measurements(one_pulse, None, None)
+    with pytest.raises(ValueError, match="subset is for N=200, the waveform has N=100"):
+        simulate_measurements(one_pulse, SubsampleSet(200, tuple(range(1, 61))), None)
 
 
 def test_compute_bound_anchors_and_monotonicity():
