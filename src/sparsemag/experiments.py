@@ -90,8 +90,8 @@ def simulate_measurements(
     k = np.asarray(subsample.indices)
     key, last = (waveform.grid, noise, master_seed), _last_full
     if last is not None and last[0] == key:
-        # == also holds for NoiseModel(-0.0) and NoiseModel(0.0), of which
-        # numpy draws only the second: the repr tells such keys apart
+        # == also holds for a float seed and its int, of which the seed keys
+        # take only the second: the repr tells such keys apart
         if last[1] == (repr(key), waveform.samples.tobytes()):
             return MeasurementVector(last[2][k - 1], subsample)
     drift = np.zeros(n_grid - 1)

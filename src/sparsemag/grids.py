@@ -9,6 +9,7 @@ Rabi-equivalent frequency corresponds to 143 nT of field.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import stat
 from dataclasses import dataclass
@@ -26,6 +27,10 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
+        try:
+            operator.index(self.n_grid)
+        except TypeError:
+            raise ValueError(f"n_grid must be an integer, got {self.n_grid!r}") from None
         if self.n_grid < 2:
             raise ValueError(f"n_grid must be >= 2, got {self.n_grid}")
         if not 0 < self.dt < np.inf:

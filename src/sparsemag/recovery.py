@@ -15,15 +15,22 @@ iteration makes two products with the operator: the residual D (A x - m) at
 the new iterate x, computed afresh so that the objective is exact, and the
 gradient step at y.  The residual at y is carried, not computed: y is the
 same affine combination of the last two iterates for every problem, so its
-residual is that combination of their two residuals.  The loop writes into
-work arrays allocated once per block, soft-thresholds as a - min(a, tau),
-which is max(a - tau, 0) bit for bit, and keeps the rows that go on with
-``take``.  Each problem stops once its objective changes by at most
-``rel_tolerance`` relative to the larger of the last two values, counting
-from the objective at zero, and then leaves the block while the others go
-on.  The block comes back as one :class:`RecoveryResult` of arrays, one row
-per problem; only each problem's last objective is kept.  :func:`fista_solve`
-is a block of one with scalar fields.
+residual is that combination of their two residuals.  Both products take a
+C-contiguous operand: the gradient step 2 step A, and a C-order copy of A^T
+for the residual, made once per block.  BLAS then runs both as NN matrix
+products, which OpenBLAS 0.3.31 serves from its small-matrix kernels
+without packing; through the transposed view the residual was an NT
+product, up to 1.7x slower.  A block of one keeps the view: its products
+are matrix-vector products, and A x through the view is the scalar loop's
+product bit for bit, so every single solve keeps its bits.  The loop writes
+into work arrays allocated once per block, soft-thresholds as
+a - min(a, tau), which is max(a - tau, 0) bit for bit, and keeps the rows
+that go on with ``take``.  Each problem stops once its objective changes by
+at most ``rel_tolerance`` relative to the larger of the last two values,
+counting from the objective at zero, and then leaves the block while the
+others go on.  The block comes back as one :class:`RecoveryResult` of
+arrays, one row per problem; only each problem's last objective is kept.
+:func:`fista_solve` is a block of one with scalar fields.
 """
 
 from __future__ import annotations
@@ -115,7 +122,8 @@ def fista_solve_block(
     # One row per column of the block: row j of x is column j's waveform, so
     # per-column sums and the rows dropped on stalling stay contiguous.  tau
     # and m are stored per row: same-shape arithmetic beats broadcasting.
-    operator_t = operator.T
+    # both products NN on C-contiguous operands; a lone row keeps the view
+    operator_t = operator.T if count == 1 else np.ascontiguousarray(operator.T)
     gradient_step = (2.0 * step) * operator  # the gradient is 2 r A
     with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
         tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)

@@ -29,6 +29,8 @@ others by more than trailing zeros.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 SHOT, SUBSET, RAMSEY, SEQUENCE = 0, 1, 2, 3  # tags under a master seed
@@ -79,6 +81,23 @@ def _entry(values) -> np.ndarray:
     return array
 
 
+def _one_key(key):
+    """``(ints, shape)`` when the batch holds one key of non-negative
+    integers, each entry bare or in a list of one, else None: the batched
+    path then takes the key, and rejects a bad entry.  numpy's own
+    SeedSequence seeds a lone key: the batched mixing, which reproduces it
+    bit for bit, costs the same run of ufunc calls whatever the batch size."""
+    ints, shape = [], ()
+    for entry in key:
+        if isinstance(entry, (list, tuple)) and len(entry) == 1:
+            entry, shape = entry[0], (1,)
+        try:
+            ints.append(operator.index(entry))
+        except TypeError:  # an array, or not an integer
+            return None
+    return None if any(i < 0 for i in ints) else (ints, shape)
+
+
 def _seed_state(key, n_words: int = 1) -> np.ndarray:
     """``SeedSequence(key).generate_state(n_words)``, n_words <= 8, for a
     batch of keys whose entries broadcast together, shape (n_words, *batch).
@@ -87,6 +106,9 @@ def _seed_state(key, n_words: int = 1) -> np.ndarray:
     word each.  The hash constants do not depend on the data, so each step
     of the pool mixing is one operation on a block of words of every key.
     """
+    if (one := _one_key(key)) is not None:
+        ints, shape = one
+        return np.random.SeedSequence(ints).generate_state(n_words).reshape((n_words, *shape))
     key = [_entry(entry) for entry in key]
     shape = np.broadcast(*key).shape
     rows, same_length = [], True
@@ -97,7 +119,7 @@ def _seed_state(key, n_words: int = 1) -> np.ndarray:
             rows.append(entry & _MASK32)
     if not same_length:  # keys of different word counts: one key at a time
         keys = zip(*(np.broadcast_to(e, shape).ravel().tolist() for e in key))
-        state = [_seed_state(k, n_words) for k in keys]
+        state = [np.random.SeedSequence(k).generate_state(n_words) for k in keys]
         return np.stack(state, axis=-1).reshape((n_words,) + shape)
     # a key shorter than the pool is padded with zero words
     words = np.zeros((max(4, len(rows)),) + (shape or (1,)), dtype=np.uint32)
@@ -133,8 +155,12 @@ def streams(*key):
     np.uint64)``: inc = (initseq << 1) | 1 and state = ((inc + initstate) M
     + inc) mod 2^128, M its multiplier.  Every key's (state, inc) is computed
     first; one Generator and one state dict, local to the call, then walk
-    them: draw from each key's stream before taking the next.
+    them: draw from each key's stream before taking the next.  A batch of
+    one key yields ``default_rng`` of its SeedSequence itself.
     """
+    if (one := _one_key(key)) is not None:
+        yield np.random.default_rng(np.random.SeedSequence(one[0]))
+        return
     words = _seed_state(key, 8).reshape(8, -1).astype(np.uint64)
     states = []
     for state_hi, state_lo, seq_hi, seq_lo in (words[0::2] | words[1::2] << 32).T.tolist():

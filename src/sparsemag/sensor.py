@@ -99,9 +99,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.bias_drift_std_hz < np.inf:
+        # numpy draws no normal whose scale has its sign bit set, -0.0 included
+        if not 0 <= self.bias_drift_std_hz < np.inf or np.signbit(self.bias_drift_std_hz):
             raise NoiseParameterError("bias_drift_std_hz",
-                                      "bias_drift_std_hz must be non-negative and finite")
+                                      "bias_drift_std_hz must be non-negative and finite, "
+                                      "and not -0.0")
         if not 1 <= self.mean_atoms <= _POISSON_MEAN_MAX:
             raise NoiseParameterError(
                 "mean_atoms",

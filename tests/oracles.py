@@ -262,7 +262,7 @@ def fista_solve_block(
     # per-column sums and the rows dropped on stalling stay contiguous.  The
     # thresholds are stored per row because same-shape arithmetic costs less
     # than broadcasting, which matters for a block of one.
-    operator_t = operator.T
+    operator_t = operator.T if count == 1 else np.ascontiguousarray(operator.T)
     gradient_step = (2.0 * step) * operator  # the gradient is 2 r A
     with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
         tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)

@@ -502,6 +502,9 @@ def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, me
     (["measure", "--in", "wf.csv", "--m", 99, "--drift-std", 1e308],
      "--drift-std 1e+308: bias drift std too large: drift*2T overflows at T = 0.005 s"),
     (["tune", "--count", 1, "--drift-std", 1e308], "--drift-std 1e+308: bias drift std too large"),
+    (["measure", "--in", "wf.csv", "--m", 10, "--drift-std", "-0.0"],
+     "--drift-std -0.0: bias_drift_std_hz must be non-negative and finite, and not -0.0"),
+    (["tune", "--count", 1, "--drift-std", "-0.0"], "--drift-std -0.0: bias_drift_std_hz must be"),
 ])
 def test_flag_range_errors_name_the_flag(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)

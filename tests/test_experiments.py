@@ -10,6 +10,7 @@ import oracles
 from oracles import magnus_coefficients
 from sparsemag.sensor import (
     NoiseModel,
+    NoiseParameterError,
     cosine_coupling_matrix,
     magnus_quadratures,
 )
@@ -206,12 +207,23 @@ def test_a_near_miss_key_recomputes(one_pulse, monkeypatch, case):
 
 
 def test_a_negative_zero_drift_std_is_not_read_as_zero(one_pulse):
-    # NoiseModel(-0.0) == NoiseModel(0.0), but numpy refuses a scale of -0.0
-    # when the drift is drawn: the stored vector must not hide that
-    subset = random_subsample(100, 60, 8)
+    # -0.0 == 0.0, but numpy refuses a scale of -0.0 when the drift is
+    # drawn, so the model refuses it before any vector is looked up
     simulate_measurements(one_pulse, None, NoiseModel(0.0, 1000.0, seed=3), 5)
-    with pytest.raises(ValueError, match="scale < 0"):
-        simulate_measurements(one_pulse, subset, NoiseModel(-0.0, 1000.0, seed=3), 5)
+    with pytest.raises(NoiseParameterError, match="and not -0.0") as raised:
+        NoiseModel(-0.0, 1000.0, seed=3)
+    assert raised.value.field == "bias_drift_std_hz"
+
+
+@pytest.mark.parametrize("master_seed, noise_seed", [(5.0, 3), (5, 3.0)])
+def test_a_float_seed_is_not_read_as_its_int(one_pulse, master_seed, noise_seed):
+    # 5.0 == 5, but seed keys take integers only: the stored vector of the
+    # int key must not hide that
+    subset = random_subsample(100, 60, 8)
+    simulate_measurements(one_pulse, None, NoiseModel(200.0, 1000.0, seed=3), 5)
+    with pytest.raises(TypeError):
+        simulate_measurements(one_pulse, subset, NoiseModel(200.0, 1000.0, seed=noise_seed),
+                              master_seed)
 
 
 def test_a_subset_for_another_grid_raises_before_the_lookup(one_pulse):

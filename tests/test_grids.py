@@ -51,6 +51,20 @@ def test_time_grid_rejects_bad_inputs():
         TimeGrid(10, -1e-6)
 
 
+@pytest.mark.parametrize("n_grid", [100.0, np.float64(100.0), "100", None])
+def test_time_grid_rejects_a_non_integer_n_grid(n_grid):
+    message = f"n_grid must be an integer, got {n_grid!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TimeGrid(n_grid, 5e-5)
+
+
+@pytest.mark.parametrize("n_grid", [np.int64(100), np.int32(100), np.uint16(100)])
+def test_time_grid_takes_numpy_integers(n_grid):
+    waveform = synth_waveform(TimeGrid(n_grid, 5e-5), [PulseSpec(1000.0, 200e-6, 1.0e-3)])
+    expected = synth_waveform(TimeGrid(100, 5e-5), [PulseSpec(1000.0, 200e-6, 1.0e-3)])
+    assert waveform.samples.tobytes() == expected.samples.tobytes()
+
+
 def test_grid_sample_axes():
     tgrid = TimeGrid(100, 50e-6)
     assert tgrid.times.shape == (99,)

@@ -1,5 +1,6 @@
 """FISTA/LASSO sparse recovery."""
 
+import functools
 import json
 import warnings
 
@@ -443,13 +444,36 @@ def _all_stall_block():
     return (problem.operator, problem.measurements, [1e5, 1e100, 1e308]), {}
 
 
-@pytest.mark.parametrize("make", [_tune_block, _sweep_block, _all_stall_block])
+def _sized_block(rows, operator_rows):
+    # rows problems on the m = 60 operator, one lambda each, or on the full
+    # DST matrix, one mask each: sizes on both sides of the point where
+    # OpenBLAS moves an NN product off its small-matrix kernel
+    waveform, _ = _pulse_instance(0, 1.0)
+    if operator_rows == 60:
+        subset = random_subsample(100, 60, 11)
+        measured = simulate_measurements(waveform, subset, NoiseModel(seed=4), master_seed=5)
+        lams = LambdaGrid().values[np.linspace(0, 199, rows).astype(int)]
+        return (subsample_rows(dst_matrix(100), subset), measured.values, lams), {}
+    base = simulate_measurements(waveform, None, NoiseModel(seed=0), master_seed=0).values
+    masks = random_subsample_masks(100, np.linspace(10, 99, rows).astype(int), range(rows))
+    return (dst_matrix(100), base, np.full(rows, DEFAULT_LAMBDA)), {"row_masks": masks}
+
+
+_SIZED_BLOCKS = [
+    pytest.param(functools.partial(_sized_block, rows, operator_rows),
+                 id=f"{rows}_rows_on_{operator_rows}x99")
+    for operator_rows in (60, 99)
+    for rows in (2, 30, 66, 120, 200)
+]
+
+
+@pytest.mark.parametrize("make", [_tune_block, _sweep_block, _all_stall_block, *_SIZED_BLOCKS])
 def test_block_engine_gives_the_oracle_bits(make):
     args, kwargs = make()
     block = fista_solve_block(*args, **kwargs)
     _assert_same_bits(block, oracles.fista_solve_block(*args, **kwargs))
     assert np.all(block.converged)
-    if make is not _sweep_block:
+    if make in (_tune_block, _all_stall_block):
         assert np.any(block.iterations_used == 1)
 
 

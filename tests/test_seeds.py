@@ -99,6 +99,49 @@ def test_streams_keep_mixed_wide_ints_exact():
     assert seeds._seed_state(([],)).shape == (1, 0)
 
 
+def _batched(key):
+    """The key as a batch of one on the batched path: its first entry as a
+    one-element object array, which the one-key path does not take."""
+    return (np.array([key[0]], dtype=object), *key[1:])
+
+
+ONE_KEYS = [(123, seeds.SUBSET), (123, seeds.SUBSET, 7), (2**40, 5), (0,), (2**64 + 1,),
+            (2**32 - 1, seeds.SEQUENCE, 2**32), (5, 2**64 + 1, 2**32, 0)]
+
+
+@pytest.mark.parametrize("key", ONE_KEYS)
+def test_one_key_equals_the_batched_path_and_seed_sequence(key, monkeypatch):
+    batched = seeds._seed_state(_batched(key), 8)[:, 0]
+    np.testing.assert_array_equal(batched, _reference_words(key, 8))
+    batched_state = next(seeds.streams(*_batched(key))).bit_generator.state
+    # numpy's SeedSequence serves the key: the batched mixing is not called
+    monkeypatch.setattr(seeds, "_mix", None)
+    state = seeds._seed_state(key, 8)
+    assert state.shape == (8,) and state.dtype == np.uint32
+    np.testing.assert_array_equal(state, batched)
+    assert derive_seed(*key) == int(batched[0]) == oracles.derive_seed(*key)
+    assert type(derive_seed(*key)) is int
+    as_lists = seeds._seed_state(([key[0]], *key[1:]), 8)
+    assert as_lists.shape == (8, 1)
+    np.testing.assert_array_equal(as_lists[:, 0], batched)
+    (rng,) = seeds.streams(*key)
+    assert rng.bit_generator.state == batched_state
+    reference = np.random.default_rng(np.random.SeedSequence(key))
+    assert rng.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_array_equal(rng.integers(0, 2**62, 5), reference.integers(0, 2**62, 5))
+    # numpy integers are read as the ints they hold
+    as_numpy = tuple(np.uint64(k) if k < 2**64 else k for k in key)
+    np.testing.assert_array_equal(seeds._seed_state(as_numpy, 8), batched)
+
+
+def test_one_row_mask_equals_its_row_in_a_batch(monkeypatch):
+    for seed in (0, 7, 2**32, 2**63, 2**64 + 5):
+        pair = random_subsample_masks(100, [60, 60], [seed, 1])
+        monkeypatch.setattr(seeds, "_mix", None)
+        np.testing.assert_array_equal(random_subsample_masks(100, [60], [seed])[0], pair[0])
+        monkeypatch.undo()
+
+
 def test_short_keys_are_padded_with_zero_words():
     # SeedSequence pads a key to its 4-word pool, so these keys coincide
     for short in ((123, 1), (123, 3), (2**32 + 7, 5)):
@@ -122,13 +165,20 @@ def test_seed_helpers_reject_negative_and_non_integer_seeds():
             seeds._seed_state(key)
     with pytest.raises(ValueError, match=f"{message}-1"):
         derive_seed(-1, 0, 5)
+    for key, bad in (((5, -3), -3), ((5, [-3]), -3), ((2**64, np.int64(-2)), -2)):
+        with pytest.raises(ValueError, match=re.escape(f"{message}{bad}")):
+            derive_seed(*key)
+        with pytest.raises(ValueError, match=re.escape(f"{message}{bad}")):
+            next(seeds.streams(*key))
     with pytest.raises(ValueError, match=f"{message}-1"):
         readout_coefficient(0.1, 5e-3, NoiseModel(seed=-1), 0)
     with pytest.raises(ValueError, match=f"{message}-7"):
         random_subsample_masks(100, [5, 5], [3, -7])
-    for key in ((0, 1.5), (0, [2, 1.5])):
+    for key in ((0, 1.5), (0, [2, 1.5]), (0, [1.5]), (np.float64(3.0), 1)):
         with pytest.raises(TypeError):
             seeds._seed_state(key)
+        with pytest.raises(TypeError):
+            next(seeds.streams(*key))
 
 
 def test_only_the_seed_module_builds_generators():
