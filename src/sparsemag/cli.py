@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/dimension error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import re
 import sys
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, OverflowError, MemoryError, csv.Error) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         if isinstance(exc, NoiseParameterError):
             flag = _NOISE_FLAGS[exc.field]
             exc = f"{flag} {getattr(args, _dest(flag))!r}: {exc}"

@@ -76,10 +76,11 @@ def positive_labels(labels) -> np.ndarray:
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be binary")
     positive = labels == 1
-    if not positive.any():
-        raise ValueError("degenerate truth: no positives, recall undefined")
-    if positive.all():
-        raise ValueError("degenerate truth: no negatives, fallout undefined")
+    if positive.all() or not positive.any():
+        missing = "negatives, fallout" if positive.any() else "positives, recall"
+        raise ValueError(f"degenerate truth: no {missing} undefined: a location is positive where "
+                         "the truth's matched output reaches half the energy of the template "
+                         f"({PULSE_AMPLITUDE:g} Hz, {PULSE_DURATION * 1e6:g} us by default)")
     return positive
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ from .transform import (
 _SWEEP_BLOCK_COLUMNS = 256
 
 
-# the last full shot vector: ((grid, noise, master_seed), exact key, values)
+# the last full shot vector: ((grid, noise, master_seed), sample bytes, values)
 _last_full = None
 
 
@@ -88,12 +89,9 @@ def simulate_measurements(
             f"subset is for N={subsample.n_grid}, the waveform has N={n_grid}"
         )
     k = np.asarray(subsample.indices)
-    key, last = (waveform.grid, noise, master_seed), _last_full
-    if last is not None and last[0] == key:
-        # == also holds for a float seed and its int, of which the seed keys
-        # take only the second: the repr tells such keys apart
-        if last[1] == (repr(key), waveform.samples.tobytes()):
-            return MeasurementVector(last[2][k - 1], subsample)
+    key, last = (waveform.grid, noise, operator.index(master_seed)), _last_full
+    if last is not None and last[0] == key and last[1] == waveform.samples.tobytes():
+        return MeasurementVector(last[2][k - 1], subsample)
     drift = np.zeros(n_grid - 1)
     rngs = None  # the noiseless limit draws nothing
     if noise is not None:
@@ -108,7 +106,7 @@ def simulate_measurements(
     if k.size == n_grid - 1:
         values = measured.values.copy()
         values.flags.writeable = False
-        _last_full = key, (repr(key), waveform.samples.tobytes()), values
+        _last_full = key, waveform.samples.tobytes(), values
     return measured
 
 

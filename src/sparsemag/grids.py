@@ -166,7 +166,10 @@ def read_csv_columns(path, converters, *headers: list[str]) -> list[list]:
     column's converter.  The header must be one of ``headers``, every row as
     wide as it and every cell convertible, or ``ValueError`` is raised."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too large
+            raise ValueError(f"CSV {path}: {exc}") from exc
     if not rows or rows[0] not in headers:
         raise ValueError(f"CSV {path}: unexpected header {rows[0] if rows else None}")
     if set(map(len, rows)) != {len(rows[0])}:

@@ -25,6 +25,11 @@ SeedSequence pads a key shorter than its 4-word pool with zero words, so
 (M, i) and (M, i, 0) are one key: ``tune_lambda``'s (M, 1) is (M, SUBSET, 0)
 and its (M, 3) is (M, SEQUENCE, 0).  A new key layout must differ from the
 others by more than trailing zeros.
+
+A batch of these layouts with every entry below 2**32 is mixed in blocks of
+keys; any other key is numpy's SeedSequence one key at a time.  So a seed of
+2**32 or more costs more: 60 noisy shots take 1.8x as long, 2.7x when it is
+the noise seed.
 """
 
 from __future__ import annotations
@@ -73,8 +78,10 @@ def _entry(values) -> np.ndarray:
     """A key entry as an integer array, exact for ints of any size (numpy
     makes a list mixing ints of 2**63 and more with smaller ones float64)."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iu":  # a non-integer fails the word split with TypeError
+    if array.dtype.kind not in "iu":
         array = np.array(values, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) for v in array.flat):
+            raise TypeError(f"seed keys must be non-negative integers, got {values!r}")
     if (array < 0).any():
         bad = array[array < 0].flat[0]
         raise ValueError(f"seed keys must be non-negative integers, got {bad}")
@@ -101,40 +108,27 @@ def _one_key(key):
 def _seed_state(key, n_words: int = 1) -> np.ndarray:
     """``SeedSequence(key).generate_state(n_words)``, n_words <= 8, for a
     batch of keys whose entries broadcast together, shape (n_words, *batch).
-
-    Each key is the little-endian 32-bit words of its entries, at least one
-    word each.  The hash constants do not depend on the data, so each step
-    of the pool mixing is one operation on a block of words of every key.
-    """
+    The block mixing puts one entry in each word of the 4-word pool, zero
+    words padding a short key; its hash constants do not depend on the data,
+    so each step is one operation on a block of words of every key."""
     if (one := _one_key(key)) is not None:
         ints, shape = one
         return np.random.SeedSequence(ints).generate_state(n_words).reshape((n_words, *shape))
     key = [_entry(entry) for entry in key]
     shape = np.broadcast(*key).shape
-    rows, same_length = [], True
-    for entry in map(np.atleast_1d, key):
-        rows.append(entry & _MASK32)
-        while (entry := entry >> 32).any():
-            same_length &= bool(entry.all())
-            rows.append(entry & _MASK32)
-    if not same_length:  # keys of different word counts: one key at a time
+    if len(key) > 4 or any((entry > _MASK32).any() for entry in key):
         keys = zip(*(np.broadcast_to(e, shape).ravel().tolist() for e in key))
         state = [np.random.SeedSequence(k).generate_state(n_words) for k in keys]
-        return np.stack(state, axis=-1).reshape((n_words,) + shape)
-    # a key shorter than the pool is padded with zero words
-    words = np.zeros((max(4, len(rows)),) + (shape or (1,)), dtype=np.uint32)
-    for i, row in enumerate(rows):
-        words[i] = row
-    words = words.reshape(len(words), -1)
+        return np.array(state, dtype=np.uint32).T.reshape((n_words, *shape))
+    words = np.zeros((4, *shape), dtype=np.uint32)
+    for i, entry in enumerate(key):
+        words[i] = entry
 
-    pool = _hashmix(words[:4], _HASH_A[:4], _HASH_A[1:5])
+    pool = _hashmix(words.reshape(4, -1), _HASH_A[:4], _HASH_A[1:5])
     for s in range(4):
         mixed = _mix(pool, _hashmix(pool[s], _ROUND_IN[s], _ROUND_OUT[s]))
         mixed[s] = pool[s]
         pool = mixed
-    for s in range(4, len(words)):  # each word past the pool mixes into all 4
-        c = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * s + 4)[4 * s :]
-        pool = _mix(pool, _hashmix(words[s], c[:-1], c[1:]))
     b = _HASH_B[: n_words + 1]
     state = _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:])
     return state.reshape((n_words,) + shape)

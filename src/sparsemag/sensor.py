@@ -48,6 +48,7 @@ window on (noise.seed, shot_seed, RAMSEY_NOISE), all from ``seeds.streams``.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        operator.index(self.seed)  # a float seed is refused, not read as its int
         # numpy draws no normal whose scale has its sign bit set, -0.0 included
         if not 0 <= self.bias_drift_std_hz < np.inf or np.signbit(self.bias_drift_std_hz):
             raise NoiseParameterError("bias_drift_std_hz",

@@ -197,15 +197,17 @@ def sine_interpolant(waveform: Waveform) -> SineInterpolant:
 
 
 def subsample_from_json(path) -> SubsampleSet:
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         n_grid, indices = data["n_grid"], tuple(data["indices"])
         if any(type(v) is not int for v in (n_grid, *indices)):  # no bool, float or str
             raise TypeError
-        return SubsampleSet(n_grid, indices)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"subset JSON {path} needs integer n_grid and indices") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"subset JSON {path}: {exc}") from exc
+    return SubsampleSet(n_grid, indices)
 
 
 def measurements_to_csv(measurement: MeasurementVector, grid: TimeGrid, path):

@@ -43,9 +43,9 @@ def run_sparsemag():
 
 
 def pytest_sessionfinish(session):
-    """Write the session's acceptance reports (name, ok, detail), in test
-    order, to ``.pytest_cache/acceptance.json`` under the rootdir; a session
-    that ran no acceptance test leaves the file as it was."""
+    """Write the session's acceptance reports (name, ok, detail and the raw
+    values), in test order, to ``.pytest_cache/acceptance.json`` under the
+    rootdir; a session that ran no acceptance test leaves the file as it was."""
     reports = [
         dict(value, test=item.nodeid)
         for item in session.items
@@ -55,4 +55,6 @@ def pytest_sessionfinish(session):
     if reports:
         path = session.config.rootpath / ".pytest_cache" / "acceptance.json"
         path.parent.mkdir(exist_ok=True)
-        path.write_text(json.dumps(reports, indent=1) + "\n")
+        # numpy scalars are written as the Python numbers they hold
+        text = json.dumps(reports, indent=1, default=lambda value: value.item())
+        path.write_text(text + "\n")

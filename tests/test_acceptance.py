@@ -5,7 +5,8 @@ and then asserts the criterion at its stated tolerance.  Criteria that the
 simulation model cannot meet are asserted anyway — a red entry here is a
 finding, not a bug in the suite.  The same lines are written as data, in
 report order, to ``.pytest_cache/acceptance.json`` at the end of the session
-(see ``conftest.py``), so the numbers of two runs can be diffed.
+(see ``conftest.py``), each with its raw numbers, so the numbers of two runs
+can be diffed.
 """
 
 import time
@@ -18,10 +19,10 @@ from oracles import FX, expectation, magnus_coefficients, second_frame_state
 from sparsemag import detection, experiments, recovery, sensor, transform
 
 
-def report(capsys, name, ok, detail=""):
+def report(capsys, name, ok, detail="", **values):
     # kept on the test item; conftest writes every report of the session out
     capsys.request.node.user_properties.append(
-        ("acceptance", {"name": name, "ok": bool(ok), "detail": detail})
+        ("acceptance", {"name": name, "ok": bool(ok), "detail": detail, "values": values})
     )
     with capsys.disabled():
         suffix = f" ({detail})" if detail else ""
@@ -56,6 +57,7 @@ def test_criterion_1_transform_correctness(capsys):
         capsys, "criterion 1 (transform correctness)", ok,
         f"gram {worst_gram:.1e}, sv {worst_sv:.1e}, roundtrip {worst_round:.1e}, "
         f"{elapsed:.2f}s",
+        gram=worst_gram, sv=worst_sv, roundtrip=worst_round, elapsed_s=elapsed,
     )
     assert worst_gram < 1e-12
     assert worst_sv < 1e-10
@@ -89,6 +91,7 @@ def test_criterion_2_sensor_equivalence_weak(capsys):
     report(
         capsys, "criterion 2 (sensor = DST, 100 Hz)", ok,
         f"abs err {error:.2e} vs {threshold:.2e}, {elapsed:.1f}s",
+        abs_err=error, threshold=threshold, elapsed_s=elapsed,
     )
     assert error < threshold
     assert elapsed < 30.0
@@ -103,6 +106,7 @@ def test_criterion_2_sensor_equivalence_full_amplitude(capsys):
     report(
         capsys, "criterion 2 (sensor = DST, 1 kHz)", ok,
         f"rel err {rel_error:.3f} vs 0.05, {elapsed:.1f}s",
+        rel_err=rel_error, elapsed_s=elapsed,
     )
     assert elapsed < 30.0
     assert rel_error < 0.05
@@ -140,6 +144,7 @@ def test_criterion_3_magnus_closed_form(capsys):
     report(
         capsys, "criterion 3 (Magnus closed form)", ok,
         f"abs err {error_small:.1e} @ B0=10 Hz, rel err {rel_error:.1e} @ a=1 rad",
+        abs_err_10hz=error_small, rel_err_1rad=rel_error, predicted_1rad=predicted_one,
     )
     assert error_small < 1e-3
     assert rel_error < 0.01
@@ -168,6 +173,7 @@ def test_criterion_4_rwa_validation(capsys):
     report(
         capsys, "criterion 4 (RWA lab vs rotating)", ok,
         f"population dev {deviation:.1e}, {elapsed:.2f}s",
+        population_dev=deviation, elapsed_s=elapsed,
     )
     assert deviation < 0.005
     assert elapsed < 60.0
@@ -200,6 +206,7 @@ def test_criterion_5_exact_sparse_recovery(capsys):
     report(
         capsys, "criterion 5 (noiseless exact recovery)", ok,
         f"{successes}/20 subsets, worst linf {worst:.1e} Hz, {elapsed:.1f}s",
+        successes=successes, worst_linf_hz=worst, elapsed_s=elapsed,
     )
     assert successes == 20
     assert elapsed < 10.0
@@ -212,7 +219,8 @@ def test_criterion_6_bound_anchors(capsys):
     b4 = experiments.compute_bound(4, 100)
     b8 = experiments.compute_bound(8, 100)
     ok = b4 == 34 and b8 == 57
-    report(capsys, "criterion 6 (bound anchors 34/57)", ok, f"got {b4}, {b8}")
+    report(capsys, "criterion 6 (bound anchors 34/57)", ok, f"got {b4}, {b8}",
+           bound_4=b4, bound_8=b8)
     assert b4 == 34
     assert b8 == 57
 
@@ -258,6 +266,7 @@ def test_criterion_7_auc_at_60_and_10(capsys, sample_sweeps):
         capsys, "criterion 7 (AUC at m=60 and m=10)", ok,
         f"m=60: {at60[0]:.4f}/{at60[1]:.4f}, m=10: {at10[0]:.3f}/{at10[1]:.3f}, "
         f"sweeps {elapsed:.1f}s",
+        auc_60=at60, auc_10=at10, sweeps_s=elapsed,
     )
     assert all(v >= 0.99 for v in at60)
     assert all(v < 0.9 for v in at10)
@@ -270,6 +279,7 @@ def test_criterion_7_one_pulse_crossing(capsys, sample_sweeps):
     report(
         capsys, "criterion 7 (one-pulse 99% crossing vs 36±10)", ok,
         f"simulated crossing m={crossing}, sweeps {elapsed:.1f}s",
+        crossing_m=crossing, sweeps_s=elapsed,
     )
     assert ok
 
@@ -281,6 +291,7 @@ def test_criterion_7_two_pulse_crossing(capsys, sample_sweeps):
     report(
         capsys, "criterion 7 (two-pulse 99% crossing vs 52±10)", ok,
         f"simulated crossing m={crossing}, sweeps {elapsed:.1f}s",
+        crossing_m=crossing, sweeps_s=elapsed,
     )
     assert ok
 
@@ -304,6 +315,7 @@ def test_criterion_8_lambda_tuning(capsys):
         capsys, "criterion 8 (lambda tuning)", ok,
         f"best {result.best_lambda:.2f} Hz, flatness {flatness:.2f} vs 0.10, "
         f"{elapsed:.0f}s",
+        best_lambda_hz=result.best_lambda, flatness=flatness, elapsed_s=elapsed,
     )
     assert in_window
     assert elapsed < 300.0
@@ -326,6 +338,7 @@ def test_criterion_9_scenario_ordering(capsys):
     report(
         capsys, "criterion 9 (compressive beats Ramsey)", ok,
         f"AUC {compressive.auc_value:.4f} vs {ramsey.auc_value:.4f}",
+        auc_compressive=compressive.auc_value, auc_ramsey=ramsey.auc_value,
     )
     assert ok
 
@@ -364,6 +377,7 @@ def test_criterion_10_detection_unit_suite(capsys):
     report(
         capsys, "criterion 10 (detection unit suite)", ok,
         f"perfect {perfect}, constant {constant}, monotone/negation exact",
+        perfect=perfect, constant=constant, base=base, warped=warped, negated=negated,
     )
     assert perfect == 1.0
     assert constant == 0.5
@@ -417,5 +431,6 @@ def test_criterion_11_cli_determinism(capsys, tmp_path, run_sparsemag):
     report(
         capsys, "criterion 11 (CLI determinism)", ok,
         f"{len(first)} artefacts byte-compared" + (f", differ: {mismatched}" if mismatched else ""),
+        artefacts=len(first), mismatched=mismatched,
     )
     assert not mismatched

@@ -454,13 +454,20 @@ def test_bound_rejects_grid_without_coefficients(capsys):
      "negative.csv holds index -2: indices must lie in 1..N-1"),
     (["sweep", "--base", "negative.csv", "--m-list", 10],
      "negative.csv holds index -2: indices must lie in 1..N-1"),
+    (["measure", "--in", "wf.csv", "--subset", "bad.json"],
+     "subset JSON bad.json: Expecting property name enclosed in double quotes"),
+    (["roc", "--recovered", "bin.csv", "--truth", "wf.csv"],
+     "CSV bin.csv: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
     # a 5e-324 s grid (which synth accepts), a malformed --m-list, a 399-row
     # base read without --n and a negative k (whose freq_hz k/(2 N dt) is
-    # consistent) each exit 4 with one line naming them
+    # consistent), malformed subset JSON and a CSV that is not UTF-8 each
+    # exit 4 with one line naming them
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative.csv").write_text("k,freq_hz,coef_hz\r\n-2,-200.0,1.0\r\n")
+    (tmp_path / "bad.json").write_text("{'n_grid': 100}")
+    (tmp_path / "bin.csv").write_bytes(b"time_s,recovered_hz\r\n\xff\xfe\r\n")
     for setup in (
         ["synth", "--dt", 5e-324, "--out", "tiny.csv"],
         ["measure", "--in", pulse_csv, "--full", "--out", "full.csv"],
@@ -565,6 +572,21 @@ def test_sweep_rejects_degenerate_truth(tmp_path, pulse_csv, capsys):
     assert err.startswith("error: numeric: degenerate truth")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pulses", ["2e-3,900,1e-4", "2e-3,400,2e-4"])
+def test_roc_says_why_a_truth_has_no_positives(tmp_path, capsys, pulses):
+    # a 100 us pulse samples to about zero at 50 us steps, and the matched
+    # output of a 400 Hz one reaches 0.4 of the template energy: no positives
+    wf, full, rec = tmp_path / "wf.csv", tmp_path / "full.csv", tmp_path / "rec.csv"
+    assert run_cli(["synth", "--pulses", pulses, "--out", wf]) == 0
+    assert run_cli(["measure", "--in", wf, "--full", "--no-noise", "--out", full]) == 0
+    assert run_cli(["recover", "--measurements", full, "--out", rec]) == 0
+    capsys.readouterr()
+    code = run_cli(["roc", "--recovered", rec, "--truth", wf, "--out", tmp_path / "roc.csv"])
+    _assert_numeric_error(code, capsys, "error: numeric: degenerate truth: no positives",
+                          "reaches half the energy of the template (1000 Hz, 200 us by default)")
+    assert not (tmp_path / "roc.csv").exists()
 
 
 def test_sweep_requires_full_base(tmp_path, pulse_csv):
@@ -700,7 +722,7 @@ def test_measure_rejects_oversized_csv_field(tmp_path, capsys):
     wf = tmp_path / "wf.csv"
     wf.write_text("time_s,gamma_b_hz\n5e-05," + "1" * 200_000 + "\n")
     code = run_cli(["measure", "--in", wf, "--full", "--out", tmp_path / "m.csv"])
-    _assert_numeric_error(code, capsys, "field limit")
+    _assert_numeric_error(code, capsys, f"CSV {wf}: field larger than field limit")
 
 
 @pytest.mark.parametrize("command", ["synth", "measure", "recover", "roc", "bound"])

@@ -217,9 +217,10 @@ def test_roc_rejects_bad_scores():
 
 def test_roc_degenerate_truth_errors():
     template = Template(np.array([1.0]))
-    with pytest.raises(ValueError, match="recall"):
+    why = ": a location is positive where the truth's matched output reaches half the energy"
+    with pytest.raises(ValueError, match=f"no positives, recall undefined{why}"):
         roc_curve(np.zeros(5), template, np.zeros(5, dtype=int))
-    with pytest.raises(ValueError, match="fallout"):
+    with pytest.raises(ValueError, match=f"no negatives, fallout undefined{why}"):
         roc_curve(np.zeros(5), template, np.ones(5, dtype=int))
     with pytest.raises(ValueError, match="recall"):
         roc_curve_from_scores(np.arange(5.0), np.zeros(5, dtype=int))

@@ -331,6 +331,20 @@ def test_sweep_matches_per_subset_oracle(one_pulse, m_values, subsets, master_se
     assert len(rows) == len(m_values)
 
 
+def test_a_wide_master_seed_matches_the_oracles(one_pulse, monkeypatch):
+    # seeds of 2**32 or more take numpy's SeedSequence one key at a time
+    master = 2**40
+    noise = NoiseModel(200.0, 1000.0, seed=2**32)
+    monkeypatch.setattr(experiments, "_last_full", None)
+    base = simulate_measurements(one_pulse, None, noise, master).values
+    expected = oracles.simulate_measurements(one_pulse, None, noise, master)
+    assert base.tobytes() == expected.tobytes()
+    spec = SweepSpec((20, 37, 60), base, subsets_per_m=4, master_seed=master)
+    template = default_template(one_pulse.grid)
+    rows = sweep_sample_count(spec, template, one_pulse.samples)
+    assert repr(rows) == repr(oracles.sweep_sample_count(spec, template, one_pulse.samples))
+
+
 def _forbid(monkeypatch, module, *names):
     def fail(*args, **kwargs):
         raise AssertionError("a degenerate truth reached a shot or a solve")

@@ -31,7 +31,7 @@ def test_seed_state_matches_seed_sequence_in_every_position():
     keys = [key for n in (1, 2, 3) for key in itertools.product(WIDE, repeat=n)]
     for key in keys:
         np.testing.assert_array_equal(seeds._seed_state(key, 8), _reference_words(key, 8))
-    # one batch mixing every layout: 2 to 9 words per key
+    # one batch of every layout, 2 to 9 words per key, one key at a time
     batch = np.array(list(itertools.product(WIDE, repeat=3)), dtype=object).T
     state = seeds._seed_state(tuple(batch), 8)
     for j, key in enumerate(batch.T.tolist()):
@@ -100,13 +100,14 @@ def test_streams_keep_mixed_wide_ints_exact():
 
 
 def _batched(key):
-    """The key as a batch of one on the batched path: its first entry as a
-    one-element object array, which the one-key path does not take."""
-    return (np.array([key[0]], dtype=object), *key[1:])
+    """The key twice, a batch of two keys: the block mixing serves it when
+    its entries are below 2**32 and at most 4, SeedSequence per key else."""
+    return (np.array([key[0], key[0]], dtype=object), *key[1:])
 
 
 ONE_KEYS = [(123, seeds.SUBSET), (123, seeds.SUBSET, 7), (2**40, 5), (0,), (2**64 + 1,),
-            (2**32 - 1, seeds.SEQUENCE, 2**32), (5, 2**64 + 1, 2**32, 0)]
+            (2**32 - 1, seeds.SEQUENCE, 2**32), (5, 2**64 + 1, 2**32, 0),
+            (2**32 - 1, 1, 2, 3), (7, 1, 2, 3, 4)]
 
 
 @pytest.mark.parametrize("key", ONE_KEYS)
@@ -132,6 +133,75 @@ def test_one_key_equals_the_batched_path_and_seed_sequence(key, monkeypatch):
     # numpy integers are read as the ints they hold
     as_numpy = tuple(np.uint64(k) if k < 2**64 else k for k in key)
     np.testing.assert_array_equal(seeds._seed_state(as_numpy, 8), batched)
+
+
+@pytest.fixture
+def mix_calls(monkeypatch):
+    """The shapes ``seeds._mix`` is called on: empty unless the block
+    mixing served a batch."""
+    calls, mix = [], seeds._mix
+
+    def spy(x, y):
+        calls.append(np.shape(x))
+        return mix(x, y)
+
+    monkeypatch.setattr(seeds, "_mix", spy)
+    return calls
+
+
+def _keys(batch):
+    """Every key of a broadcast batch, in C order, as a tuple of ints."""
+    entries = np.broadcast_arrays(*(np.array(entry, dtype=object) for entry in batch))
+    return list(zip(*(entry.ravel().tolist() for entry in entries)))
+
+
+_SHOT_SEEDS = derive_seed(7, seeds.SHOT, np.arange(1, 100))
+_M_OF, _REP_OF = np.repeat([10, 60, 99], 4), np.tile(np.arange(4), 3)
+# the layouts the drivers make: seeds below 2**32, at most 4 entries, many keys
+DRIVER_BATCHES = {
+    "shot seeds": (7, seeds.SHOT, np.arange(1, 100)),
+    "drift and count streams": (3, _SHOT_SEEDS, [[seeds.DRIFT], [seeds.COUNTS]]),
+    "sweep subsets": (2**32 - 1, seeds.SUBSET, _M_OF, _REP_OF),
+    "training subsets": (11, seeds.SUBSET, np.arange(1, 6)),
+    "ramsey windows": (19, seeds.RAMSEY, np.arange(99)),
+    "ramsey noise": (0, _SHOT_SEEDS[:5], seeds.RAMSEY_NOISE),
+    "mask shuffles": (_SHOT_SEEDS[:8],),
+}
+# SeedSequence one key at a time
+PER_KEY_BATCHES = {
+    "lone key": (7, seeds.SUBSET),
+    "lone key with a list entry": (7, seeds.SEQUENCE, [3]),
+    "wide master": (2**32, seeds.SHOT, np.arange(1, 100)),
+    "wide noise seed": (2**40, _SHOT_SEEDS[:5], [[seeds.DRIFT], [seeds.COUNTS]]),
+    "mixed widths": ([1, 2**40, 2**64 + 5],),
+    "five entries": (1, 2, 3, 4, np.arange(3)),
+    "five narrow entries": (np.array([0, 1]), 1, 2, 3, 4),
+}
+
+
+def _check_against_numpy(batch):
+    """_seed_state, derive_seed and streams of a batch against numpy, key by key."""
+    keys = _keys(batch)
+    state = seeds._seed_state(batch, 8).reshape(8, -1)
+    for j, key in enumerate(keys):
+        np.testing.assert_array_equal(state[:, j], _reference_words(key, 8))
+    np.testing.assert_array_equal(np.ravel(derive_seed(*batch)), state[0])
+    for key, rng in zip(keys, seeds.streams(*batch), strict=True):
+        reference = np.random.default_rng(np.random.SeedSequence(key))
+        assert rng.bit_generator.state == reference.bit_generator.state
+    return keys
+
+
+@pytest.mark.parametrize("name", DRIVER_BATCHES)
+def test_driver_batches_take_the_block_mixing(name, mix_calls):
+    assert len(_check_against_numpy(DRIVER_BATCHES[name])) >= 2
+    assert mix_calls
+
+
+@pytest.mark.parametrize("name", PER_KEY_BATCHES)
+def test_other_batches_take_seed_sequence_per_key(name, mix_calls):
+    _check_against_numpy(PER_KEY_BATCHES[name])
+    assert not mix_calls
 
 
 def test_one_row_mask_equals_its_row_in_a_batch(monkeypatch):
