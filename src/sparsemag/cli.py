@@ -160,6 +160,9 @@ def cmd_measure(args) -> int:
     subset = None  # --full, or no subset given: every index
     if args.subset is not None:
         subset = transform.subsample_from_json(args.subset)
+        if subset.n_grid != waveform.grid.n_grid:
+            raise ValueError(f"subset JSON {args.subset} is for N={subset.n_grid}, "
+                             f"--in {args.infile} has N={waveform.grid.n_grid}")
     elif args.m is not None:
         _check_m(args.m, waveform.grid.n_grid, f"--in {args.infile}")
         subset = transform.random_subsample(waveform.grid.n_grid, args.m, args.seed)

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import PULSE_AMPLITUDE, PULSE_DURATION, TimeGrid, write_csv_columns, write_text
 
@@ -54,12 +55,32 @@ def default_template(
 
 
 def matched_filter(signal, template: Template) -> np.ndarray:
-    """Scores g_j = sum_k signal[k + j] * template[k], zero-padded."""
+    """Scores g_j = sum_k signal[..., k + j] * template[k], zero-padded, of a
+    signal, or of each row of a block.  A signal is ``np.correlate(signal,
+    template, "full")[len(template) - 1:]``.  A block gives each row those
+    bits in a few calls for all rows: a running sum over the taps where the
+    template has at most 11 (numpy's small-kernel loop), else a BLAS dot per
+    score, and a dot over the samples left for each of the last
+    len(template) - 1 scores.  Through the block form a lone signal would
+    take 12 us in place of 0.7."""
     signal = np.asarray(signal, dtype=float)
-    if template.samples.size > signal.size:
+    taps, n = template.samples, signal.shape[-1]
+    if taps.size > n:
         raise ValueError("template longer than signal")
-    scores = np.correlate(signal, template.samples, mode="full")
-    return scores[template.samples.size - 1 :]
+    if signal.ndim == 1:
+        return np.correlate(signal, taps, mode="full")[taps.size - 1 :]
+    scores = np.empty(signal.shape)
+    windows = sliding_window_view(signal, taps.size, axis=-1)
+    inner = scores[..., : n - taps.size + 1]
+    if taps.size <= 11:
+        inner[...] = 0.0
+        for k, tap in enumerate(taps):
+            inner += windows[..., k] * tap
+    else:
+        np.vecdot(windows, taps, out=inner)
+    for j in range(n - taps.size + 1, n):
+        scores[..., j] = np.vecdot(signal[..., j:], taps[: n - j])
+    return scores
 
 
 def ground_truth_classification(ground_truth, template: Template) -> np.ndarray:
@@ -134,10 +155,12 @@ def auc_from_scores(scores, labels) -> np.ndarray:
     exactly its own ``np.trapezoid`` terms, so the pairwise sum groups alike."""
     x, y, lengths = _roc_staircases(np.asarray(scores, dtype=float), labels)
     terms = (x[:, 1:] - x[:, :-1]) * (y[:, 1:] + y[:, :-1]) / 2.0
-    areas = np.empty(len(terms))
-    for length in np.unique(lengths):
-        rows = lengths == length
-        areas[rows] = np.add.reduce(terms[rows, : length - 1], axis=1)
+    # rows of one length are summed together, from a contiguous run of rows
+    order = np.argsort(lengths, kind="stable")
+    terms, areas, stop = terms[order], np.empty(len(terms)), 0
+    for length, count in zip(*np.unique(lengths, return_counts=True)):
+        start, stop = stop, stop + count
+        areas[order[start:stop]] = np.add.reduce(terms[start:stop, : length - 1], axis=1)
     return areas
 
 

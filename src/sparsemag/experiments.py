@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,8 @@ from .recovery import (
     fista_solve,
     fista_solve_block,
 )
-from .seeds import COUNTS, DRIFT, RAMSEY, SEQUENCE, SHOT, SUBSET, derive_seed, streams
+from .seeds import (COUNTS, DRIFT, RAMSEY, SEQUENCE, SHOT, SUBSET, derive_seed, seed_int,
+                    streams)
 from .sensor import NoiseModel
 from .transform import (
     MeasurementVector,
@@ -89,7 +89,7 @@ def simulate_measurements(
             f"subset is for N={subsample.n_grid}, the waveform has N={n_grid}"
         )
     k = np.asarray(subsample.indices)
-    key, last = (waveform.grid, noise, operator.index(master_seed)), _last_full
+    key, last = (waveform.grid, noise, seed_int(master_seed, "master_seed")), _last_full
     if last is not None and last[0] == key and last[1] == waveform.samples.tobytes():
         return MeasurementVector(last[2][k - 1], subsample)
     drift = np.zeros(n_grid - 1)
@@ -254,8 +254,7 @@ def sweep_sample_count(
         masks = random_subsample_masks(spec.n_grid, m_of[block], seeds[block])
         lams = np.full(len(masks), spec.lam)
         solved = fista_solve_block(matrix, spec.base_measurements, lams, row_masks=masks)
-        filtered = [matched_filter(row, template) for row in solved.waveform]
-        scores[block] = auc_from_scores(filtered, truth_labels)
+        scores[block] = auc_from_scores(matched_filter(solved.waveform, template), truth_labels)
     scores = scores.reshape(len(spec.m_values), spec.subsets_per_m)
     means, stds = scores.mean(axis=1), scores.std(axis=1)
     return [(int(m), float(mu), float(sd)) for m, mu, sd in zip(spec.m_values, means, stds)]

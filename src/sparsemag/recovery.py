@@ -13,16 +13,18 @@ mask on the full DST matrix solves the same problem as the row-subsampled
 operator; a measurement-count sweep is one block on one matrix.  Each
 iteration makes two products with the operator: the residual D (A x - m) at
 the new iterate x, computed afresh so that the objective is exact, and the
-gradient step at y.  The residual at y is carried, not computed: y is the
-same affine combination of the last two iterates for every problem, so its
-residual is that combination of their two residuals.  Both products take a
-C-contiguous operand: the gradient step 2 step A, and a C-order copy of A^T
-for the residual, made once per block.  BLAS then runs both as NN matrix
+forward step w = x - 2 step D (A x - m) A from x.  The step point at the
+momentum point y = x + mu (x - x_old) is never formed from y: the forward
+step is affine in x, so it is w + mu (w - w_old), and w is the one point
+carried from one iteration to the next.  A problem that stalls leaves
+before its forward step is taken.  Both products take a C-contiguous
+operand: the gradient step 2 step A, and a C-order copy of A^T for the
+residual, made once per block.  BLAS then runs both as NN matrix
 products, which OpenBLAS 0.3.31 serves from its small-matrix kernels
 without packing; through the transposed view the residual was an NT
 product, up to 1.7x slower.  A block of one keeps the view: its products
 are matrix-vector products, and A x through the view is the scalar loop's
-product bit for bit, so every single solve keeps its bits.  The loop writes
+product bit for bit.  The loop writes
 into work arrays allocated once per block, soft-thresholds as
 a - min(a, tau), which is max(a - tau, 0) bit for bit, and keeps the rows
 that go on with ``take``.  Each problem stops once its objective changes by
@@ -129,36 +131,29 @@ def fista_solve_block(
         tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
 
     active = np.arange(count)
-    x, y = np.zeros((2, count, n_unknowns))
-    # D (x A^T - m) at x = y = 0
+    # D (x A^T - m) at x = 0, and the forward step from there, which is the
+    # first step point (y = x)
     targets = np.repeat(measurements[None], count, axis=0)
     residual = -targets if mask is None else -targets * mask
-    residual_y = residual.copy()
     previous = np.vecdot(residual, residual)  # the objective at x = 0
+    x = np.zeros((count, n_unknowns))
+    forward = np.subtract(x, np.matmul(residual, gradient_step))
+    step_point = forward.copy()
     theta = 1.0
     waveforms = np.empty((count, n_unknowns))
     iterations = np.full(count, config.max_iters)
     converged = np.zeros(count, dtype=bool)
     finals = np.empty(count)
-    step_point, magnitude, x_next = np.empty((3, count, n_unknowns))
-    residual_next = np.empty_like(residual)
+    magnitude, forward_next = np.empty((2, count, n_unknowns))
 
     for iteration in range(1, config.max_iters + 1):
-        np.subtract(y, np.matmul(residual_y, gradient_step, out=step_point), out=step_point)
-        # soft_threshold, keeping |x_next| for the l1 term; a - min(a, tau) = max(a - tau, 0)
+        # soft_threshold, keeping |x| for the l1 term; a - min(a, tau) = max(a - tau, 0)
         np.abs(step_point, out=magnitude)
-        np.subtract(magnitude, np.minimum(magnitude, tau, out=x_next), out=magnitude)
-        np.copysign(magnitude, step_point, out=x_next)
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
-        momentum = (theta - 1.0) / theta_next
-        np.subtract(np.matmul(x_next, operator_t, out=residual_next), targets, out=residual_next)
+        np.subtract(magnitude, np.minimum(magnitude, tau, out=x), out=magnitude)
+        np.copysign(magnitude, step_point, out=x)
+        np.subtract(np.matmul(x, operator_t, out=residual), targets, out=residual)
         if mask is not None:
-            residual_next *= mask
-        np.add(x_next, np.multiply(momentum, np.subtract(x_next, x, out=y), out=y), out=y)
-        # exact: D is linear and m cancels from the combination
-        np.subtract(residual_next, residual, out=residual_y)
-        np.add(residual_next, np.multiply(momentum, residual_y, out=residual_y), out=residual_y)
-        x, x_next, residual, residual_next, theta = x_next, x, residual_next, residual, theta_next
+            residual *= mask
 
         value = np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
         # objectives are non-negative, so max(|a|, |b|) is max(a, b), and at
@@ -179,15 +174,24 @@ def fista_solve_block(
             iterations[done] = iteration
             converged[done] = True
             finals[done] = previous.take(gone)
-            active, previous, lam, tau, targets, x, y, residual, residual_y, mask = (
+            active, previous, lam, tau, targets, x, residual, forward, mask = (
                 v if v is None else v.take(keep, axis=0)
-                for v in (active, previous, lam, tau, targets, x, y, residual, residual_y, mask)
+                for v in (active, previous, lam, tau, targets, x, residual, forward, mask)
             )
             if keep.size == 0:
                 break
-            step_point, magnitude, x_next, residual_next = (
-                v[: keep.size] for v in (step_point, magnitude, x_next, residual_next)
+            step_point, magnitude, forward_next = (
+                v[: keep.size] for v in (step_point, magnitude, forward_next)
             )
+
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        momentum = (theta - 1.0) / theta_next
+        # the forward step from x; the step at y = x + momentum (x - x_old) is
+        # the same combination of the forward steps, as D and A are linear
+        np.subtract(x, np.matmul(residual, gradient_step, out=forward_next), out=forward_next)
+        np.subtract(forward_next, forward, out=step_point)
+        np.add(forward_next, np.multiply(momentum, step_point, out=step_point), out=step_point)
+        forward, forward_next, theta = forward_next, forward, theta_next
     waveforms[active] = x
     finals[active] = previous
     return RecoveryResult(waveforms, iterations, converged, finals)

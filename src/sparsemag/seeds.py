@@ -88,6 +88,16 @@ def _entry(values) -> np.ndarray:
     return array
 
 
+def seed_int(value, name: str) -> int:
+    """``value`` as an int, or a ``TypeError`` naming the parameter ``name``:
+    a float seed is refused, not read as its int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name}: seed keys must be non-negative integers, "
+                        f"got {value!r}") from None
+
+
 def _one_key(key):
     """``(ints, shape)`` when the batch holds one key of non-negative
     integers, each entry bare or in a list of one, else None: the batched

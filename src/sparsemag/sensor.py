@@ -48,13 +48,12 @@ window on (noise.seed, shot_seed, RAMSEY_NOISE), all from ``seeds.streams``.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Waveform
-from .seeds import COUNTS, DRIFT, RAMSEY_NOISE, streams
+from .seeds import COUNTS, DRIFT, RAMSEY_NOISE, seed_int, streams
 from .transform import SineInterpolant, sine_interpolant
 
 SQRT2 = np.sqrt(2.0)
@@ -100,7 +99,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        operator.index(self.seed)  # a float seed is refused, not read as its int
+        seed_int(self.seed, "seed")
         # numpy draws no normal whose scale has its sign bit set, -0.0 included
         if not 0 <= self.bias_drift_std_hz < np.inf or np.signbit(self.bias_drift_std_hz):
             raise NoiseParameterError("bias_drift_std_hz",

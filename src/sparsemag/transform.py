@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ class SubsampleSet:
         idx = np.asarray(self.indices, dtype=int)
         if idx.size < 1 or idx.size > self.n_grid - 1:
             raise ValueError(f"need between 1 and {self.n_grid - 1} indices")
-        if np.any(idx < 1) or np.any(idx > self.n_grid - 1):
-            raise ValueError("indices must lie in 1..N-1")
+        if (bad := np.flatnonzero((idx < 1) | (idx > self.n_grid - 1))).size:
+            raise ValueError(f"indices must lie in 1..N-1 for N = {self.n_grid}, got {idx[bad[0]]}")
         if (bad := np.flatnonzero(np.diff(idx) <= 0)).size:
             i = bad[0]
             raise ValueError(f"indices must increase strictly, got {idx[i + 1]} after {idx[i]}")
@@ -82,17 +83,48 @@ class SubsampleSet:
 def random_subsample_masks(n_grid: int, ms, seeds) -> np.ndarray:
     """(len(seeds), N-1) bool masks, row r a uniformly random ms[r]-subset of
     1..N-1 (column k - 1 for index k): the first ms[r] swaps of a partial
-    Fisher-Yates shuffle on the stream of key (seeds[r],)."""
-    masks = np.zeros((len(seeds), n_grid - 1), dtype=bool)
-    for row, m, rng in zip(masks, ms, streams(seeds), strict=True):
+    Fisher-Yates shuffle on the stream of key (seeds[r],), swap i with a
+    draw j from [i, N-1).
+
+    The draws are those of ``rng.integers(np.arange(m), N - 1)``, bit for
+    bit, made for the whole block at once.  numpy serves each draw from one
+    32-bit word, the low half of a PCG64 output first (``next_uint32`` on a
+    fresh stream), by Lemire's map j = i + (u s >> 32), s = N - 1 - i, and
+    draws again when the low word of u s is below (2^32 - s) mod s (Lemire,
+    ACM TOMACS 29, 2019).  A row with such a draw (at most 5.1e-7 of the
+    rows at N = 100) is drawn again with ``rng.integers`` on a fresh stream
+    of its key.  A last draw with s = 1 takes no word in numpy; here it
+    reads one, which cannot move it."""
+    ms = [operator.index(m) for m in ms]
+    if len(ms) != len(seeds):
+        raise ValueError(f"{len(ms)} subset sizes for {len(seeds)} seeds")
+    masks = np.zeros((len(ms), n_grid - 1), dtype=bool)
+    for m in ms:
         if not 1 <= m <= n_grid - 1:
             raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
-        pool = list(range(n_grid - 1))
-        # one draw per step i from [i, N-1): the same stream as a call per step
-        draws = rng.integers(np.arange(m), n_grid - 1)
-        for i, j in enumerate(draws.tolist()):
+    if not ms:
+        return masks
+    width = max(ms)
+    words = np.array([rng.bit_generator.random_raw((width + 1) // 2) for rng in streams(seeds)])
+    u = np.empty((len(ms), 2 * words.shape[1]), dtype=np.uint64)
+    u[:, 0::2], u[:, 1::2] = words & 0xFFFFFFFF, words >> 32
+    step = np.arange(width, dtype=np.uint64)
+    span = np.uint64(n_grid - 1) - step
+    product = u[:, :width] * span
+    rejected = (product & 0xFFFFFFFF) < (2**32 - span) % span
+    rejected &= step < np.array(ms, dtype=np.uint64)[:, None]
+    picks = (step + (product >> 32)).tolist()
+    redo = rejected.any(axis=1).nonzero()[0].tolist()
+    for r, rng in zip(redo, streams([seeds[r] for r in redo])):
+        picks[r] = rng.integers(np.arange(ms[r]), n_grid - 1).tolist()
+    base, chosen = list(range(n_grid - 1)), []
+    for m, row in zip(ms, picks):
+        pool = base.copy()
+        for i in range(m):
+            j = row[i]
             pool[i], pool[j] = pool[j], pool[i]
-        row[pool[:m]] = True
+        chosen += pool[:m]
+    masks[np.repeat(np.arange(len(ms)), ms), chosen] = True
     return masks
 
 
@@ -203,11 +235,11 @@ def subsample_from_json(path) -> SubsampleSet:
         n_grid, indices = data["n_grid"], tuple(data["indices"])
         if any(type(v) is not int for v in (n_grid, *indices)):  # no bool, float or str
             raise TypeError
+        return SubsampleSet(n_grid, indices)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"subset JSON {path} needs integer n_grid and indices") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except ValueError as exc:  # not JSON, not UTF-8, or not a subset
         raise ValueError(f"subset JSON {path}: {exc}") from exc
-    return SubsampleSet(n_grid, indices)
 
 
 def measurements_to_csv(measurement: MeasurementVector, grid: TimeGrid, path):

@@ -26,6 +26,9 @@
   update, a soft threshold of ``np.maximum(|a| - tau, 0.0)`` and boolean-mask
   compaction; the package engine writes into reused arrays and must give
   the same bits.
+* ``y_form_fista_solve_block``: the engine that carried the momentum point
+  y and its residual, with reused arrays; the package engine carries the
+  forward step instead and agrees with it to rounding.
 * ``random_subsample``: one subset's partial Fisher-Yates shuffle on a numpy
   pool, seeded with ``default_rng(seed)``, returned as sorted indices.
 * ``roc_curve_from_scores``: one row's ROC from ``np.unique`` and per-score
@@ -268,9 +271,10 @@ def fista_solve_block(
         tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
 
     active = np.arange(count)
-    x = y = np.zeros((count, n_unknowns))
-    # D (x A^T - m) at x = y = 0
-    residual = residual_y = -measurements * (np.ones((count, 1)) if mask is None else mask)
+    x = np.zeros((count, n_unknowns))
+    # D (x A^T - m) at x = 0, and the forward step from there
+    residual = -measurements * (np.ones((count, 1)) if mask is None else mask)
+    forward = step_point = x - residual @ gradient_step
     previous = np.vecdot(residual, residual)  # the objective at x = 0
     theta = 1.0
     waveforms = np.empty((count, n_unknowns))
@@ -279,26 +283,14 @@ def fista_solve_block(
     finals = np.empty(count)
 
     for iteration in range(1, config.max_iters + 1):
-        step_point = y - residual_y @ gradient_step
-        # soft_threshold, keeping |x_next| for the l1 term
+        # soft_threshold, keeping |x| for the l1 term
         magnitude = np.maximum(np.abs(step_point) - tau, 0.0)
-        x_next = np.copysign(magnitude, step_point)
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
-        momentum = (theta - 1.0) / theta_next
-        residual_next = x_next @ operator_t - measurements
+        x = np.copysign(magnitude, step_point)
+        residual = x @ operator_t - measurements
         if mask is not None:
-            residual_next *= mask
-        y = x_next + momentum * (x_next - x)
-        # exact: D is linear and m cancels from the combination
-        residual_y = residual_next + momentum * (residual_next - residual)
-        x, residual, theta = x_next, residual_next, theta_next
+            residual *= mask
 
         value = np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
-        # objectives are non-negative, so max(|a|, |b|) is max(a, b), and at
-        # a = b = 0 the rule stalls.  A lone problem (every single solve)
-        # evaluates the rule in Python floats: the same IEEE operations,
-        # without six ufunc calls on one-element arrays, which would cost a
-        # block of one 15 % per iteration
         if active.size == 1:
             a, b = float(previous[0]), float(value[0])
             stalled = np.array([abs(a - b) <= config.rel_tolerance * max(a, b)])
@@ -313,11 +305,109 @@ def fista_solve_block(
             finals[done] = previous[stalled]
             going = ~stalled
             active, previous, lam, tau = active[going], previous[going], lam[going], tau[going]
-            x, y, residual, residual_y = x[going], y[going], residual[going], residual_y[going]
+            x, residual, forward = x[going], residual[going], forward[going]
             if mask is not None:
                 mask = mask[going]
             if active.size == 0:
                 break
+
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        momentum = (theta - 1.0) / theta_next
+        # the step point at y = x + momentum (x - x_old), by linearity
+        forward_next = x - residual @ gradient_step
+        step_point = forward_next + momentum * (forward_next - forward)
+        forward, theta = forward_next, theta_next
+    waveforms[active] = x
+    finals[active] = previous
+    return RecoveryResult(waveforms, iterations, converged, finals)
+
+
+def y_form_fista_solve_block(
+    operator,
+    measurements,
+    lams,
+    row_masks=None,
+    config: FistaConfig | None = None,
+) -> RecoveryResult:
+    """The block engine as it carried the momentum point y and its residual
+    D (y A^T - m) in place of the forward step: the same update in exact
+    arithmetic, so its rows agree with the engine's to rounding."""
+    config = config or FistaConfig()
+    operator, measurements, lam, mask = _checked_block(
+        operator, measurements, lams, row_masks
+    )
+    count, n_unknowns = lam.size, operator.shape[1]
+    # 0.9 / (2 sigma_max^2), sigma_max = 1/sqrt(2N); 0.9 * N rounds differently
+    step = 0.9 / (2.0 * (1.0 / np.sqrt(2.0 * (n_unknowns + 1))) ** 2)
+    # One row per column of the block: row j of x is column j's waveform, so
+    # per-column sums and the rows dropped on stalling stay contiguous.  tau
+    # and m are stored per row: same-shape arithmetic beats broadcasting.
+    # both products NN on C-contiguous operands; a lone row keeps the view
+    operator_t = operator.T if count == 1 else np.ascontiguousarray(operator.T)
+    gradient_step = (2.0 * step) * operator  # the gradient is 2 r A
+    with np.errstate(over="ignore"):  # a huge lambda's threshold is inf: x = 0
+        tau = np.repeat((step * lam)[:, None], n_unknowns, axis=1)
+
+    active = np.arange(count)
+    x, y = np.zeros((2, count, n_unknowns))
+    # D (x A^T - m) at x = y = 0
+    targets = np.repeat(measurements[None], count, axis=0)
+    residual = -targets if mask is None else -targets * mask
+    residual_y = residual.copy()
+    previous = np.vecdot(residual, residual)  # the objective at x = 0
+    theta = 1.0
+    waveforms = np.empty((count, n_unknowns))
+    iterations = np.full(count, config.max_iters)
+    converged = np.zeros(count, dtype=bool)
+    finals = np.empty(count)
+    step_point, magnitude, x_next = np.empty((3, count, n_unknowns))
+    residual_next = np.empty_like(residual)
+
+    for iteration in range(1, config.max_iters + 1):
+        np.subtract(y, np.matmul(residual_y, gradient_step, out=step_point), out=step_point)
+        # soft_threshold, keeping |x_next| for the l1 term; a - min(a, tau) = max(a - tau, 0)
+        np.abs(step_point, out=magnitude)
+        np.subtract(magnitude, np.minimum(magnitude, tau, out=x_next), out=magnitude)
+        np.copysign(magnitude, step_point, out=x_next)
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        momentum = (theta - 1.0) / theta_next
+        np.subtract(np.matmul(x_next, operator_t, out=residual_next), targets, out=residual_next)
+        if mask is not None:
+            residual_next *= mask
+        np.add(x_next, np.multiply(momentum, np.subtract(x_next, x, out=y), out=y), out=y)
+        # exact: D is linear and m cancels from the combination
+        np.subtract(residual_next, residual, out=residual_y)
+        np.add(residual_next, np.multiply(momentum, residual_y, out=residual_y), out=residual_y)
+        x, x_next, residual, residual_next, theta = x_next, x, residual_next, residual, theta_next
+
+        value = np.vecdot(residual, residual) + lam * np.add.reduce(magnitude, axis=1)
+        # objectives are non-negative, so max(|a|, |b|) is max(a, b), and at
+        # a = b = 0 the rule stalls.  A lone problem (every single solve)
+        # evaluates the rule in Python floats: the same IEEE operations,
+        # without six ufunc calls on one-element arrays, which would cost a
+        # block of one 15 % per iteration
+        if active.size == 1:
+            a, b = float(previous[0]), float(value[0])
+            stalled = np.array([abs(a - b) <= config.rel_tolerance * max(a, b)])
+        else:
+            stalled = abs(previous - value) <= config.rel_tolerance * np.maximum(previous, value)
+        previous = value
+        if np.count_nonzero(stalled):
+            gone, keep = stalled.nonzero()[0], (~stalled).nonzero()[0]
+            done = active.take(gone)
+            waveforms[done] = x.take(gone, axis=0)
+            iterations[done] = iteration
+            converged[done] = True
+            finals[done] = previous.take(gone)
+            active, previous, lam, tau, targets, x, y, residual, residual_y, mask = (
+                v if v is None else v.take(keep, axis=0)
+                for v in (active, previous, lam, tau, targets, x, y, residual, residual_y, mask)
+            )
+            if keep.size == 0:
+                break
+            step_point, magnitude, x_next, residual_next = (
+                v[: keep.size] for v in (step_point, magnitude, x_next, residual_next)
+            )
     waveforms[active] = x
     finals[active] = previous
     return RecoveryResult(waveforms, iterations, converged, finals)

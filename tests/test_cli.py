@@ -458,15 +458,22 @@ def test_bound_rejects_grid_without_coefficients(capsys):
      "subset JSON bad.json: Expecting property name enclosed in double quotes"),
     (["roc", "--recovered", "bin.csv", "--truth", "wf.csv"],
      "CSV bin.csv: 'utf-8' codec can't decode byte 0xff"),
+    (["measure", "--in", "wf.csv", "--subset", "zero.json"],
+     "subset JSON zero.json: indices must lie in 1..N-1 for N = 100, got 0"),
+    (["measure", "--in", "wf.csv", "--subset", "n50.json"],
+     "subset JSON n50.json is for N=50, --in wf.csv has N=100"),
 ])
 def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
     # a 5e-324 s grid (which synth accepts), a malformed --m-list, a 399-row
     # base read without --n and a negative k (whose freq_hz k/(2 N dt) is
-    # consistent), malformed subset JSON and a CSV that is not UTF-8 each
-    # exit 4 with one line naming them
+    # consistent), malformed subset JSON, a subset index out of range, a
+    # subset for another N and a CSV that is not UTF-8 each exit 4 with one
+    # line naming them
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative.csv").write_text("k,freq_hz,coef_hz\r\n-2,-200.0,1.0\r\n")
     (tmp_path / "bad.json").write_text("{'n_grid': 100}")
+    (tmp_path / "zero.json").write_text('{"n_grid": 100, "indices": [0]}')
+    (tmp_path / "n50.json").write_text('{"n_grid": 50, "indices": [3]}')
     (tmp_path / "bin.csv").write_bytes(b"time_s,recovered_hz\r\n\xff\xfe\r\n")
     for setup in (
         ["synth", "--dt", 5e-324, "--out", "tiny.csv"],

@@ -81,6 +81,25 @@ def test_matched_filter_zero_signal_and_two_pulses():
     assert scores[20] == pytest.approx(template.energy)
 
 
+@pytest.mark.parametrize("taps", [1, 2, 4, 11, 12, 16, 17, 40, 99])
+def test_block_matched_filter_equals_np_correlate_per_row(taps):
+    # numpy sums at most 11 taps in a loop of its own and more by a BLAS dot,
+    # and the last taps - 1 scores by a dot over the samples left
+    rng = np.random.default_rng(taps)
+    template = Template(rng.normal(size=taps) * 1000.0)
+    block = rng.normal(size=(8, 99)) * 100.0
+    block[0], block[1] = 0.0, -0.0
+    block[2, ::3] = -0.0
+    block[3, :50] = 0.0
+    block[4, -taps:] = -0.0
+    scores = matched_filter(block, template)
+    assert scores.shape == block.shape
+    for row, got in zip(block, scores):
+        expected = np.correlate(row, template.samples, "full")[taps - 1 :]
+        assert got.tobytes() == expected.tobytes()
+        assert matched_filter(row, template).tobytes() == expected.tobytes()
+
+
 def test_matched_filter_rejects_long_template():
     with pytest.raises(ValueError):
         matched_filter(np.zeros(3), Template(np.ones(5)))

@@ -226,6 +226,13 @@ def test_a_float_seed_is_not_read_as_its_int(one_pulse, master_seed, noise_seed)
                               master_seed)
 
 
+def test_a_float_seed_error_names_its_parameter(one_pulse):
+    with pytest.raises(TypeError, match=r"^seed: seed keys must be non-negative integers, got 1\.5$"):
+        NoiseModel(seed=1.5)
+    with pytest.raises(TypeError, match=r"^master_seed: seed keys .* integers, got 5\.0$"):
+        simulate_measurements(one_pulse, None, NoiseModel(), master_seed=5.0)
+
+
 def test_a_subset_for_another_grid_raises_before_the_lookup(one_pulse):
     simulate_measurements(one_pulse, None, None)
     with pytest.raises(ValueError, match="subset is for N=200, the waveform has N=100"):

@@ -86,9 +86,10 @@ def _reference_fista(problem, config=None):
 
 
 def _carried_fista(problem, config):
-    """The scalar loop with the residual at y carried as the engine carries
-    it: the same affine combination of the last two residuals, each computed
-    from its iterate.  A solve that stops on an exact stall
+    """The scalar loop with the step point formed as the engine forms it: the
+    forward step w = x - 2 step A^T (A x - m) is carried, and the step point
+    at y is the same affine combination of the last two forward steps, each
+    computed from its iterate.  A solve that stops on an exact stall
     (``rel_tolerance=0``) stops on a rounding event, so only a loop with the
     engine's arithmetic can pin its iteration count."""
     n_grid = problem.operator.shape[1] + 1
@@ -98,28 +99,25 @@ def _carried_fista(problem, config):
     m = problem.measurements
     gradient_step = (2.0 * step) * a_mat
     x = np.zeros(a_mat.shape[1])
-    y = x.copy()
-    residual = residual_y = a_mat @ x - m
+    forward = step_point = x - (a_mat @ x - m) @ gradient_step
     theta = 1.0
     previous = objective(problem, x)
     converged = False
     iterations = 0
 
     for iterations in range(1, config.max_iters + 1):
-        x_next = soft_threshold(y - residual_y @ gradient_step, step * problem.lam)
-        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        momentum = (theta - 1.0) / theta_next
-        residual_next = a_mat @ x_next - m
-        y = x_next + momentum * (x_next - x)
-        residual_y = residual_next + momentum * (residual_next - residual)
-        x, residual, theta = x_next, residual_next, theta_next
-
+        x = soft_threshold(step_point, step * problem.lam)
         value = objective(problem, x)
         stalled = abs(previous - value) <= config.rel_tolerance * max(previous, value)
         previous = value
         if stalled:
             converged = True
             break
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+        momentum = (theta - 1.0) / theta_next
+        forward_next = x - (a_mat @ x - m) @ gradient_step
+        step_point = forward_next + momentum * (forward_next - forward)
+        forward, theta = forward_next, theta_next
 
     return RecoveryResult(
         waveform=x, iterations_used=iterations, converged=converged, final_objective=previous
@@ -380,7 +378,7 @@ def test_masked_block_matches_subsampled_rows():
 def test_single_solve_matches_scalar(subset_seed, lam, config):
     # an exact stall stops on a rounding event: the textbook loop, which
     # multiplies at y, stops at 12287 / 114 / 44 iterations where the engine
-    # and its carried-residual oracle stop at 12269 / 112 / 45
+    # and its carried-step oracle stop at 12394 / 112 / 46
     _, problem = _pulse_instance(subset_seed, lam)
     args = (problem.operator, problem.measurements, [lam])
     _assert_same_bits(
@@ -475,6 +473,21 @@ def test_block_engine_gives_the_oracle_bits(make):
     assert np.all(block.converged)
     if make in (_tune_block, _all_stall_block):
         assert np.any(block.iterations_used == 1)
+
+
+@pytest.mark.parametrize("make", [_tune_block, _sweep_block, *_SIZED_BLOCKS])
+def test_carried_step_agrees_with_the_y_form_engine(make):
+    # the step point at y as a combination of forward steps is exact in
+    # exact arithmetic: the engine that carried y and its residual stops
+    # every row at the same iteration, at the same waveform to rounding
+    args, kwargs = make()
+    block = fista_solve_block(*args, **kwargs)
+    reference = oracles.y_form_fista_solve_block(*args, **kwargs)
+    np.testing.assert_array_equal(block.iterations_used, reference.iterations_used)
+    np.testing.assert_array_equal(block.converged, reference.converged)
+    scale = np.abs(reference.waveform).max(axis=1, keepdims=True)
+    assert np.all(np.abs(block.waveform - reference.waveform) <= 1e-12 * scale)
+    np.testing.assert_allclose(block.final_objective, reference.final_objective, rtol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

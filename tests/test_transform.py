@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 import oracles
+from sparsemag import transform
 from sparsemag.grids import PulseSpec, TimeGrid, Waveform, synth_waveform
 from sparsemag.transform import (
     MeasurementVector,
@@ -233,6 +234,34 @@ def test_random_subsample_masks_match_oracle(draws):
         assert random_subsample(n_grid, m, seed).indices == expected
 
 
+def test_a_rejected_draw_redraws_its_row(monkeypatch):
+    # at N = 30001, m = 20000 the stream of seed 9 holds a draw that numpy's
+    # Lemire rule rejects, at step i = 7286: its low product word lies below
+    # (2^32 - s) mod s, s = N - 1 - i
+    rng = np.random.default_rng(np.random.SeedSequence([9]))
+    words = rng.bit_generator.random_raw(10000)
+    u = np.column_stack((words & 0xFFFFFFFF, words >> 32)).ravel()[:20000]
+    span = 30000 - np.arange(20000, dtype=np.uint64)
+    rejected = np.flatnonzero((u * span & 0xFFFFFFFF) < (2**32 - span) % span)
+    assert rejected[0] == 7286
+
+    keys = []
+
+    def spy(*key):  # records a batch once a generator is drawn from it
+        keys.append([list(entry) for entry in key])
+        yield from transform_streams(*key)
+
+    transform_streams = transform.streams
+    monkeypatch.setattr(transform, "streams", spy)
+    masks = random_subsample_masks(30001, [60, 20000, 5], [3, 9, 4])
+    assert keys == [[[3, 9, 4]], [[9]]]  # one batch, then the rejected row again
+    for mask, m, seed in zip(masks, (60, 20000, 5), (3, 9, 4)):
+        assert tuple((np.flatnonzero(mask) + 1).tolist()) == oracles.random_subsample(30001, m, seed)
+    keys.clear()
+    random_subsample_masks(30001, [60, 5], [3, 4])
+    assert keys == [[[3, 4]]]
+
+
 def test_random_subsample_masks_edges():
     assert random_subsample_masks(100, [], []).shape == (0, 99)
     for m in (0, 100):
@@ -243,6 +272,9 @@ def test_random_subsample_masks_edges():
             random_subsample_masks(100, ms, [1, 2])
     indices = random_subsample(100, 60, 7).indices
     assert all(type(i) is int for i in indices)  # JSON-serialisable
+    # a numpy integer N must not turn the word arithmetic into floats
+    np.testing.assert_array_equal(random_subsample_masks(np.int64(100), [60, 99], [7, 8]),
+                                  random_subsample_masks(100, [60, 99], [7, 8]))
 
 
 def test_random_subsample_uniform_inclusion():
