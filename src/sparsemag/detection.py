@@ -9,6 +9,7 @@ exact for the resulting staircase.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -36,10 +37,12 @@ class Template:
         return float(self.samples @ self.samples)
 
 
+@functools.lru_cache(maxsize=4)
 def default_template(
     grid: TimeGrid, amplitude: float = PULSE_AMPLITUDE, pulse_duration: float = PULSE_DURATION
 ) -> Template:
-    """Single-cycle sine pulse sampled from relative index 0.
+    """Single-cycle sine pulse sampled from relative index 0, built once per
+    grid and shared, so its samples are read-only.
 
     Only the shape matters for ROC ordering; the amplitude cancels under the
     threshold sweep.
@@ -51,7 +54,9 @@ def default_template(
             f"{grid.dt} s is {n_samples:.4g} samples, the grid has N - 1 = {grid.n_grid - 1}"
         )
     k = np.arange(int(n_samples))
-    return Template(amplitude * np.sin(2.0 * np.pi * k * grid.dt / pulse_duration))
+    template = Template(amplitude * np.sin(2.0 * np.pi * k * grid.dt / pulse_duration))
+    template.samples.flags.writeable = False
+    return template
 
 
 def matched_filter(signal, template: Template) -> np.ndarray:

@@ -26,14 +26,18 @@ SeedSequence pads a key shorter than its 4-word pool with zero words, so
 and its (M, 3) is (M, SEQUENCE, 0).  A new key layout must differ from the
 others by more than trailing zeros.
 
-A batch of these layouts with every entry below 2**32 is mixed in blocks of
-keys; any other key is numpy's SeedSequence one key at a time.  So a seed of
-2**32 or more costs more: 60 noisy shots take 1.8x as long, 2.7x when it is
-the noise seed.
+A batch of _BLOCK_MIN_KEYS or more keys of these layouts, every entry below
+2**32, is mixed in blocks of keys; any other batch is numpy's SeedSequence
+one key at a time.  Block mixing costs about 41 us whatever the batch size
+(50-60 us in ``streams``), SeedSequence 7-8 us a key (one thread, 2-core x86
+host): they break even at 5-7 keys.  A seed of 2**32 or more costs more: 60
+noisy shots take 1.8x as long, 2.7x when it is the noise seed.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 
 import numpy as np
@@ -44,6 +48,8 @@ DRIFT, COUNTS, RAMSEY_NOISE = 0, 1, 2  # tags under (noise, shot)
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding
 _MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK_MIN_KEYS = 6  # smaller batches go key by key: see the module docstring
+_WALK_SEED = np.random.SeedSequence(0)  # streams' walk sets every state: no OS entropy
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -98,40 +104,38 @@ def seed_int(value, name: str) -> int:
                         f"got {value!r}") from None
 
 
-def _one_key(key):
-    """``(ints, shape)`` when the batch holds one key of non-negative
-    integers, each entry bare or in a list of one, else None: the batched
-    path then takes the key, and rejects a bad entry.  numpy's own
-    SeedSequence seeds a lone key: the batched mixing, which reproduces it
-    bit for bit, costs the same run of ufunc calls whatever the batch size."""
-    ints, shape = [], ()
-    for entry in key:
-        if isinstance(entry, (list, tuple)) and len(entry) == 1:
-            entry, shape = entry[0], (1,)
+def _batch(key):
+    """``(keys, entries, shape)`` of a batch broadcasting to ``shape``:
+    ``keys`` lists its keys in C order when numpy's SeedSequence serves it
+    one key at a time (fewer than _BLOCK_MIN_KEYS keys, more than 4 entries
+    or an entry of 2**32 or more), else None, and the block mixing takes
+    ``entries``, the entries as integer arrays.  A batch of ints, at most
+    one of them a short list, is read without array work."""
+    columns = [entry if isinstance(entry, (list, tuple)) else [entry] for entry in key]
+    lengths = tuple(len(column) for column, entry in zip(columns, key) if column is entry)
+    if len(lengths) < 2 and sum(lengths) < _BLOCK_MIN_KEYS:
         try:
-            ints.append(operator.index(entry))
-        except TypeError:  # an array, or not an integer
-            return None
-    return None if any(i < 0 for i in ints) else (ints, shape)
+            ints = [[operator.index(v) for v in column] for column in columns]
+        except TypeError:  # an array, or not an integer: read as arrays below
+            pass
+        else:
+            if all(v >= 0 for column in ints for v in column):
+                return list(itertools.product(*ints)), None, lengths
+    entries = [_entry(entry) for entry in key]
+    shape = np.broadcast(*entries).shape
+    if (len(entries) > 4 or math.prod(shape) < _BLOCK_MIN_KEYS
+            or any((entry > _MASK32).any() for entry in entries)):
+        columns = (np.broadcast_to(entry, shape).ravel().tolist() for entry in entries)
+        return list(zip(*columns)), None, shape
+    return None, entries, shape
 
 
-def _seed_state(key, n_words: int = 1) -> np.ndarray:
-    """``SeedSequence(key).generate_state(n_words)``, n_words <= 8, for a
-    batch of keys whose entries broadcast together, shape (n_words, *batch).
-    The block mixing puts one entry in each word of the 4-word pool, zero
-    words padding a short key; its hash constants do not depend on the data,
-    so each step is one operation on a block of words of every key."""
-    if (one := _one_key(key)) is not None:
-        ints, shape = one
-        return np.random.SeedSequence(ints).generate_state(n_words).reshape((n_words, *shape))
-    key = [_entry(entry) for entry in key]
-    shape = np.broadcast(*key).shape
-    if len(key) > 4 or any((entry > _MASK32).any() for entry in key):
-        keys = zip(*(np.broadcast_to(e, shape).ravel().tolist() for e in key))
-        state = [np.random.SeedSequence(k).generate_state(n_words) for k in keys]
-        return np.array(state, dtype=np.uint32).T.reshape((n_words, *shape))
+def _block_state(entries, shape, n_words: int) -> np.ndarray:
+    """``_seed_state`` by block mixing: one entry in each word of the 4-word
+    pool, zero padding a short key; the hash constants do not depend on the
+    data, so each step is one operation on a block of words of every key."""
     words = np.zeros((4, *shape), dtype=np.uint32)
-    for i, entry in enumerate(key):
+    for i, entry in enumerate(entries):
         words[i] = entry
 
     pool = _hashmix(words.reshape(4, -1), _HASH_A[:4], _HASH_A[1:5])
@@ -142,6 +146,16 @@ def _seed_state(key, n_words: int = 1) -> np.ndarray:
     b = _HASH_B[: n_words + 1]
     state = _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:])
     return state.reshape((n_words,) + shape)
+
+
+def _seed_state(key, n_words: int = 1) -> np.ndarray:
+    """``SeedSequence(key).generate_state(n_words)``, n_words <= 8, for a
+    batch of keys whose entries broadcast together, shape (n_words, *batch)."""
+    keys, entries, shape = _batch(key)
+    if keys is None:
+        return _block_state(entries, shape, n_words)
+    state = [np.random.SeedSequence(k).generate_state(n_words) for k in keys]
+    return np.array(state, dtype=np.uint32).T.reshape((n_words, *shape))
 
 
 def derive_seed(master_seed: int, *indices):
@@ -159,18 +173,20 @@ def streams(*key):
     np.uint64)``: inc = (initseq << 1) | 1 and state = ((inc + initstate) M
     + inc) mod 2^128, M its multiplier.  Every key's (state, inc) is computed
     first; one Generator and one state dict, local to the call, then walk
-    them: draw from each key's stream before taking the next.  A batch of
-    one key yields ``default_rng`` of its SeedSequence itself.
+    them: draw from each key's stream before taking the next.  A batch
+    seeded key by key yields ``default_rng`` of each SeedSequence itself.
     """
-    if (one := _one_key(key)) is not None:
-        yield np.random.default_rng(np.random.SeedSequence(one[0]))
+    keys, entries, shape = _batch(key)
+    if keys is not None:
+        for k in keys:
+            yield np.random.default_rng(np.random.SeedSequence(k))
         return
-    words = _seed_state(key, 8).reshape(8, -1).astype(np.uint64)
+    words = _block_state(entries, shape, 8).reshape(8, -1).astype(np.uint64)
     states = []
     for state_hi, state_lo, seq_hi, seq_lo in (words[0::2] | words[1::2] << 32).T.tolist():
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
         states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    rng, pcg = np.random.Generator(np.random.PCG64()), {}
+    rng, pcg = np.random.Generator(np.random.PCG64(_WALK_SEED)), {}
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
     for pcg["state"], pcg["inc"] in states:
         rng.bit_generator.state = state

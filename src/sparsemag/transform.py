@@ -214,12 +214,26 @@ class SineInterpolant:
     def window_mean(self, lo, hi) -> np.ndarray:
         """Exact mean of B over each [lo, hi]: 2 sum_k m_k (cos w_k lo -
         cos w_k hi) / (w_k (hi - lo)) = 2 sum_k m_k sin(w_k c) sinc(w_k h),
-        with centre c and half width h, the sinc once per distinct width."""
+        with centre c and half width h: W @ m, the window operator W built
+        once per coefficient count, duration and edges (their bytes)."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        widths, which = np.unique(hi - lo, return_inverse=True)
-        damping = np.sinc(self.omega * widths[:, None] / 2.0 / np.pi)[which]
-        centre = self.omega * (lo + hi)[..., None] / 2.0
-        return 2.0 * (np.sin(centre) * damping) @ self.coefs
+        edges = (lo.shape, hi.shape, lo.tobytes(), hi.tobytes())
+        return _window_operator(self.coefs.size, self.duration, *edges) @ self.coefs
+
+
+@functools.lru_cache(maxsize=2)
+def _window_operator(n_coefs, duration, lo_shape, hi_shape, lo_bytes, hi_bytes):
+    """The shared, read-only W of ``SineInterpolant.window_mean``, the sinc
+    once per distinct width (one entry is 8 MB at N = 1000)."""
+    lo = np.frombuffer(lo_bytes).reshape(lo_shape)
+    hi = np.frombuffer(hi_bytes).reshape(hi_shape)
+    omega = np.pi * np.arange(1, n_coefs + 1) / duration
+    widths, which = np.unique(hi - lo, return_inverse=True)
+    damping = np.sinc(omega * widths[:, None] / 2.0 / np.pi)[which]
+    centre = omega * (lo + hi)[..., None] / 2.0
+    window = 2.0 * (np.sin(centre) * damping)
+    window.flags.writeable = False
+    return window
 
 
 def sine_interpolant(waveform: Waveform) -> SineInterpolant:

@@ -39,6 +39,15 @@ def test_default_template_shape():
     )
 
 
+def test_default_template_is_shared_and_refuses_writes():
+    tgrid = TimeGrid(100, 50e-6)
+    template = default_template(tgrid)
+    assert default_template(TimeGrid(100, 50e-6)) is template
+    with pytest.raises(ValueError, match="read-only"):
+        template.samples[0] = 1.0
+    assert default_template(TimeGrid(100, 51e-6)) is not template
+
+
 def test_default_template_must_fit_the_grid():
     tgrid = TimeGrid(100, 50e-6)
     # 99.4 samples round to the 99 the grid holds

@@ -100,9 +100,10 @@ def test_streams_keep_mixed_wide_ints_exact():
 
 
 def _batched(key):
-    """The key twice, a batch of two keys: the block mixing serves it when
-    its entries are below 2**32 and at most 4, SeedSequence per key else."""
-    return (np.array([key[0], key[0]], dtype=object), *key[1:])
+    """The key repeated into a batch at the break-even: the block mixing
+    serves it when its entries are below 2**32 and at most 4, SeedSequence
+    per key else."""
+    return (np.array([key[0]] * seeds._BLOCK_MIN_KEYS, dtype=object), *key[1:])
 
 
 ONE_KEYS = [(123, seeds.SUBSET), (123, seeds.SUBSET, 7), (2**40, 5), (0,), (2**64 + 1,),
@@ -162,10 +163,12 @@ DRIVER_BATCHES = {
     "shot seeds": (7, seeds.SHOT, np.arange(1, 100)),
     "drift and count streams": (3, _SHOT_SEEDS, [[seeds.DRIFT], [seeds.COUNTS]]),
     "sweep subsets": (2**32 - 1, seeds.SUBSET, _M_OF, _REP_OF),
-    "training subsets": (11, seeds.SUBSET, np.arange(1, 6)),
+    "training subsets": (11, seeds.SUBSET, np.arange(1, 9)),
     "ramsey windows": (19, seeds.RAMSEY, np.arange(99)),
-    "ramsey noise": (0, _SHOT_SEEDS[:5], seeds.RAMSEY_NOISE),
+    "ramsey noise": (0, _SHOT_SEEDS, seeds.RAMSEY_NOISE),
     "mask shuffles": (_SHOT_SEEDS[:8],),
+    "shot seeds at the break-even": (7, seeds.SHOT, np.arange(1, 1 + seeds._BLOCK_MIN_KEYS)),
+    "a list at the break-even": (3, list(range(seeds._BLOCK_MIN_KEYS)), seeds.COUNTS),
 }
 # SeedSequence one key at a time
 PER_KEY_BATCHES = {
@@ -176,6 +179,13 @@ PER_KEY_BATCHES = {
     "mixed widths": ([1, 2**40, 2**64 + 5],),
     "five entries": (1, 2, 3, 4, np.arange(3)),
     "five narrow entries": (np.array([0, 1]), 1, 2, 3, 4),
+    # fewer keys than the break-even
+    "unitary shot": (3, int(_SHOT_SEEDS[0]), [seeds.DRIFT, seeds.COUNTS]),
+    "three keys as an array": (5, seeds.SHOT, np.arange(1, 4)),
+    "a two-by-two grid": (3, np.arange(2)[:, None], np.arange(2)),
+    "one below the break-even": (7, seeds.SHOT, np.arange(1, seeds._BLOCK_MIN_KEYS)),
+    "a list below the break-even": (3, list(range(seeds._BLOCK_MIN_KEYS - 1)), seeds.COUNTS),
+    "a short column of lists": (3, _SHOT_SEEDS[:2], [[seeds.DRIFT], [seeds.COUNTS]]),
 }
 
 

@@ -23,6 +23,7 @@ from sparsemag.sensor import (
     ramsey_sample,
     readout_coefficient,
 )
+from sparsemag.seeds import _BLOCK_MIN_KEYS, RAMSEY_NOISE
 from sparsemag.transform import SubsampleSet, apply_dst, dst_matrix, sine_interpolant
 
 
@@ -476,6 +477,30 @@ def test_noisy_unitary_shots_equal_reference():
             assert measure_sine_coefficient(waveform, k, noise, shot_seed) == (
                 _reference_unitary_shot(waveform, k, noise, shot_seed)
             )
+
+
+def test_shots_equal_the_oracles_on_both_sides_of_the_seed_break_even():
+    # a batch of fewer than _BLOCK_MIN_KEYS keys is seeded key by key, a
+    # larger one by the block mixing: the bits must not tell them apart
+    waveform = _pulse_pool(2, seed=6)[1]
+    signal, duration = sine_interpolant(waveform), waveform.grid.duration
+    noise = NoiseModel(200.0, 1000.0, seed=41)
+    shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * 60e-6)
+    for n in (1, 2, _BLOCK_MIN_KEYS - 1, _BLOCK_MIN_KEYS, _BLOCK_MIN_KEYS + 1):
+        centres, shot_seeds = waveform.grid.times[3 : 3 + n], np.arange(100, 100 + n)
+        lo = np.clip(centres - 30e-6, 0.0, duration)
+        hi = np.clip(centres + 30e-6, 0.0, duration)
+        expected = []
+        for mean, seed in zip(oracles.window_mean(signal, lo, hi).tolist(), shot_seeds.tolist()):
+            rng = np.random.default_rng(np.random.SeedSequence((noise.seed, seed, RAMSEY_NOISE)))
+            drift = rng.normal(0.0, noise.bias_drift_std_hz)
+            expected.append(mean + drift + rng.normal(0.0, shot_std))
+        ramsey = ramsey_sample(waveform, centres, 60e-6, noise, shot_seeds)
+        assert ramsey.tobytes() == np.array(expected).tobytes()
+    for m in (1, 2, 3, 4):  # 2, 4, 6 and 8 drift and count keys
+        subset = SubsampleSet(100, tuple(range(5, 5 + m)))
+        values = simulate_measurements(waveform, subset, noise, master_seed=m).values
+        assert values.tobytes() == oracles.simulate_measurements(waveform, subset, noise, m).tobytes()
 
 
 def _su2_evolve(psi0, omega_x, omega_z, dt):

@@ -11,8 +11,10 @@ from scipy.integrate import simpson
 import oracles
 from sparsemag import transform
 from sparsemag.grids import PulseSpec, TimeGrid, Waveform, synth_waveform
+from sparsemag.sensor import NoiseModel, ramsey_sample
 from sparsemag.transform import (
     MeasurementVector,
+    SineInterpolant,
     SubsampleSet,
     apply_dst,
     apply_inverse_dst,
@@ -382,6 +384,82 @@ def test_window_mean_shares_sinc_rows_bit_for_bit():
             np.testing.assert_array_equal(
                 signal.window_mean(*windows), oracles.window_mean(signal, *windows)
             )
+
+
+def _clipped_windows(centres, window, duration):
+    """Ramsey window edges: each centre +- window / 2, clipped to [0, T]."""
+    centres = np.asarray(centres, dtype=float)
+    return (np.clip(centres - window / 2.0, 0.0, duration),
+            np.clip(centres + window / 2.0, 0.0, duration))
+
+
+@pytest.mark.parametrize("n_grid", [20, 100, 257])
+def test_cold_and_warm_window_means_give_the_same_bytes(n_grid):
+    tgrid = TimeGrid(n_grid, 50e-6)
+    waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 0.3e-3)])
+    signal, duration = sine_interpolant(waveform), tgrid.duration
+    noise = NoiseModel(200.0, 1000.0, seed=n_grid)
+    edge_centres = np.array([0.0, 10e-6, duration - 10e-6, duration])  # clipped windows
+    grid_2x3 = tgrid.times[[[1, 5, 9], [2, 11, 17]]]
+    for centres in (tgrid.times, edge_centres, float(tgrid.times[7]), grid_2x3):
+        lo, hi = _clipped_windows(centres, 60e-6, duration)
+        transform._window_operator.cache_clear()
+        cold = signal.window_mean(lo, hi)
+        warm = signal.window_mean(lo, hi)
+        assert cold.shape == warm.shape == np.shape(centres)
+        assert cold.tobytes() == warm.tobytes()
+        np.testing.assert_array_equal(warm, oracles.window_mean(signal, lo, hi))
+        seeds = np.arange(np.size(centres)).reshape(np.shape(centres))
+        for model in (None, noise):
+            transform._window_operator.cache_clear()
+            cold = np.asarray(ramsey_sample(waveform, centres, 60e-6, model, seeds))
+            warm = np.asarray(ramsey_sample(waveform, centres, 60e-6, model, seeds))
+            assert cold.shape == np.shape(centres) and cold.tobytes() == warm.tobytes()
+
+
+def test_near_miss_window_keys_recompute():
+    # the operator is keyed on the edges' bytes, not on their shape alone
+    tgrid = TimeGrid(100, 50e-6)
+    waveform = synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)])
+    signal = sine_interpolant(waveform)
+    lo, hi = _clipped_windows(tgrid.times, 60e-6, tgrid.duration)
+    moved_lo, moved_hi = lo.copy(), hi.copy()
+    moved_lo[37], moved_hi[37] = np.nextafter(lo[37], 1.0), np.nextafter(hi[37], 1.0)
+    near_misses = [
+        (signal, *_clipped_windows(tgrid.times, 61e-6, tgrid.duration)),  # another window
+        (SineInterpolant(signal.coefs, 100 * 51e-6), lo, hi),  # another dt
+        (SineInterpolant(signal.coefs[:-1], tgrid.duration), lo, hi),  # another N
+        (signal, moved_lo, moved_hi),  # a centre moved by one ulp
+        (signal, np.where(lo == 0.0, -0.0, lo), hi),  # a -0.0 edge
+        (signal, np.array(-0.0), np.array(-0.0)),  # an empty window at -0.0
+    ]
+    for other, near_lo, near_hi in near_misses:
+        transform._window_operator.cache_clear()
+        cold = other.window_mean(near_lo, near_hi)
+        transform._window_operator.cache_clear()
+        signal.window_mean(lo, hi)
+        assert other.window_mean(near_lo, near_hi).tobytes() == cold.tobytes()
+    # a -0.0 centre clips to the +0.0 centre's window edges
+    for centre in (0.0, -0.0):
+        transform._window_operator.cache_clear()
+        cold = ramsey_sample(waveform, centre, 60e-6, None)
+        ramsey_sample(waveform, -centre, 60e-6, None)
+        assert ramsey_sample(waveform, centre, 60e-6, None) == cold
+        assert np.signbit(cold) == np.signbit(ramsey_sample(waveform, centre, 60e-6, None))
+
+
+def test_the_shared_window_operator_refuses_writes():
+    tgrid = TimeGrid(100, 50e-6)
+    signal = sine_interpolant(synth_waveform(tgrid, [PulseSpec(1000.0, 200e-6, 1.025e-3)]))
+    lo, hi = _clipped_windows(tgrid.times, 60e-6, tgrid.duration)
+    means = signal.window_mean(lo, hi)
+    window = transform._window_operator(
+        signal.coefs.size, signal.duration, lo.shape, hi.shape, lo.tobytes(), hi.tobytes()
+    )
+    assert window.shape == (99, 99) and not window.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        window[0, 0] = 1.0
+    assert means.flags.writeable  # the means themselves are the caller's
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 203, 2475, 5000])
