@@ -54,28 +54,18 @@ def _parse_pulses(text: str) -> list[tuple[float, float, float]]:
     return pulses
 
 
+# the flag that sets each NoiseModel field
+_NOISE_FLAGS = {"bias_drift_std_hz": "--drift-std", "mean_atoms": "--atoms", "seed": "--noise-seed"}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _noise_from_args(args) -> NoiseModel | None:
     if args.no_noise:
         return None
-    return NoiseModel(
-        bias_drift_std_hz=args.drift_std, mean_atoms=args.atoms, seed=args.noise_seed
-    )
-
-
-def _add_noise_flags(parser):
-    parser.add_argument(
-        "--no-noise", action="store_true", help="noiseless limit (exact expectations)"
-    )
-    parser.add_argument(
-        "--drift-std", type=float, default=200.0,
-        help="shot-to-shot bias drift std (Hz)",
-    )
-    parser.add_argument(
-        "--atoms", type=float, default=1000.0, help="mean atom number per shot"
-    )
-    parser.add_argument(
-        "--noise-seed", type=int, default=0, help="noise stream seed"
-    )
+    return NoiseModel(**{field: getattr(args, _dest(flag)) for field, flag in _NOISE_FLAGS.items()})
 
 
 def _jsonable(value):
@@ -98,44 +88,83 @@ def _manifest(args, out_paths):
         for key, value in sorted(vars(args).items())
         if key != "command"
     }
-    experiments.write_manifest(
-        str(out_paths[0]) + ".manifest.json",
-        args.command,
-        parameters,
-        getattr(args, "seed", 0),
-        out_paths,
-    )
+    experiments.write_manifest(str(out_paths[0]) + ".manifest.json", args.command, parameters,
+                               getattr(args, "seed", 0), out_paths)
 
 
-def _check_lambda(lam: float):
-    if not 0 < lam < np.inf:
-        raise ValueError(f"--lambda must be positive and finite, got {lam!r}")
-
-
-# the least value of each integer flag; the library checks the same ranges,
-# but its messages name its own parameters, not the flags
-_FLAG_FLOORS = {
-    "--n": 2, "--count": 1, "--lambda-count": 2, "--subsets": 1, "--seed": 0, "--noise-seed": 0,
+# every flag once: its range rule, which needs no file (an int floor, or
+# _POSITIVE), and its argparse keywords.  Ruled flags come first, in the
+# order _check_flags tries them; the library checks the same ranges, but
+# its messages name its own parameters, not the flags
+_POSITIVE = "positive and finite"
+_FLAGS = {
+    "--n": (2, dict(type=int, default=100, help="grid size N")),
+    "--count": (1, dict(type=int, default=1000, help="training sequences")),
+    "--lambda-count": (2, dict(type=int, default=200, help="grid points")),
+    "--subsets": (1, dict(type=int, default=200, help="subsets per m")),
+    "--seed": (0, dict(type=int, default=0, help="master seed")),
+    "--noise-seed": (0, dict(type=int, default=0, help="noise stream seed")),
+    "--dt": (_POSITIVE, dict(type=float, default=50e-6, help="time step (s)")),
+    "--lambda": (_POSITIVE, dict(dest="lam", type=float, default=recovery.DEFAULT_LAMBDA,
+                                 help="regularisation weight (Hz)")),
+    "--m": (None, dict(type=int, help="random subset size m")),
+    "--lambda-low": (None, dict(type=float, default=0.1, help="grid low (Hz)")),
+    "--lambda-high": (None, dict(type=float, default=10.0, help="grid high (Hz)")),
+    "--sparsity": (None, dict(type=int, required=True, help="signal sparsity s")),
+    "--m-list": (None, dict(required=True, help="comma-separated measurement counts")),
+    "--pulses": (None, dict(type=_parse_pulses, default=[],
+                            help='pulse list "t0,amplitude_hz,duration_s;..."')),
+    "--no-noise": (None, dict(action="store_true", help="noiseless limit (exact expectations)")),
+    "--drift-std": (None, dict(type=float, default=200.0, help="shot-to-shot bias drift std (Hz)")),
+    "--atoms": (None, dict(type=float, default=1000.0, help="mean atom number per shot")),
+    "--full": (None, dict(action="store_true", help="measure all N-1 indices")),
+    "--subset": (None, dict(help="subset JSON file")),
+    "--in": (None, dict(dest="infile", required=True, help="waveform CSV")),
+    "--measurements": (None, dict(required=True, help="measurement CSV")),
+    "--recovered": (None, dict(required=True, help="recovered CSV")),
+    "--truth": (None, dict(required=True, help="ground-truth waveform CSV")),
+    "--base": (None, dict(required=True, help="full-coefficient CSV")),
+    "--out": (None, dict(help="output CSV path")),
 }
 
+# each subcommand's help and its flags in --help order: "|" joins mutually
+# exclusive flags, and "=" gives a default for this command alone
+_NOISE = "--no-noise --drift-std --atoms --noise-seed"
+_COMMANDS = {
+    "synth": ("synthesise a sparse pulse waveform", "--n --dt --pulses --out=waveform.csv"),
+    "measure": ("simulate sine-coefficient shots",
+                f"--in --full|--subset|--m --seed {_NOISE} --out=measurements.csv"),
+    "recover": ("FISTA sparse recovery", "--measurements --n --dt --lambda --out=recovered.csv"),
+    "roc": ("matched-filter ROC/AUC of a recovery", "--recovered --truth --out=roc.csv"),
+    "tune": ("tune lambda on simulated training data", "--count --n --dt --m=60 --lambda-low "
+             f"--lambda-high --lambda-count --seed {_NOISE} --out=tune.csv"),
+    "sweep": ("measurement-count AUC sweep",
+              "--base --truth --n --m-list --subsets --lambda --seed --out=sweep.csv"),
+    "bound": ("compressive sample-count bound", "--sparsity --n"),
+}
 
-# the flag that sets each NoiseModel field
-_NOISE_FLAGS = {"bias_drift_std_hz": "--drift-std", "mean_atoms": "--atoms"}
-
-
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
+# per command, (flag, dest, rule) of each ruled flag it takes, found once
+# here so that _check_flags does no string work per call
+_RULES = {command: tuple((flag, kwargs.get("dest", _dest(flag)), rule)
+                         for flag, (rule, kwargs) in _FLAGS.items()
+                         if rule is not None and flag in re.findall(r"--[\w-]+", spec))
+          for command, (_, spec) in _COMMANDS.items()}
 
 
 def _check_flags(args):
     """Range checks that need no file, each naming its flag."""
-    for flag, floor in _FLAG_FLOORS.items():
-        value = getattr(args, _dest(flag), None)
-        if value is not None and value < floor:
-            raise ValueError(f"{flag} must be >= {floor}, got {value}")
-    dt = getattr(args, "dt", None)
-    if dt is not None and not 0 < dt < np.inf:
-        raise ValueError(f"--dt must be positive and finite, got {dt!r}")
+    for flag, dest, rule in _RULES[args.command]:
+        value = getattr(args, dest)
+        if rule is _POSITIVE:
+            if not 0 < value < np.inf:
+                raise ValueError(f"{flag} must be {rule}, got {value!r}")
+        elif value < rule:
+            raise ValueError(f"{flag} must be >= {rule}, got {value}")
+    if hasattr(args, "dt"):  # every command with --dt takes --n
+        try:
+            TimeGrid(args.n, args.dt)
+        except ValueError as exc:
+            raise ValueError(f"--n {args.n} --dt {args.dt!r}: {exc}") from None
 
 
 def _check_m(m: int, n_grid: int, where: str):
@@ -167,16 +196,13 @@ def cmd_measure(args) -> int:
         _check_m(args.m, waveform.grid.n_grid, f"--in {args.infile}")
         subset = transform.random_subsample(waveform.grid.n_grid, args.m, args.seed)
     noise = _noise_from_args(args)
-    measured = experiments.simulate_measurements(
-        waveform, subset, noise, master_seed=args.seed
-    )
+    measured = experiments.simulate_measurements(waveform, subset, noise, master_seed=args.seed)
     transform.measurements_to_csv(measured, waveform.grid, args.out)
     _manifest(args, [args.out])
     return EXIT_OK
 
 
 def cmd_recover(args) -> int:
-    _check_lambda(args.lam)
     grid = TimeGrid(args.n, args.dt)
     measured = transform.measurements_from_csv(args.measurements, grid)
     matrix = transform.dst_matrix(args.n)
@@ -214,14 +240,8 @@ def cmd_tune(args) -> int:
     if not 0 < low < high < np.inf:
         raise ValueError(f"--lambda-low {low!r} and --lambda-high {high!r}: "
                          "lambda grid needs 0 < low < high < inf")
-    spec = experiments.TrainingSetSpec(
-        count=args.count,
-        n_grid=args.n,
-        dt=args.dt,
-        m=args.m,
-        noise=_noise_from_args(args),
-        master_seed=args.seed,
-    )
+    spec = experiments.TrainingSetSpec(count=args.count, n_grid=args.n, dt=args.dt, m=args.m,
+                                       noise=_noise_from_args(args), master_seed=args.seed)
     grid = experiments.LambdaGrid(args.lambda_low, args.lambda_high, args.lambda_count)
     result = experiments.tune_lambda(spec, grid)
     experiments.tune_to_csv(result, args.out)
@@ -231,7 +251,6 @@ def cmd_tune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_lambda(args.lam)
     truth = waveform_from_csv(args.truth)
     if truth.grid.n_grid != args.n:
         raise ValueError(f"--truth {args.truth} holds N = {truth.grid.n_grid}, not --n {args.n}")
@@ -250,13 +269,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--m-list must be comma-separated integers, got {args.m_list!r}")
     if not all(1 <= m <= args.n - 1 for m in m_values):
         raise ValueError(f"--m-list values must lie in 1..{args.n - 1} (--n), got {args.m_list!r}")
-    spec = experiments.SweepSpec(
-        m_values=m_values,
-        base_measurements=measured.values,
-        subsets_per_m=args.subsets,
-        lam=args.lam,
-        master_seed=args.seed,
-    )
+    spec = experiments.SweepSpec(m_values=m_values, base_measurements=measured.values,
+                                 subsets_per_m=args.subsets, lam=args.lam, master_seed=args.seed)
     rows = experiments.sweep_sample_count(spec, template, truth.samples)
     experiments.sweep_to_csv(rows, args.out)
     _manifest(args, [args.out])
@@ -290,72 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
         "spin-1 magnetometer (units: seconds and hertz throughout)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="synthesise a sparse pulse waveform")
-    p.add_argument("--n", type=int, default=100, help="grid size N")
-    p.add_argument("--dt", type=float, default=50e-6, help="time step (s)")
-    p.add_argument(
-        "--pulses", type=_parse_pulses, default=[],
-        help='pulse list "t0,amplitude_hz,duration_s;..."',
-    )
-    p.add_argument("--out", default="waveform.csv", help="output CSV path")
-
-    p = sub.add_parser("measure", help="simulate sine-coefficient shots")
-    p.add_argument("--in", dest="infile", required=True, help="waveform CSV")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--full", action="store_true", help="measure all N-1 indices")
-    group.add_argument("--subset", help="subset JSON file")
-    group.add_argument("--m", type=int, help="random subset size")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_noise_flags(p)
-    p.add_argument("--out", default="measurements.csv", help="output CSV path")
-
-    p = sub.add_parser("recover", help="FISTA sparse recovery")
-    p.add_argument("--measurements", required=True, help="measurement CSV")
-    p.add_argument("--n", type=int, default=100, help="grid size N")
-    p.add_argument("--dt", type=float, default=50e-6, help="time step (s)")
-    p.add_argument(
-        "--lambda", dest="lam", type=float, default=recovery.DEFAULT_LAMBDA,
-        help="regularisation weight (Hz)",
-    )
-    p.add_argument("--out", default="recovered.csv", help="output CSV path")
-
-    p = sub.add_parser("roc", help="matched-filter ROC/AUC of a recovery")
-    p.add_argument("--recovered", required=True, help="recovered CSV")
-    p.add_argument("--truth", required=True, help="ground-truth waveform CSV")
-    p.add_argument("--out", default="roc.csv", help="output CSV path")
-
-    p = sub.add_parser("tune", help="tune lambda on simulated training data")
-    p.add_argument("--count", type=int, default=1000, help="training sequences")
-    p.add_argument("--n", type=int, default=100, help="grid size N")
-    p.add_argument("--dt", type=float, default=50e-6, help="time step (s)")
-    p.add_argument("--m", type=int, default=60, help="measurements per sequence")
-    p.add_argument("--lambda-low", type=float, default=0.1, help="grid low (Hz)")
-    p.add_argument("--lambda-high", type=float, default=10.0, help="grid high (Hz)")
-    p.add_argument("--lambda-count", type=int, default=200, help="grid points")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    _add_noise_flags(p)
-    p.add_argument("--out", default="tune.csv", help="output CSV path")
-
-    p = sub.add_parser("sweep", help="measurement-count AUC sweep")
-    p.add_argument("--base", required=True, help="full-coefficient CSV")
-    p.add_argument("--truth", required=True, help="ground-truth waveform CSV")
-    p.add_argument("--n", type=int, default=100, help="grid size N")
-    p.add_argument(
-        "--m-list", required=True, help="comma-separated measurement counts"
-    )
-    p.add_argument("--subsets", type=int, default=200, help="subsets per m")
-    p.add_argument(
-        "--lambda", dest="lam", type=float, default=recovery.DEFAULT_LAMBDA,
-        help="regularisation weight (Hz)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", default="sweep.csv", help="output CSV path")
-
-    p = sub.add_parser("bound", help="compressive sample-count bound")
-    p.add_argument("--sparsity", type=int, required=True, help="signal sparsity s")
-    p.add_argument("--n", type=int, default=100, help="grid size N")
-
+    for command, (help_text, spec) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_text)
+        for token in spec.split():
+            target = subparser.add_mutually_exclusive_group() if "|" in token else subparser
+            for flag, _, default in (entry.partition("=") for entry in token.split("|")):
+                kwargs = _FLAGS[flag][1]
+                if default:  # read as the command line would read it
+                    kwargs = {**kwargs, "default": kwargs.get("type", str)(default)}
+                target.add_argument(flag, **kwargs)
     return parser
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -519,6 +520,14 @@ def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, me
     (["measure", "--in", "wf.csv", "--m", 10, "--drift-std", "-0.0"],
      "--drift-std -0.0: bias_drift_std_hz must be non-negative and finite, and not -0.0"),
     (["tune", "--count", 1, "--drift-std", "-0.0"], "--drift-std -0.0: bias_drift_std_hz must be"),
+    (["synth", "--dt", 1e308],
+     "--n 100 --dt 1e+308: phase span 2*pi*n_grid*dt must be finite, got 100*1e+308"),
+    (["recover", "--measurements", "full.csv", "--dt", 1e308],
+     "--n 100 --dt 1e+308: phase span 2*pi*n_grid*dt must be finite, got 100*1e+308"),
+    (["tune", "--dt", 1e308],
+     "--n 100 --dt 1e+308: phase span 2*pi*n_grid*dt must be finite, got 100*1e+308"),
+    (["synth", "--n", 100, "--dt", 1e306],
+     "--n 100 --dt 1e+306: phase span 2*pi*n_grid*dt must be finite, got 100*1e+306"),
 ])
 def test_flag_range_errors_name_the_flag(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
     monkeypatch.chdir(tmp_path)
@@ -526,6 +535,79 @@ def test_flag_range_errors_name_the_flag(tmp_path, pulse_csv, capsys, monkeypatc
     capsys.readouterr()
     out = [] if args[0] == "bound" else ["--out", "out.csv"]
     _assert_numeric_error(run_cli([*args, *out]), capsys, message)
+    assert not (tmp_path / "out.csv").exists()
+
+
+# a minimal valid argv of each command, with the files it names
+_BASE = {
+    "synth": ["--pulses", "1.025e-3,1000,200e-6"],
+    "measure": ["--in", "wf.csv", "--m", 10],
+    "recover": ["--measurements", "m.csv"],
+    "roc": ["--recovered", "rec.csv", "--truth", "wf.csv"],
+    "tune": ["--count", 1, "--lambda-count", 3],
+    "sweep": ["--base", "full.csv", "--truth", "wf.csv", "--m-list", "10,60", "--subsets", 2],
+    "bound": ["--sparsity", 4],
+}
+
+
+def _flags_of(command):
+    return re.findall(r"--[\w-]+", cli._COMMANDS[command][1])
+
+
+# the dests and defaults each command parses _BASE to; a manifest dumps them
+# all, so each is part of the artefact bytes
+_PARSED_DEFAULTS = {
+    "synth": {"command": "synth", "dt": 5e-05, "n": 100, "out": "waveform.csv",
+              "pulses": [(1.025e-3, 1000.0, 200e-6)]},
+    "measure": {"atoms": 1000.0, "command": "measure", "drift_std": 200.0, "full": False,
+                "infile": "wf.csv", "m": 10, "no_noise": False, "noise_seed": 0,
+                "out": "measurements.csv", "seed": 0, "subset": None},
+    "recover": {"command": "recover", "dt": 5e-05, "lam": 1.04, "measurements": "m.csv",
+                "n": 100, "out": "recovered.csv"},
+    "roc": {"command": "roc", "out": "roc.csv", "recovered": "rec.csv", "truth": "wf.csv"},
+    "tune": {"atoms": 1000.0, "command": "tune", "count": 1, "drift_std": 200.0, "dt": 5e-05,
+             "lambda_count": 3, "lambda_high": 10.0, "lambda_low": 0.1, "m": 60, "n": 100,
+             "no_noise": False, "noise_seed": 0, "out": "tune.csv", "seed": 0},
+    "sweep": {"base": "full.csv", "command": "sweep", "lam": 1.04, "m_list": "10,60", "n": 100,
+              "out": "sweep.csv", "seed": 0, "subsets": 2, "truth": "wf.csv"},
+    "bound": {"command": "bound", "n": 100, "sparsity": 4},
+}
+
+
+@pytest.mark.parametrize("command", list(_PARSED_DEFAULTS))
+def test_parsed_flags_keep_their_dests_and_defaults(command):
+    parsed = vars(cli.build_parser().parse_args([command, *map(str, _BASE[command])]))
+    expected = _PARSED_DEFAULTS[command]
+    assert parsed == expected
+    # 100 and 100.0 are equal, but a manifest writes them differently
+    assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def _range_cases():
+    """Every flag with a file-free range on every command that takes it, with
+    values just outside that range and the exact line each must print."""
+    for command in cli._COMMANDS:
+        for flag in _flags_of(command):
+            rule = cli._FLAGS[flag][0]
+            if rule == cli._POSITIVE:
+                for value in ("0", "-0.0", "inf", "nan"):
+                    message = f"{flag} must be positive and finite, got {float(value)!r}"
+                    yield pytest.param(command, flag, value, message, id=f"{command}{flag}={value}")
+            elif rule is not None:
+                message = f"{flag} must be >= {rule}, got {rule - 1}"
+                yield pytest.param(command, flag, rule - 1, message, id=f"{command}{flag}")
+
+
+@pytest.mark.parametrize("command, flag, value, message", list(_range_cases()))
+def test_every_ruled_flag_prints_its_range(tmp_path, capsys, monkeypatch, valid_inputs,
+                                           command, flag, value, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in valid_inputs.items():
+        (tmp_path / name).write_text(text)
+    out = [] if command == "bound" else ["--out", "out.csv"]
+    code = run_cli([command, *_BASE[command], flag, value, *out])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: numeric: {message}\n"
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1063,3 +1145,70 @@ def test_cli_fuzz_file_inputs(tmp_path_factory, capsys, valid_inputs, edits, sub
     _assert_finite_csvs(out)
     for path in out.glob("*.json"):
         assert _finite(json.loads(path.read_text())), path
+
+
+# IEEE edges for every float flag
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e308, math.inf, -math.inf, math.nan, -1.0, -1e308]
+# integer flags draw only values that allocate nothing large: no huge --n,
+# --count, --subsets, --lambda-count or --m, each of which would allocate
+# gigabytes or run for minutes; only a seed may be huge
+_SEED_FLAGS = ("--seed", "--noise-seed")
+
+
+def _int_edges(flag):
+    floor = cli._FLAGS[flag][0]
+    floor = 1 if floor is None else floor  # --m and --sparsity start at 1 too
+    return [-(2**64), -1, 0, floor - 1, floor + 1] + ([2**64] if flag in _SEED_FLAGS else [])
+
+
+def _numeric_flags(command):
+    return [f for f in _flags_of(command) if cli._FLAGS[f][1].get("type") in (int, float)]
+
+
+def _edges(flag):
+    """A flag's edge values, and its default so that some draws run deep."""
+    keywords = cli._FLAGS[flag][1]
+    edges = _FLOAT_EDGES if keywords["type"] is float else _int_edges(flag)
+    return edges + [keywords["default"]] if keywords.get("default") is not None else edges
+
+
+def _flag_values(command):
+    """Up to three of the command's numeric flags, each with an edge value."""
+    return st.lists(
+        st.sampled_from(_numeric_flags(command)).flatmap(
+            lambda flag: st.tuples(st.just(flag), st.sampled_from(_edges(flag)))
+        ),
+        min_size=1, max_size=3, unique_by=lambda pair: pair[0],
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command_flags=st.sampled_from([c for c in cli._COMMANDS if _numeric_flags(c)]).flatmap(
+        lambda command: st.tuples(st.just(command), _flag_values(command))
+    ),
+)
+def test_cli_fuzz_every_numeric_flag(tmp_path_factory, capsys, monkeypatch, valid_inputs,
+                                     command_flags):
+    # every numeric flag of every command, enumerated from the flag table,
+    # at IEEE and range edges around a valid base command: it succeeds with
+    # finite outputs or exits with one line, and nothing warns
+    command, pairs = command_flags
+    d = tmp_path_factory.mktemp("edges")
+    monkeypatch.chdir(d)
+    for name, text in valid_inputs.items():
+        (d / name).write_text(text)
+    out = [] if command == "bound" else ["--out", "out/out.csv"]
+    (d / "out").mkdir()
+    flags = [str(v) for pair in pairs for v in (pair[0], repr(pair[1]))]
+    code = _exit_code([command, *_BASE[command], *flags, *out])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (command, flags, code)
+    assert "warning" not in (captured.out + captured.err).lower(), captured
+    if code == 0:
+        _assert_finite_csvs(d / "out")
+        for path in (d / "out").glob("*.json"):
+            assert _finite(json.loads(path.read_text())), path
+    else:
+        assert len(captured.err.strip().splitlines()) == 1, (command, flags, captured.err)
