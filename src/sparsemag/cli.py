@@ -29,14 +29,13 @@ from .grids import (
 from .sensor import NoiseModel, NoiseParameterError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _parse_pulses(text: str) -> list[tuple[float, float, float]]:
-    """Parse ``t0,amp,dur;t0,amp,dur;...`` into (t0, amp, dur) triples.
-    ``cmd_synth`` makes the pulse specs, so a bad value exits 4, not 2."""
+def _parse_pulses(text: str) -> list[dict]:
+    """Parse ``t0,amp,dur;t0,amp,dur;...`` into the pulse dicts a manifest
+    holds.  ``cmd_synth`` makes the pulse specs, so a bad value exits 4, not 2."""
     pulses = []
     for token in filter(None, (part.strip() for part in text.split(";"))):
         fields = token.split(",")
@@ -50,7 +49,7 @@ def _parse_pulses(text: str) -> list[tuple[float, float, float]]:
             raise argparse.ArgumentTypeError(
                 f"malformed pulse spec {token!r}: non-numeric field"
             )
-        pulses.append((t0, amp, dur))
+        pulses.append({"start_time_s": t0, "amplitude_hz": amp, "duration_s": dur})
     return pulses
 
 
@@ -66,30 +65,6 @@ def _noise_from_args(args) -> NoiseModel | None:
     if args.no_noise:
         return None
     return NoiseModel(**{field: getattr(args, _dest(flag)) for field, flag in _NOISE_FLAGS.items()})
-
-
-def _jsonable(value):
-    if isinstance(value, PulseSpec):
-        return {
-            "start_time_s": value.start_time,
-            "amplitude_hz": value.amplitude,
-            "duration_s": value.pulse_duration,
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _manifest(args, out_paths):
-    parameters = {
-        key: _jsonable(value)
-        for key, value in sorted(vars(args).items())
-        if key != "command"
-    }
-    experiments.write_manifest(str(out_paths[0]) + ".manifest.json", args.command, parameters,
-                               getattr(args, "seed", 0), out_paths)
 
 
 # every flag once: its range rule, which needs no file (an int floor, or
@@ -172,19 +147,16 @@ def _check_m(m: int, n_grid: int, where: str):
         raise ValueError(f"--m must lie in 1..{n_grid - 1} for N = {n_grid} ({where}), got {m}")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list[str]:
+    pulses = [PulseSpec(amplitude=p["amplitude_hz"], pulse_duration=p["duration_s"],
+                        start_time=p["start_time_s"]) for p in args.pulses]
     grid = TimeGrid(args.n, args.dt)
-    args.pulses = [
-        PulseSpec(amplitude=amp, pulse_duration=dur, start_time=t0)
-        for t0, amp, dur in args.pulses
-    ]
-    waveform = synth_waveform(grid, args.pulses)
+    waveform = synth_waveform(grid, pulses)
     waveform_to_csv(waveform, args.out)
-    _manifest(args, [args.out])
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> list[str]:
     waveform = waveform_from_csv(args.infile)
     subset = None  # --full, or no subset given: every index
     if args.subset is not None:
@@ -198,11 +170,10 @@ def cmd_measure(args) -> int:
     noise = _noise_from_args(args)
     measured = experiments.simulate_measurements(waveform, subset, noise, master_seed=args.seed)
     transform.measurements_to_csv(measured, waveform.grid, args.out)
-    _manifest(args, [args.out])
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_recover(args) -> int:
+def cmd_recover(args) -> list[str]:
     grid = TimeGrid(args.n, args.dt)
     measured = transform.measurements_from_csv(args.measurements, grid)
     matrix = transform.dst_matrix(args.n)
@@ -212,11 +183,10 @@ def cmd_recover(args) -> int:
     recovery.result_to_csv(result, grid.times, args.out)
     meta_path = args.out + ".meta.json"
     recovery.result_metadata_to_json(result, args.lam, meta_path)
-    _manifest(args, [args.out, meta_path])
-    return EXIT_OK
+    return [args.out, meta_path]
 
 
-def cmd_roc(args) -> int:
+def cmd_roc(args) -> list[str]:
     truth = waveform_from_csv(args.truth)
     headers = (["time_s", "recovered_hz"], ["time_s", "gamma_b_hz"])
     times, recovered = read_csv_columns(args.recovered, (float, float), *headers)
@@ -230,11 +200,10 @@ def cmd_roc(args) -> int:
     detection.roc_to_csv(curve, args.out)
     auc_path = args.out + ".auc.json"
     detection.auc_to_json(score, auc_path)
-    _manifest(args, [args.out, auc_path])
-    return EXIT_OK
+    return [args.out, auc_path]
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> list[str]:
     _check_m(args.m, args.n, "--n")
     low, high = args.lambda_low, args.lambda_high
     if not 0 < low < high < np.inf:
@@ -245,12 +214,11 @@ def cmd_tune(args) -> int:
     grid = experiments.LambdaGrid(args.lambda_low, args.lambda_high, args.lambda_count)
     result = experiments.tune_lambda(spec, grid)
     experiments.tune_to_csv(result, args.out)
-    _manifest(args, [args.out])
     print(f"best_lambda_hz {result.best_lambda!r}")
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[str]:
     truth = waveform_from_csv(args.truth)
     if truth.grid.n_grid != args.n:
         raise ValueError(f"--truth {args.truth} holds N = {truth.grid.n_grid}, not --n {args.n}")
@@ -273,18 +241,17 @@ def cmd_sweep(args) -> int:
                                  subsets_per_m=args.subsets, lam=args.lam, master_seed=args.seed)
     rows = experiments.sweep_sample_count(spec, template, truth.samples)
     experiments.sweep_to_csv(rows, args.out)
-    _manifest(args, [args.out])
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> list[str]:
     if not 1 <= args.sparsity <= args.n:
         raise ValueError(f"--sparsity must lie in 1..{args.n} (--n), got {args.sparsity}")
     bound = experiments.compute_bound(args.sparsity, args.n)
     print(bound)
     if bound > args.n - 1:
         print(f"note: bound {bound} exceeds the {args.n - 1} coefficients", file=sys.stderr)
-    return EXIT_OK
+    return []
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,10 +287,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The command is looked up by name on every call, not bound into the
     # cached parser, so a replaced module-level cmd_* is the one that runs.
+    # It returns the paths it wrote, its artefact first, and the manifest
+    # goes beside that artefact once the command has returned.
     command = globals()[f"cmd_{args.command}"]
     try:
         _check_flags(args)
-        return command(args)
+        outputs = command(args)
+        if outputs:  # bound writes nothing
+            parameters = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
+            experiments.write_manifest(f"{outputs[0]}.manifest.json", args.command, parameters,
+                                       getattr(args, "seed", 0), outputs)
+        return EXIT_OK
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -66,11 +66,11 @@ class SubsampleSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        if idx.size < 1 or idx.size > self.n_grid - 1:
+        if not 1 <= len(self.indices) <= self.n_grid - 1:
             raise ValueError(f"need between 1 and {self.n_grid - 1} indices")
-        if (bad := np.flatnonzero((idx < 1) | (idx > self.n_grid - 1))).size:
-            raise ValueError(f"indices must lie in 1..N-1 for N = {self.n_grid}, got {idx[bad[0]]}")
+        if bad := [k for k in self.indices if not 1 <= k <= self.n_grid - 1]:  # as Python ints
+            raise ValueError(f"indices must lie in 1..N-1 for N = {self.n_grid}, got {bad[0]}")
+        idx = np.asarray(self.indices, dtype=int)
         if (bad := np.flatnonzero(np.diff(idx) <= 0)).size:
             i = bad[0]
             raise ValueError(f"indices must increase strictly, got {idx[i + 1]} after {idx[i]}")
@@ -252,7 +252,7 @@ def subsample_from_json(path) -> SubsampleSet:
         return SubsampleSet(n_grid, indices)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"subset JSON {path} needs integer n_grid and indices") from exc
-    except ValueError as exc:  # not JSON, not UTF-8, or not a subset
+    except (ValueError, OverflowError) as exc:  # not JSON or UTF-8, not a subset, beyond int64
         raise ValueError(f"subset JSON {path}: {exc}") from exc
 
 

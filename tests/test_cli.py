@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cli_session
 from sparsemag import cli
 from sparsemag.cli import main
 from sparsemag.grids import TimeGrid, waveform_from_csv
@@ -463,18 +464,28 @@ def test_bound_rejects_grid_without_coefficients(capsys):
      "subset JSON zero.json: indices must lie in 1..N-1 for N = 100, got 0"),
     (["measure", "--in", "wf.csv", "--subset", "n50.json"],
      "subset JSON n50.json is for N=50, --in wf.csv has N=100"),
+    (["measure", "--in", "wf.csv", "--subset", "huge.json"],
+     "subset JSON huge.json: indices must lie in 1..N-1 for N = 100, got 18446744073709551616"),
+    (["measure", "--in", "wf.csv", "--subset", "neg-huge.json"],
+     "subset JSON neg-huge.json: indices must lie in 1..N-1 for N = 100, "
+     "got -1267650600228229401496703205376"),
+    (["measure", "--in", "wf.csv", "--subset", "huge-n.json"],
+     "subset JSON huge-n.json: Python int too large to convert to C long"),
 ])
 def test_bad_inputs_are_named(tmp_path, pulse_csv, capsys, monkeypatch, args, message):
     # a 5e-324 s grid (which synth accepts), a malformed --m-list, a 399-row
     # base read without --n and a negative k (whose freq_hz k/(2 N dt) is
-    # consistent), malformed subset JSON, a subset index out of range, a
-    # subset for another N and a CSV that is not UTF-8 each exit 4 with one
-    # line naming them
+    # consistent), malformed subset JSON, a subset index out of range (also
+    # beyond int64, either sign), a subset for another N, an N beyond int64
+    # and a CSV that is not UTF-8 each exit 4 with one line naming them
     monkeypatch.chdir(tmp_path)
     (tmp_path / "negative.csv").write_text("k,freq_hz,coef_hz\r\n-2,-200.0,1.0\r\n")
     (tmp_path / "bad.json").write_text("{'n_grid': 100}")
     (tmp_path / "zero.json").write_text('{"n_grid": 100, "indices": [0]}')
     (tmp_path / "n50.json").write_text('{"n_grid": 50, "indices": [3]}')
+    (tmp_path / "huge.json").write_text(json.dumps({"n_grid": 100, "indices": [1, 2, 2**64]}))
+    (tmp_path / "neg-huge.json").write_text(json.dumps({"n_grid": 100, "indices": [-(2**100)]}))
+    (tmp_path / "huge-n.json").write_text(json.dumps({"n_grid": 2**70, "indices": [2**65]}))
     (tmp_path / "bin.csv").write_bytes(b"time_s,recovered_hz\r\n\xff\xfe\r\n")
     for setup in (
         ["synth", "--dt", 5e-324, "--out", "tiny.csv"],
@@ -558,7 +569,7 @@ def _flags_of(command):
 # all, so each is part of the artefact bytes
 _PARSED_DEFAULTS = {
     "synth": {"command": "synth", "dt": 5e-05, "n": 100, "out": "waveform.csv",
-              "pulses": [(1.025e-3, 1000.0, 200e-6)]},
+              "pulses": [{"start_time_s": 1.025e-3, "amplitude_hz": 1000.0, "duration_s": 200e-6}]},
     "measure": {"atoms": 1000.0, "command": "measure", "drift_std": 200.0, "full": False,
                 "infile": "wf.csv", "m": 10, "no_noise": False, "noise_seed": 0,
                 "out": "measurements.csv", "seed": 0, "subset": None},
@@ -823,9 +834,26 @@ def test_main_runs_the_command_bound_when_it_is_called(monkeypatch, command):
     argv = [command, *required.get(command, [])]
     cli.build_parser()
     calls = []
-    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args) or 7)
-    assert run_cli(argv) == 7
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args) or [])
+    assert run_cli(argv) == 0
     assert [args.command for args in calls] == [command]
+
+
+def test_a_manifest_is_written_only_beside_returned_outputs(tmp_path, capsys, monkeypatch):
+    # main writes the manifest once the command has returned what it wrote:
+    # bound returns nothing, and a command that fails after parsing (roc on
+    # a truth with no positives) returns nothing either
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["bound", "--sparsity", 4]) == 0
+    assert list(tmp_path.iterdir()) == []
+    for args in (["synth", "--pulses", "2e-3,900,1e-4", "--out", "wf.csv"],
+                 ["measure", "--in", "wf.csv", "--full", "--no-noise", "--out", "full.csv"],
+                 ["recover", "--measurements", "full.csv", "--out", "rec.csv"]):
+        assert run_cli(args) == 0
+    made = sorted(path.name for path in tmp_path.iterdir())
+    assert run_cli(["roc", "--recovered", "rec.csv", "--truth", "wf.csv", "--out", "roc.csv"]) == 4
+    assert sorted(path.name for path in tmp_path.iterdir()) == made
+    assert "degenerate truth" in capsys.readouterr().err
 
 
 def test_help_lists_subcommands():
@@ -940,6 +968,18 @@ def test_cli_session_in_one_process_matches_fresh_processes(
     assert zero["parameters"]["pulses"] == []
     rec = json.loads((session / "rec.csv.manifest.json").read_text())
     assert rec["parameters"]["lam"] == 1.04
+
+
+def test_cli_session_matches_the_checked_in_digests(tmp_path):
+    # every artefact, manifest, sidecar, stdout and stderr byte and exit code
+    # of a fixed fresh-process session, against tests/data/cli_session.json;
+    # on a host with another BLAS or machine the solver steps are left out,
+    # since their solves may end a few ulps away (cli_session.py)
+    recorded = json.loads(cli_session.DIGESTS.read_text())
+    skipped = cli_session.left_out(recorded["host"])
+    moved = cli_session.moved(recorded["entries"], cli_session.run_session(tmp_path), skipped)
+    assert not moved, (f"moved: {moved}; if on purpose, rewrite the digests with "
+                       "`python tests/cli_session.py --write`")
 
 
 def _exit_code(args):
@@ -1101,6 +1141,42 @@ def test_cli_fuzz_lambda(tmp_path_factory, capsys, valid_inputs, command, lam):
             assert code == 4, (command, flag, err)
             assert err.startswith("error: numeric: --lambda must be positive and finite"), err
             assert len(err.strip().splitlines()) == 1
+
+
+# --m-list tokens: empty, signed, float, hex and digit-separator text,
+# padding, non-ASCII digits (int() reads them), a stray ";", valid counts
+# and ints far beyond int64
+_m_list_tokens = st.one_of(
+    st.sampled_from(["", "+10", "-10", "1e3", "0x10", "10_0", " 20 ", "\t60", "\u0663\u0660",
+                     "\uff11\uff10", ";", "10;20"]),
+    st.integers(1, 99).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=st.lists(_m_list_tokens, min_size=1, max_size=3))
+def test_cli_fuzz_m_list(tmp_path_factory, capsys, valid_inputs, tokens):
+    # any comma-joined --m-list text solves with a finite CSV or exits 4 with
+    # one line.  At most three values and one subset per value keep an
+    # example to three N = 100 solves, whatever ints are drawn: a large m is
+    # refused by its range check before anything is allocated
+    d = tmp_path_factory.mktemp("mlist")
+    for name, text in valid_inputs.items():
+        (d / name).write_text(text)
+    out = d / "out"
+    out.mkdir()
+    m_list = ",".join(tokens)
+    code = _exit_code(["sweep", "--base", d / "full.csv", "--truth", d / "wf.csv",
+                       "--m-list", m_list, "--subsets", 1, "--out", out / "sweep.csv"])
+    err = capsys.readouterr().err
+    assert code in (0, 4), (m_list, code, err)
+    if code == 0:
+        assert (out / "sweep.csv").exists()
+        _assert_finite_csvs(out)
+    else:
+        assert len(err.strip().splitlines()) == 1, (m_list, err)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,

@@ -18,6 +18,7 @@ import pytest
 
 import sparsemag
 from sparsemag.transform import SineInterpolant
+from test_acceptance import CLI_RUNS
 
 PACKAGE_ROOT = str(Path(sparsemag.__file__).resolve().parents[1])
 
@@ -44,24 +45,10 @@ def test_import_leaves_scipy_unloaded():
     assert _last_json(proc) == []
 
 
-# one fresh-process session, run in order in one directory
-SESSION = [
-    ["synth", "--pulses", "1.0e-3,1000,200e-6", "--out", "wf.csv"],
-    ["measure", "--in", "wf.csv", "--m", "60", "--out", "m.csv"],
-    ["measure", "--in", "wf.csv", "--full", "--out", "full.csv"],
-    ["recover", "--measurements", "m.csv", "--out", "rec.csv"],
-    ["roc", "--recovered", "rec.csv", "--truth", "wf.csv", "--out", "roc.csv"],
-    ["sweep", "--base", "full.csv", "--truth", "wf.csv", "--m-list", "20", "--subsets", "2",
-     "--out", "sweep.csv"],
-    ["tune", "--count", "2", "--lambda-count", "3", "--out", "tune.csv"],
-    ["bound", "--sparsity", "8", "--n", "100"],
-]
-
-
 def test_cli_commands_leave_scipy_unloaded(tmp_path):
     # `python -X importtime -m sparsemag ARGS` lists on stderr every module
     # the command imports, up to its exit
-    for args in SESSION:
+    for _, args in CLI_RUNS:  # criterion 11's session, run in order in one directory
         stderr = _python("-X", "importtime", "-m", "sparsemag", *args, cwd=tmp_path).stderr
         imported = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
                     if line.startswith("import time:")}
