@@ -62,9 +62,10 @@ def _dest(flag: str) -> str:
 
 
 def _noise_from_args(args) -> NoiseModel | None:
-    if args.no_noise:
-        return None
-    return NoiseModel(**{field: getattr(args, _dest(flag)) for field, flag in _NOISE_FLAGS.items()})
+    # built, and so range-checked, under --no-noise too: the manifest holds every flag
+    noise = NoiseModel(**{field: getattr(args, _dest(flag))
+                          for field, flag in _NOISE_FLAGS.items()})
+    return None if args.no_noise else noise
 
 
 # every flag once: its range rule, which needs no file (an int floor, or

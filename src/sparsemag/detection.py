@@ -4,7 +4,10 @@ Cross-correlation uses zero padding past the end of the signal, the
 ground-truth classification thresholds the matched output at half the
 template energy, and ROC thresholds lie between consecutive distinct scores
 plus sentinels below and above them all, which makes the trapezoidal AUC
-exact for the resulting staircase.
+exact for the resulting staircase.  A block of score rows is graded at once
+(``auc_from_scores``); a lone row (``roc_curve_from_scores``) sorts once and
+fills its curve directly, the same points as the block's row bit for bit,
+at about half the cost of a block of one.
 """
 
 from __future__ import annotations
@@ -124,9 +127,29 @@ def roc_curve_from_scores(scores, labels) -> np.ndarray:
     """ROC from raw detection scores (one per location) and 0/1 labels: an
     (n, 2) array of (fallout, recall) points sorted by fallout, from (0, 0)
     to (1, 1).  A threshold between consecutive distinct scores flags every
-    location scoring at or above the upper one."""
-    fallout, recall, lengths = _roc_staircases(np.asarray(scores, dtype=float)[None], labels)
-    return np.column_stack((fallout[0, : lengths[0]], recall[0, : lengths[0]]))
+    location scoring at or above the upper one.  The row's points are
+    ``_roc_staircases``'s, filled in from one sort of the row."""
+    scores = np.asarray(scores, dtype=float)
+    positive = _checked_positive(scores[None], labels)
+    order = np.argsort(scores)[::-1]
+    ordered = scores[order]
+    ranks = np.flatnonzero(np.append(ordered[:-1] != ordered[1:], True))
+    tp = positive[order].cumsum()[ranks]
+    n_positive, curve = int(positive.sum()), np.zeros((ranks.size + 1, 2))
+    curve[1:, 0] = (ranks + 1 - tp) / (positive.size - n_positive)
+    curve[1:, 1] = tp / n_positive
+    return curve
+
+
+def _checked_positive(scores, labels) -> np.ndarray:
+    """The positive mask of ``labels``, once ``scores`` is a (B, n) block of
+    finite scores, one per label in each row."""
+    if scores.ndim != 2 or scores.shape[1:] != np.shape(labels):
+        raise ValueError(f"{scores.shape[1:]} scores do not match {np.shape(labels)} labels")
+    positive = positive_labels(labels)
+    if not np.isfinite(scores).all():
+        raise ValueError("detection scores have non-finite values")
+    return positive
 
 
 def _roc_staircases(scores, labels):
@@ -134,11 +157,7 @@ def _roc_staircases(scores, labels):
     shared 0/1 labels, row b's ROC being its first lengths[b] points: the
     counts at the last entry of each tied group of the row sorted in
     descending order, packed left after the (0, 0) above every score."""
-    if scores.ndim != 2 or scores.shape[1:] != np.shape(labels):
-        raise ValueError(f"{scores.shape[1:]} scores do not match {np.shape(labels)} labels")
-    positive = positive_labels(labels)
-    if not np.isfinite(scores).all():
-        raise ValueError("detection scores have non-finite values")
+    positive = _checked_positive(scores, labels)
     n_positive = int(positive.sum())
     order = np.argsort(scores, axis=1)[:, ::-1]
     ordered = np.take_along_axis(scores, order, axis=1)

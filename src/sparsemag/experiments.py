@@ -97,8 +97,8 @@ def simulate_measurements(
     if noise is not None:
         # every shot's DRIFT stream, then every shot's COUNTS stream
         rngs = streams(noise.seed, derive_seed(master_seed, SHOT, k), [[DRIFT], [COUNTS]])
-        drift[k - 1] = [rng.normal(0.0, noise.bias_drift_std_hz)
-                        for rng in itertools.islice(rngs, k.size)]
+        std = noise.bias_drift_std_hz  # 0.0 + std * z is rng.normal(0.0, std), as in sensor
+        drift[k - 1] = [0.0 + std * rng.standard_normal() for rng in itertools.islice(rngs, k.size)]
     coefs = apply_dst(dst_matrix(n_grid), waveform)
     a, b = sensor.magnus_quadratures(coefs, duration, drift)
     fx = sensor.magnus_prediction(a[k - 1], b[k - 1])

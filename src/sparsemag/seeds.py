@@ -88,7 +88,9 @@ def _entry(values) -> np.ndarray:
         array = np.array(values, dtype=object)
         if not all(isinstance(v, (int, np.integer)) for v in array.flat):
             raise TypeError(f"seed keys must be non-negative integers, got {values!r}")
-    if (array < 0).any():
+    # derived seed arrays are uint32: only a signed or object array can hold
+    # a negative entry, and one min() finds it
+    if array.dtype.kind != "u" and array.size and array.min() < 0:
         bad = array[array < 0].flat[0]
         raise ValueError(f"seed keys must be non-negative integers, got {bad}")
     return array

@@ -34,8 +34,10 @@ second-order accurate.  H is linear in F, so each step is an SU(2) rotation
 exp(-i theta n.F) in its spin-1 representation, kept as its spin-1/2
 Cayley-Klein pair (alpha, beta); that preserves the norm exactly.  The
 midpoints (i + 1/2) T / n are uniform, so a sine interpolant is evaluated on
-all of them at once by one DST-III (``SineInterpolant.at_midpoints``), and
-the n pairs are combined pairwise, ceil(log2 n) batched levels.  A shot
+all of them at once by one DST-III (``SineInterpolant.at_midpoints``); that
+midpoint signal is kept per coefficient vector, duration and step count, so
+the shots of one waveform share it, each adding only its own drift.  The n
+pairs are combined pairwise, ceil(log2 n) batched levels.  A shot
 reads <Fx> straight from the one product pair; ``evolve_rotating_frame`` and
 ``evolve_lab_frame`` map it to the state's three complex amplitudes
 (m = +1, 0, -1) in the Fz basis, returned as a plain array of shape (3,).
@@ -43,11 +45,15 @@ reads <Fx> straight from the one product pair; ``evolve_rotating_frame`` and
 Noise: a noisy shot draws its drift and its counts on the streams of keys
 (noise.seed, shot_seed, DRIFT) and (noise.seed, shot_seed, COUNTS), a Ramsey
 window on (noise.seed, shot_seed, RAMSEY_NOISE), all from ``seeds.streams``.
+A normal draw is written 0.0 + std * standard_normal(), which is what
+``Generator.normal(0.0, std)`` computes, bit for bit, without its argument
+handling.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +119,10 @@ class NoiseModel:
             )
 
 
-def _evolve(omega_x: np.ndarray, omega_z: np.ndarray, dt: float):
+def _evolve(omega_x: np.ndarray | float, omega_z: np.ndarray, dt: float):
     """Cayley-Klein pair (alpha, beta) of U_{n-1} ... U_1 U_0, the product of
-    the step rotations U_i = exp(-i dt (wx_i Fx + wz_i Fz)), w in rad/s.
+    the step rotations U_i = exp(-i dt (wx_i Fx + wz_i Fz)), w in rad/s; a
+    scalar wx is every step's.
 
     A pair stands for the SU(2) element [[alpha, -conj(beta)], [beta,
     conj(alpha)]].  Step i has alpha = cos(theta/2) - i sin(theta/2) nz and
@@ -130,8 +137,10 @@ def _evolve(omega_x: np.ndarray, omega_z: np.ndarray, dt: float):
     while alpha.size > 1:
         even = alpha.size - alpha.size % 2
         a0, a1, b0, b1 = alpha[0:even:2], alpha[1:even:2], beta[0:even:2], beta[1:even:2]
-        alpha = np.concatenate((a1 * a0 - b1.conj() * b0, alpha[even:]))
-        beta = np.concatenate((b1 * a0 + a1.conj() * b0, beta[even:]))
+        pair = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+        if even < alpha.size:  # only then is a level copied, to carry its odd step
+            pair = np.concatenate((pair[0], alpha[even:])), np.concatenate((pair[1], beta[even:]))
+        alpha, beta = pair
     return alpha[0], beta[0]
 
 
@@ -143,21 +152,33 @@ def _minus_state(alpha, beta) -> np.ndarray:
     return np.array([bc**2, -SQRT2 * ac * bc, ac**2], dtype=complex)
 
 
-def _time_steps(duration: float, step: float):
-    """Midpoints and width of the fewest equal steps no wider than ``step``;
-    a duration within round-off of a multiple of ``step`` keeps that count."""
-    n_steps = max(1, int(np.ceil(duration / step * (1.0 - 1e-9))))
-    dt = duration / n_steps
-    midpoints = (np.arange(n_steps) + 0.5) * dt
-    return midpoints, dt
+def _step_count(duration: float, step: float) -> int:
+    """The fewest equal steps no wider than ``step``; a duration within
+    round-off of a multiple of ``step`` keeps that count."""
+    return max(1, int(math.ceil(duration / step * (1.0 - 1e-9))))
 
 
-def _signal_at(signal, midpoints: np.ndarray, duration: float) -> np.ndarray:
-    """The signal at the step midpoints: one DST-III for a sine interpolant
-    over its own duration, a plain call otherwise."""
+def _midpoints(duration: float, n_steps: int) -> np.ndarray:
+    """The midpoints (i + 1/2) T / n of n equal steps over T."""
+    return (np.arange(n_steps) + 0.5) * (duration / n_steps)
+
+
+def _signal_at(signal, n_steps: int, duration: float) -> np.ndarray:
+    """The signal at the midpoints of n_steps equal steps: a shared read-only
+    array from one DST-III for a sine interpolant over its own duration, a
+    plain call otherwise."""
     if isinstance(signal, SineInterpolant) and signal.duration == duration:
-        return signal.at_midpoints(midpoints.size)
-    return np.asarray(signal(midpoints), dtype=float)
+        return _midpoint_signal(np.asarray(signal.coefs, dtype=float).tobytes(), duration, n_steps)
+    return np.asarray(signal(_midpoints(duration, n_steps)), dtype=float)
+
+
+@functools.lru_cache(maxsize=4)
+def _midpoint_signal(coef_bytes: bytes, duration: float, n_steps: int) -> np.ndarray:
+    """``SineInterpolant.at_midpoints``, once per coefficient vector, duration
+    and step count: every shot of one waveform steps the same signal."""
+    signal = SineInterpolant(np.frombuffer(coef_bytes), duration).at_midpoints(n_steps)
+    signal.flags.writeable = False
+    return signal
 
 
 def _rotating_frame_pair(signal, params: SensorParams, drift_hz: float):
@@ -166,10 +187,9 @@ def _rotating_frame_pair(signal, params: SensorParams, drift_hz: float):
             f"step {params.step} too large for rabi_hz={params.rabi_hz}; "
             f"need step <= {1.0 / (50.0 * params.rabi_hz):.3g}"
         )
-    midpoints, dt = _time_steps(params.duration, params.step)
-    omega_x = np.full(midpoints.size, 2.0 * np.pi * params.rabi_hz)
-    omega_z = -2.0 * np.pi * (_signal_at(signal, midpoints, params.duration) + drift_hz)
-    return _evolve(omega_x, omega_z, dt)
+    n_steps = _step_count(params.duration, params.step)
+    omega_z = -2.0 * np.pi * (_signal_at(signal, n_steps, params.duration) + drift_hz)
+    return _evolve(2.0 * np.pi * params.rabi_hz, omega_z, params.duration / n_steps)
 
 
 def evolve_rotating_frame(signal, params: SensorParams, drift_hz: float = 0.0) -> np.ndarray:
@@ -192,12 +212,13 @@ def evolve_lab_frame(signal, params: SensorParams) -> np.ndarray:
             f"step {params.step} too large for larmor_hz={params.larmor_hz}; "
             f"need step <= {1.0 / (50.0 * params.larmor_hz):.3g}"
         )
-    midpoints, dt = _time_steps(params.duration, params.step)
+    n_steps = _step_count(params.duration, params.step)
+    midpoints = _midpoints(params.duration, n_steps)
     omega_x = 4.0 * np.pi * params.rabi_hz * np.cos(2.0 * np.pi * params.rf_hz * midpoints)
     omega_z = 2.0 * np.pi * params.larmor_hz - 2.0 * np.pi * _signal_at(
-        signal, midpoints, params.duration
+        signal, n_steps, params.duration
     )
-    return _minus_state(*_evolve(omega_x, omega_z, dt))
+    return _minus_state(*_evolve(omega_x, omega_z, params.duration / n_steps))
 
 
 @functools.lru_cache(maxsize=4)
@@ -329,7 +350,7 @@ def measure_sine_coefficient(
     drift, rngs = 0.0, None
     if noise is not None:
         rngs = streams(noise.seed, shot_seed, [DRIFT, COUNTS])
-        drift = next(rngs).normal(0.0, noise.bias_drift_std_hz)
+        drift = 0.0 + noise.bias_drift_std_hz * next(rngs).standard_normal()
     params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
     # the coherent state of spinor (u, v) = (-conj(beta), conj(alpha)) has
     # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
@@ -362,9 +383,10 @@ def ramsey_sample(
         raise ValueError("window does not overlap [0, T]")
     values = np.array(sine_interpolant(waveform).window_mean(lo, hi))
     if noise is not None:
-        shot_std = np.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
+        shot_std = math.sqrt(1.0 / (2.0 * noise.mean_atoms)) / (2.0 * np.pi * window)
         rngs = streams(noise.seed, seeds, RAMSEY_NOISE)
-        noisy = [value + rng.normal(0.0, noise.bias_drift_std_hz) + rng.normal(0.0, shot_std)
+        noisy = [value + (0.0 + noise.bias_drift_std_hz * rng.standard_normal())
+                 + (0.0 + shot_std * rng.standard_normal())
                  for value, rng in zip(values.ravel().tolist(), rngs)]
         values = np.array(noisy).reshape(values.shape)
     return float(values) if values.ndim == 0 else values

@@ -6,25 +6,31 @@ per step, with every byte it leaves compared by SHA-256 against
     PYTHONPATH=src python tests/cli_session.py --write  # rewrite the file, list what moved
 
 The session is criterion 11's ``CLI_RUNS`` followed by ``MORE_RUNS``, which
-reach what those do not.  The steps run in order in one directory that holds
-only ``subset.json`` at the start, each with BLAS on one thread and an
+reach what those do not, and ``DEMO_RUNS``, the five scripts of ``demos/``.
+The steps run in order in one directory that holds only ``subset.json`` and
+a copy of ``demos/`` at the start, each with BLAS on one thread and an
 80-column terminal.  A step's entries are its exit code, the digests of its
 stdout and stderr, and the digest of each file it makes or rewrites
-(artefact, manifest, ``.meta.json``, ``.auc.json``).  An entry is named
-``<step> <what>``, e.g. ``roc roc.csv.auc.json``.
+(artefact, manifest, ``.meta.json``, ``.auc.json``, a demo's files under
+``demos/output``).  An entry is named ``<step> <what>``, e.g. ``roc
+roc.csv.auc.json`` or ``demo-04 demos/output/auc.json``.  A demo prints the
+absolute paths it writes, so the session directory is read as ``<session>``
+in every stdout and stderr before it is digested.
 
 The file also records the host that made it.  On a host with another BLAS or
 another machine, a solve may end a few ulps away, so there the steps of the
-solver commands (``recover``, ``roc`` of a recovery, ``tune``, ``sweep``) are
-left out of the comparison.  argparse words its help and usage text
-differently from one Python minor version to the next, so on another minor
-version the steps that print that text are left out.
+solver commands (``recover``, ``roc`` of a recovery, ``tune``, ``sweep``) and
+of the demos that solve (03, 04 and 05) are left out of the comparison.
+argparse words its help and usage text differently from one Python minor
+version to the next, so on another minor version the steps that print that
+text are left out.
 """
 
 import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -36,6 +42,7 @@ import sparsemag
 from test_acceptance import CLI_RUNS
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "cli_session.json"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 PACKAGE_ROOT = str(Path(sparsemag.__file__).resolve().parents[1])
 SUBSET_JSON = '{"n_grid": 100, "indices": [2, 3, 50, 71]}'
 
@@ -61,9 +68,13 @@ MORE_RUNS = [
     ("help", ["--help"]),
     ("help-measure", ["measure", "--help"]),
 ]
-STEPS = [*CLI_RUNS, *MORE_RUNS]
+# each demo from the session's copy of demos/, which it writes its output under
+DEMO_RUNS = [(f"demo-{path.name[:2]}", [f"demos/{path.name}"])
+             for path in sorted(DEMOS.glob("*.py"))]
+STEPS = [*CLI_RUNS, *MORE_RUNS, *DEMO_RUNS]
 
 SOLVER_COMMANDS = {"recover", "roc", "tune", "sweep"}
+SOLVER_DEMOS = {"demo-03", "demo-04", "demo-05"}
 ARGPARSE_TEXT = {"fail-usage", "help", "help-measure"}
 
 
@@ -92,7 +103,8 @@ def left_out(recorded_host: dict) -> set:
     differs = {key for key, value in host().items() if recorded_host.get(key) != value}
     return {name for name, args in STEPS
             if ("python" in differs and name in ARGPARSE_TEXT)
-            or (differs & {"blas", "machine"} and args[0] in SOLVER_COMMANDS)}
+            or (differs & {"blas", "machine"}
+                and (args[0] in SOLVER_COMMANDS or name in SOLVER_DEMOS))}
 
 
 def _sha(data: bytes) -> str:
@@ -100,24 +112,29 @@ def _sha(data: bytes) -> str:
 
 
 def _file_digests(directory: Path) -> dict:
-    return {path.name: _sha(path.read_bytes()) for path in sorted(directory.iterdir())}
+    return {path.relative_to(directory).as_posix(): _sha(path.read_bytes())
+            for path in sorted(directory.rglob("*")) if path.is_file()}
 
 
 def run_session(directory) -> dict:
     """Run every step in ``directory``; return its entries, in step order."""
-    directory = Path(directory)
+    directory = Path(directory).resolve()
+    session = str(directory).encode()
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", COLUMNS="80")
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
     (directory / "subset.json").write_text(SUBSET_JSON)
+    shutil.copytree(DEMOS, directory / "demos",
+                    ignore=shutil.ignore_patterns("output", "__pycache__"))
     files = _file_digests(directory)
     entries = {}
     for name, args in STEPS:
-        proc = subprocess.run([sys.executable, "-m", "sparsemag", *args],
-                              capture_output=True, cwd=directory, env=env)
+        command = args if args[0].endswith(".py") else ["-m", "sparsemag", *args]
+        proc = subprocess.run([sys.executable, *command], capture_output=True, cwd=directory,
+                              env=env)
         entries[f"{name} exit"] = proc.returncode
-        entries[f"{name} stdout"] = _sha(proc.stdout)
-        entries[f"{name} stderr"] = _sha(proc.stderr)
+        entries[f"{name} stdout"] = _sha(proc.stdout.replace(session, b"<session>"))
+        entries[f"{name} stderr"] = _sha(proc.stderr.replace(session, b"<session>"))
         now = _file_digests(directory)
         entries.update((f"{name} {file}", digest) for file, digest in now.items()
                        if files.get(file) != digest)

@@ -20,6 +20,9 @@
   at a time; the package draws them from ``seeds.streams``.
 * ``step_unitaries`` and ``evolve_pairwise``: the stepped unitary shot as
   3x3 complex matrices, one spin-1 rotation per step, multiplied pairwise.
+* ``evolve_su2``: the stepped shot's SU(2) pair product with a per-step
+  array for both rates and two ``concatenate`` calls per level; the package
+  product must give the same bits.
 * ``soft_threshold`` and ``objective``: the LASSO pieces of the scalar FISTA
   loop, which the block engine inlines.
 * ``fista_solve_block``: the block engine with a fresh array for every
@@ -213,6 +216,21 @@ def evolve_pairwise(psi0, unitaries):
         even = len(u) - len(u) % 2
         u = np.concatenate((u[1:even:2] @ u[0:even:2], u[even:]))
     return u[0] @ psi0
+
+
+def evolve_su2(omega_x, omega_z, dt):
+    """Cayley-Klein pair (alpha, beta) of U_{n-1} ... U_0, U_i = exp(-i dt
+    (wx_i Fx + wz_i Fz)): each level pairs neighbours, the later on the left,
+    and concatenates an odd last step after the products."""
+    half = 0.5 * dt * np.hypot(omega_x, omega_z)
+    scale = 0.5 * dt * np.sinc(half / np.pi)
+    alpha, beta = np.cos(half) - 1j * scale * omega_z, -1j * scale * omega_x
+    while alpha.size > 1:
+        even = alpha.size - alpha.size % 2
+        a0, a1, b0, b1 = alpha[0:even:2], alpha[1:even:2], beta[0:even:2], beta[1:even:2]
+        alpha = np.concatenate((a1 * a0 - b1.conj() * b0, alpha[even:]))
+        beta = np.concatenate((b1 * a0 + a1.conj() * b0, beta[even:]))
+    return alpha[0], beta[0]
 
 
 def soft_threshold(x, tau):

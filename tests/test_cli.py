@@ -91,6 +91,18 @@ def test_measure_rejects_non_finite_noise(tmp_path, pulse_csv, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["measure", "--in", "wf.csv", "--full"],
+                                     ["tune", "--count", 1, "--lambda-count", 3]])
+def test_no_noise_still_checks_the_noise_flags(tmp_path, pulse_csv, capsys, monkeypatch, command):
+    # --no-noise draws no noise, but the manifest records every flag, where a
+    # NaN or an infinity would be a bare NaN/Infinity token that is not JSON
+    monkeypatch.chdir(tmp_path)
+    code = run_cli([*command, "--no-noise", "--drift-std", "nan", "--atoms", "inf",
+                    "--out", "q.csv"])
+    _assert_numeric_error(code, capsys, "--drift-std nan: bias_drift_std_hz must be")
+    assert not (tmp_path / "q.csv").exists() and not (tmp_path / "q.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["synth", "--n", 100, "--dt", 1e308], "span 2*pi*n_grid*dt must be finite"),
     (["measure", "--m", 99, "--drift-std", 1e308], "bias drift std too large"),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from sparsemag.detection import (
     Template,
+    _roc_staircases,
     auc,
     auc_from_scores,
     auc_to_json,
@@ -217,6 +218,33 @@ def test_block_auc_matches_row_oracle(case):
         assert area == auc(expected)
     single = auc_from_scores(scores[:1], labels)
     assert single.shape == (1,) and single[0] == areas[0]
+
+
+@st.composite
+def _tie_heavy_blocks(draw):
+    n = draw(st.integers(2, 60))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[0], labels[-1] = 1, 0
+    # about half of every row is an exact zero, of either sign
+    values = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from([1.0, -1.0, 2.5, 1e-300]),
+                       st.floats(-1e3, 1e3))
+    block = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=6))
+    return np.array(block, dtype=float), np.array(labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tie_heavy_blocks())
+def test_lone_row_roc_is_the_block_staircase(case):
+    # a lone row sorts once and fills its curve; it must be the block
+    # staircase of that row byte for byte, and grade as auc_from_scores does
+    scores, labels = case
+    areas = auc_from_scores(scores, labels)
+    for row, area in zip(scores, areas):
+        curve = roc_curve_from_scores(row, labels)
+        fallout, recall, lengths = _roc_staircases(row[None], labels)
+        staircase = np.column_stack((fallout[0, : lengths[0]], recall[0, : lengths[0]]))
+        assert curve.shape == staircase.shape and curve.tobytes() == staircase.tobytes()
+        assert area == auc(curve)
 
 
 def test_roc_adjacent_scores_keep_every_step():

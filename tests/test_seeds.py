@@ -261,6 +261,32 @@ def test_seed_helpers_reject_negative_and_non_integer_seeds():
             next(seeds.streams(*key))
 
 
+@pytest.mark.parametrize("entry, bad", [
+    (-3, -3),
+    ([4, -5, -6], -5),
+    (np.array([7, -8, -9], dtype=np.int64), -8),
+    ([2**63, -4], -4),
+    ([2**64, 5, -(2**70)], -(2**70)),
+    (np.array([2**63, -1, -2], dtype=object), -1),
+])
+def test_negative_entries_name_the_first_negative(entry, bad):
+    # unsigned arrays skip the check; signed and object entries are checked
+    # by one min(), and the message still names the first negative entry
+    message = re.escape(f"seed keys must be non-negative integers, got {bad}")
+    with pytest.raises(ValueError, match=message):
+        derive_seed(9, seeds.RAMSEY, entry)
+    with pytest.raises(ValueError, match=message):
+        next(seeds.streams(9, seeds.RAMSEY, entry))
+
+
+def test_unsigned_and_empty_entries_pass_the_check():
+    keys = np.arange(99)
+    expected = derive_seed(9, seeds.RAMSEY, keys)
+    for dtype in (np.uint32, np.uint64, np.int32, object):
+        assert derive_seed(9, seeds.RAMSEY, keys.astype(dtype)).tobytes() == expected.tobytes()
+    assert derive_seed(9, seeds.RAMSEY, np.array([], dtype=np.int64)).shape == (0,)
+
+
 def test_only_the_seed_module_builds_generators():
     package = Path(seeds.__file__).parent
     private_use = re.compile(r"\b(grids|transform|seeds|sensor|recovery|detection|experiments|cli)\._\w")

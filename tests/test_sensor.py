@@ -531,6 +531,59 @@ def test_pairwise_evolve_matches_stepwise(n_steps):
     )
 
 
+def _pair_bits(pair):
+    return np.array(pair, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5000, 5001])
+def test_evolve_gives_the_oracle_bits(n_steps):
+    # the product skips the copies of a level with no odd step to carry, and
+    # takes a scalar wx for every step: the same bits as the product that
+    # concatenated every level of per-step arrays
+    rng = np.random.default_rng(n_steps)
+    omega_x = rng.normal(scale=2e5, size=n_steps)
+    omega_z = rng.normal(scale=2e4, size=n_steps)
+    omega_z[::7] = 0.0
+    for dt in (1e-6, 1.0 / 3.0e5):
+        expected = oracles.evolve_su2(omega_x, omega_z, dt)
+        assert _pair_bits(sensor._evolve(omega_x, omega_z, dt)) == _pair_bits(expected)
+        rabi = 2.0 * np.pi * 3.3e3
+        expected = oracles.evolve_su2(np.full(n_steps, rabi), omega_z, dt)
+        assert _pair_bits(sensor._evolve(rabi, omega_z, dt)) == _pair_bits(expected)
+
+
+def test_cached_midpoint_signal_leaves_every_shot_bit():
+    # criterion 2's full-amplitude waveform: every stepped shot of it reads
+    # one cached midpoint signal, the same bits as computing it afresh
+    waveform = synth_waveform(TimeGrid(100, 50e-6), [PulseSpec(1000.0, 200e-6, 1.0e-3)])
+    noise = NoiseModel(seed=3)
+    cold = []
+    for k in range(1, 100):
+        sensor._midpoint_signal.cache_clear()
+        cold.append([measure_sine_coefficient(waveform, k, None),
+                     measure_sine_coefficient(waveform, k, noise, shot_seed=k)])
+    sensor._midpoint_signal.cache_clear()
+    warm = [[measure_sine_coefficient(waveform, k, None),
+             measure_sine_coefficient(waveform, k, noise, shot_seed=k)] for k in range(1, 100)]
+    assert np.array(warm).tobytes() == np.array(cold).tobytes()
+    info = sensor._midpoint_signal.cache_info()
+    assert (info.misses, info.hits) == (1, 197)
+    signal = sine_interpolant(waveform)
+    cached = sensor._signal_at(signal, 5000, waveform.grid.duration)
+    assert not cached.flags.writeable
+    assert cached.tobytes() == signal.at_midpoints(5000).tobytes()
+
+
+@pytest.mark.parametrize("std", [0.0, 1e-300, 0.5, 200.0, 3.7e12, 1e300])
+def test_a_normal_draw_is_zero_plus_std_times_a_standard_normal(std):
+    # the shots and Ramsey windows draw 0.0 + std * standard_normal() in
+    # place of Generator.normal(0.0, std): the same bits, draw for draw
+    first, second = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = [first.normal(0.0, std) for _ in range(5000)]
+    written = [0.0 + std * second.standard_normal() for _ in range(5000)]
+    assert np.array(drawn).tobytes() == np.array(written).tobytes()
+
+
 def test_zero_magnitude_steps_are_identity():
     for n_steps in (1, 4, 5):
         assert sensor._evolve(np.zeros(n_steps), np.zeros(n_steps), 1e-5) == (1.0, 0.0)
@@ -588,8 +641,9 @@ def test_step_taken_never_exceeds_step():
     # 2.9e-5 s at step 2e-5 rounds to one step of 2.9e-5, past the
     # 1/(50 rabi) guard; the fewest steps no wider than 2e-5 are two
     params = SensorParams(0.0, 1000.0, 0.0, 2.9e-5, 2e-5)
-    midpoints, dt = sensor._time_steps(params.duration, params.step)
-    assert midpoints.size == 2 and dt <= params.step
+    n_steps = sensor._step_count(params.duration, params.step)
+    dt = params.duration / n_steps
+    assert n_steps == 2 and dt <= params.step
     unitaries = oracles.step_unitaries(np.full(2, 2.0 * np.pi * 1000.0), np.zeros(2), dt)
     np.testing.assert_allclose(
         evolve_rotating_frame(zero_signal, params),
@@ -601,10 +655,10 @@ def test_step_taken_never_exceeds_step():
 
 def test_exact_multiples_keep_their_step_count():
     # a shot of a 100-sample, 50 us grid at 1 us, and criterion 4's lab frame
-    assert sensor._time_steps(100 * 50e-6, 1e-6)[0].size == 5000
-    assert sensor._time_steps(0.5e-3, 1.0 / (60.0 * 603e3))[0].size == 18090
+    assert sensor._step_count(100 * 50e-6, 1e-6) == 5000
+    assert sensor._step_count(0.5e-3, 1.0 / (60.0 * 603e3)) == 18090
     # 3 * 10e-6 / 1e-6 is 30.000000000000007 in floating point
-    assert sensor._time_steps(3 * 10e-6, 1e-6)[0].size == 30
+    assert sensor._step_count(3 * 10e-6, 1e-6) == 30
 
 
 def test_interpolant_of_other_duration_is_called_directly():
