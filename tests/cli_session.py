@@ -61,6 +61,13 @@ MORE_RUNS = [
     ("recover-200", ["recover", "--measurements", "m200.csv", "--n", "200", "--out", "rec200.csv"]),
     ("roc-200", ["roc", "--recovered", "rec200.csv", "--truth", "wf200.csv",
                  "--out", "roc200.csv"]),
+    # a 20-tap template, and sweep blocks whose ROC rows have several lengths
+    ("synth-fine", ["synth", "--n", "200", "--dt", "1e-05",
+                    "--pulses", "5e-4,1000,200e-6;1.3e-3,-800,200e-6", "--out", "wf-fine.csv"]),
+    ("measure-fine", ["measure", "--in", "wf-fine.csv", "--full", "--seed", "11",
+                      "--out", "full-fine.csv"]),
+    ("sweep-fine", ["sweep", "--base", "full-fine.csv", "--truth", "wf-fine.csv", "--n", "200",
+                    "--m-list", "10,60,150", "--subsets", "8", "--out", "sweep-fine.csv"]),
     ("bound-note", ["bound", "--sparsity", "40", "--n", "100"]),
     ("fail-usage", ["synth", "--pulses", "1e-3,1000", "--out", "bad.csv"]),
     ("fail-io", ["measure", "--in", "missing.csv", "--full", "--out", "bad.csv"]),
