@@ -44,7 +44,7 @@ def magnus_shot(index, noise=None, shot_seed=0):
 
 
 # noiseless single shots: unitary stepping vs Magnus closed form
-unitary = sensor.measure_sine_coefficient(waveform, k, None, step=1e-6)
+unitary = sensor.measure_sine_coefficient(waveform, k, None)
 magnus = magnus_shot(k)
 print(f"unitary simulation : {unitary:.3f} Hz")
 print(f"magnus closed form : {magnus:.3f} Hz")

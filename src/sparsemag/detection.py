@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import PULSE_AMPLITUDE, PULSE_DURATION, TimeGrid, write_csv_columns, write_text
 
@@ -41,53 +40,37 @@ class Template:
 
 
 @functools.lru_cache(maxsize=4)
-def default_template(
-    grid: TimeGrid, amplitude: float = PULSE_AMPLITUDE, pulse_duration: float = PULSE_DURATION
-) -> Template:
-    """Single-cycle sine pulse sampled from relative index 0, built once per
-    grid and shared, so its samples are read-only.
+def default_template(grid: TimeGrid) -> Template:
+    """Single-cycle sine pulse of ``PULSE_AMPLITUDE`` and ``PULSE_DURATION``,
+    sampled from relative index 0, built once per grid and shared, so its
+    samples are read-only.
 
     Only the shape matters for ROC ordering; the amplitude cancels under the
     threshold sweep.
     """
-    n_samples = np.maximum(2.0, np.round(pulse_duration / grid.dt))
-    if not n_samples <= grid.n_grid - 1:  # also inf and nan, before any allocation
+    n_samples = np.maximum(2.0, np.round(PULSE_DURATION / grid.dt))
+    if not n_samples <= grid.n_grid - 1:  # also inf, before any allocation
         raise ValueError(
-            f"template does not fit the grid: pulse_duration {pulse_duration} s / dt "
+            f"template does not fit the grid: pulse_duration {PULSE_DURATION} s / dt "
             f"{grid.dt} s is {n_samples:.4g} samples, the grid has N - 1 = {grid.n_grid - 1}"
         )
     k = np.arange(int(n_samples))
-    template = Template(amplitude * np.sin(2.0 * np.pi * k * grid.dt / pulse_duration))
+    template = Template(PULSE_AMPLITUDE * np.sin(2.0 * np.pi * k * grid.dt / PULSE_DURATION))
     template.samples.flags.writeable = False
     return template
 
 
 def matched_filter(signal, template: Template) -> np.ndarray:
     """Scores g_j = sum_k signal[..., k + j] * template[k], zero-padded, of a
-    signal, or of each row of a block.  A signal is ``np.correlate(signal,
-    template, "full")[len(template) - 1:]``.  A block gives each row those
-    bits in a few calls for all rows: a running sum over the taps where the
-    template has at most 11 (numpy's small-kernel loop), else a BLAS dot per
-    score, and a dot over the samples left for each of the last
-    len(template) - 1 scores.  Through the block form a lone signal would
-    take 12 us in place of 0.7."""
+    signal, or of each row of a block: ``np.correlate(row, template,
+    "full")[len(template) - 1:]``, one row at a time."""
     signal = np.asarray(signal, dtype=float)
     taps, n = template.samples, signal.shape[-1]
     if taps.size > n:
         raise ValueError("template longer than signal")
-    if signal.ndim == 1:
-        return np.correlate(signal, taps, mode="full")[taps.size - 1 :]
     scores = np.empty(signal.shape)
-    windows = sliding_window_view(signal, taps.size, axis=-1)
-    inner = scores[..., : n - taps.size + 1]
-    if taps.size <= 11:
-        inner[...] = 0.0
-        for k, tap in enumerate(taps):
-            inner += windows[..., k] * tap
-    else:
-        np.vecdot(windows, taps, out=inner)
-    for j in range(n - taps.size + 1, n):
-        scores[..., j] = np.vecdot(signal[..., j:], taps[: n - j])
+    for row, out in zip(signal.reshape(-1, n), scores.reshape(-1, n)):
+        out[...] = np.correlate(row, taps, mode="full")[taps.size - 1 :]
     return scores
 
 
@@ -176,16 +159,11 @@ def _roc_staircases(scores, labels):
 def auc_from_scores(scores, labels) -> np.ndarray:
     """AUC of each row of a (B, n) score block against shared 0/1 labels,
     bit for bit ``auc(roc_curve_from_scores(row, labels))``: each row sums
-    exactly its own ``np.trapezoid`` terms, so the pairwise sum groups alike."""
+    exactly its own ``np.trapezoid`` terms."""
     x, y, lengths = _roc_staircases(np.asarray(scores, dtype=float), labels)
     terms = (x[:, 1:] - x[:, :-1]) * (y[:, 1:] + y[:, :-1]) / 2.0
-    # rows of one length are summed together, from a contiguous run of rows
-    order = np.argsort(lengths, kind="stable")
-    terms, areas, stop = terms[order], np.empty(len(terms)), 0
-    for length, count in zip(*np.unique(lengths, return_counts=True)):
-        start, stop = stop, stop + count
-        areas[order[start:stop]] = np.add.reduce(terms[start:stop, : length - 1], axis=1)
-    return areas
+    areas = [np.add.reduce(row[: length - 1]) for row, length in zip(terms, lengths.tolist())]
+    return np.array(areas)
 
 
 def auc(curve) -> float:

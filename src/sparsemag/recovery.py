@@ -50,16 +50,12 @@ DEFAULT_LAMBDA = 1.04  # regularisation weight (Hz) tuned on simulated training 
 
 @dataclass
 class LassoProblem:
-    """Subsampled linear system with l1 regularisation."""
+    """Subsampled linear system with l1 regularisation, a plain record:
+    :func:`fista_solve` checks it, once, as a block of one."""
 
     operator: np.ndarray
     measurements: np.ndarray
     lam: float
-
-    def __post_init__(self):
-        self.operator, self.measurements, _, _ = _checked_block(
-            self.operator, self.measurements, [self.lam], None
-        )
 
 
 @dataclass

@@ -322,14 +322,11 @@ def count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
 
 
 def measure_sine_coefficient(
-    waveform: Waveform,
-    k: int,
-    noise: NoiseModel | None,
-    shot_seed: int = 0,
-    step: float = 1e-6,
+    waveform: Waveform, k: int, noise: NoiseModel | None, shot_seed: int = 0
 ) -> float:
     """One full shot measuring the sine coefficient at frequency k*df (Hz),
-    by unitary stepping of at most ``step`` seconds.
+    by unitary steps of at most 1 us and at most a fiftieth of the Rabi
+    period.
 
     The sensor evolves the sine-series interpolant of the waveform.  In the
     noiseless limit the result is ``apply_dst``'s coefficient scaled by the
@@ -351,7 +348,7 @@ def measure_sine_coefficient(
     if noise is not None:
         rngs = streams(noise.seed, shot_seed, [DRIFT, COUNTS])
         drift = 0.0 + noise.bias_drift_std_hz * next(rngs).standard_normal()
-    params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
+    params = SensorParams(0.0, rabi_hz, 0.0, duration, min(1e-6, 1.0 / (50.0 * rabi_hz)))
     # the coherent state of spinor (u, v) = (-conj(beta), conj(alpha)) has
     # <Fx> = 2 Re(conj(u) v); the second-frame rotation about x keeps it
     alpha, beta = _rotating_frame_pair(sine_interpolant(waveform), params, drift)

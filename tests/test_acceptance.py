@@ -74,7 +74,7 @@ def _unitary_sweep(amplitude):
     coefs = transform.apply_dst(transform.dst_matrix(100), waveform)
     simulated = np.array(
         [
-            sensor.measure_sine_coefficient(waveform, k, None, step=1e-6)
+            sensor.measure_sine_coefficient(waveform, k, None)
             for k in range(1, 100)
         ]
     )

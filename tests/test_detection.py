@@ -50,12 +50,13 @@ def test_default_template_is_shared_and_refuses_writes():
 
 
 def test_default_template_must_fit_the_grid():
-    tgrid = TimeGrid(100, 50e-6)
-    # 99.4 samples round to the 99 the grid holds
-    assert default_template(tgrid, pulse_duration=99.4 * 50e-6).samples.size == 99
-    for duration in (99.6 * 50e-6, np.inf, np.nan):
-        with pytest.raises(ValueError, match=r"pulse_duration .* / dt 5e-05 s is .* N - 1 = 99"):
-            default_template(tgrid, pulse_duration=duration)
+    # 99.4 samples of the 200 us pulse round to the 99 the grid holds
+    assert default_template(TimeGrid(100, 200e-6 / 99.4)).samples.size == 99
+    # 100 samples for 99 slots, and a subnormal dt's infinite quotient
+    for dt, samples in ((2e-6, "100"), (5e-324, "inf")):
+        with pytest.raises(ValueError, match=rf"pulse_duration 0.0002 s / dt {dt} s is "
+                                             rf"{samples} samples, .* N - 1 = 99"):
+            default_template(TimeGrid(100, dt))
 
 
 def test_matched_filter_self_match_peak():

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from oracles import objective, soft_threshold
+from sparsemag import recovery
 from sparsemag.experiments import LambdaGrid, simulate_measurements
 from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
 from sparsemag.recovery import (
@@ -196,11 +197,26 @@ def test_objective_examples():
 def test_problem_validation():
     operator = np.zeros((4, 9))
     with pytest.raises(ValueError):
-        LassoProblem(operator, np.zeros(5), 1.0)
+        fista_solve(LassoProblem(operator, np.zeros(5), 1.0))
     with pytest.raises(ValueError):
-        LassoProblem(operator, np.zeros(4), 0.0)
+        fista_solve(LassoProblem(operator, np.zeros(4), 0.0))
     with pytest.raises(ValueError):
         objective(LassoProblem(operator, np.zeros(4), 1.0), np.zeros(3))
+
+
+def test_lone_solve_checks_its_inputs_once(monkeypatch):
+    # the problem is a plain record: only the block of one checks it
+    _, problem = _pulse_instance(0, 1.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return checked_block(*args)
+
+    checked_block = recovery._checked_block
+    monkeypatch.setattr(recovery, "_checked_block", counted)
+    fista_solve(LassoProblem(problem.operator, problem.measurements, problem.lam))
+    assert len(calls) == 1
 
 
 def test_fista_zero_data():
@@ -498,11 +514,11 @@ def test_non_finite_input_rejected(bad):
     measurements = problem.measurements.copy()
     measurements[7] = bad
     with pytest.raises(ValueError, match="operator"):
-        LassoProblem(operator, problem.measurements, 1.0)
+        fista_solve(LassoProblem(operator, problem.measurements, 1.0))
     with pytest.raises(ValueError, match="measurements"):
-        LassoProblem(problem.operator, measurements, 1.0)
+        fista_solve(LassoProblem(problem.operator, measurements, 1.0))
     with pytest.raises(ValueError, match="lambda"):
-        LassoProblem(problem.operator, problem.measurements, bad)
+        fista_solve(LassoProblem(problem.operator, problem.measurements, bad))
     with pytest.raises(ValueError, match="operator"):
         fista_solve_block(operator, problem.measurements, [1.0])
     with pytest.raises(ValueError, match="measurements"):

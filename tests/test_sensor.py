@@ -10,7 +10,7 @@ from oracles import FX, FY, FZ, STATE_MINUS_Z, expectation, second_frame_state, 
 from sparsemag import sensor
 from sparsemag.experiments import simulate_measurements
 
-from sparsemag.grids import PulseSpec, TimeGrid, synth_waveform
+from sparsemag.grids import PulseSpec, TimeGrid, Waveform, synth_waveform
 from sparsemag.sensor import (
     NoiseModel,
     SensorParams,
@@ -182,7 +182,7 @@ def test_measure_unitary_single_shot_matches_dst():
     waveform = synth_waveform(tgrid, [PulseSpec(100.0, 200e-6, 1.025e-3)])
     coefs = apply_dst(dst_matrix(100), waveform)
     k = int(np.argmax(np.abs(coefs))) + 1
-    value = measure_sine_coefficient(waveform, k, None, step=1e-6)
+    value = measure_sine_coefficient(waveform, k, None)
     assert value == pytest.approx(coefs[k - 1], rel=0.02)
 
 
@@ -230,8 +230,6 @@ def test_measure_validates_k():
 
 
 def test_ramsey_constant_waveform():
-    from sparsemag.grids import Waveform
-
     tgrid = TimeGrid(100, 50e-6)
     waveform = Waveform(np.full(99, 120.0), tgrid)
     value = ramsey_sample(waveform, 2.5e-3, 60e-6, None)
@@ -368,10 +366,10 @@ def _reference_evolve(psi0, unitaries):
     return psi
 
 
-def _reference_unitary_shot(waveform, k, noise, shot_seed=0, step=1e-6):
+def _reference_unitary_shot(waveform, k, noise, shot_seed=0):
     duration = waveform.grid.duration
     rabi_hz = k / (2.0 * duration)
-    params = SensorParams(0.0, rabi_hz, 0.0, duration, min(step, 1.0 / (50.0 * rabi_hz)))
+    params = SensorParams(0.0, rabi_hz, 0.0, duration, min(1e-6, 1.0 / (50.0 * rabi_hz)))
     coefs = apply_dst(dst_matrix(waveform.grid.n_grid), waveform)
     omega = np.pi * np.arange(1, waveform.grid.n_grid) / duration
     n_steps = max(1, int(np.ceil(duration / params.step - 1e-9)))
@@ -460,12 +458,14 @@ def test_noiseless_unitary_shot_matches_reference(n_pulses):
 
 
 def test_noiseless_unitary_shot_matches_reference_coarse_steps():
-    # a step so large that the midpoint grid is coarser than the waveform's
-    # grid: the interpolant's frequencies fold onto the n step frequencies
-    waveform = _pulse_pool(2, seed=6)[1]
+    # a waveform so short that the 1 us midpoint grid is coarser than its
+    # own: the interpolant's frequencies fold onto the n step frequencies.
+    # Scaled 200x, so that the shots still turn the spin by a sizeable angle
+    samples = 200.0 * _pulse_pool(2, seed=6)[1].samples
+    waveform = Waveform(samples, TimeGrid(100, 0.25e-6))
     for k in (1, 2, 3):  # 25, 50 and 75 steps for 99 frequencies
-        fast = measure_sine_coefficient(waveform, k, None, step=1e-3)
-        slow = _reference_unitary_shot(waveform, k, None, step=1e-3)
+        fast = measure_sine_coefficient(waveform, k, None)
+        slow = _reference_unitary_shot(waveform, k, None)
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12 * max(abs(slow), 1.0))
 
 
