@@ -8,8 +8,7 @@ Each report is matched by its test id.  Its ``ok`` flag, its ``detail`` text
 and every raw value are compared exactly, except the timings, which move
 from run to run: the ``elapsed_s`` and ``sweeps_s`` values and the seconds
 in ``detail`` (``1.7s``, ``sweeps 0.4s``).  A report on one side only is
-drift too.  Other files can be named: ``acceptance_drift.py CURRENT
-[REFERENCE]``.
+drift too.
 """
 
 import json
@@ -59,18 +58,15 @@ def drift(current: list, reference: list) -> list:
     return lines
 
 
-def main(argv) -> int:
-    if len(argv) > 2:
-        sys.exit(f"usage: {sys.argv[0]} [CURRENT [REFERENCE]]")
-    current = Path(argv[0]) if argv else CURRENT
-    reference = Path(argv[1]) if len(argv) > 1 else newest_reference()
-    lines = drift(json.loads(current.read_text()), json.loads(reference.read_text()))
+def main() -> int:
+    reference = newest_reference()
+    lines = drift(json.loads(CURRENT.read_text()), json.loads(reference.read_text()))
     for line in lines:
         print(f"drift: {line}")
     if not lines:
-        print(f"no drift: {current} matches {reference.name}")
+        print(f"no drift: {CURRENT.relative_to(ROOT)} matches {reference.name}")
     return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
