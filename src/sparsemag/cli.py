@@ -272,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spin-1 magnetometer (units: seconds and hertz throughout)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name
     for command, (help_text, spec) in _COMMANDS.items():
         subparser = sub.add_parser(command, help=help_text)
         for token in spec.split():
@@ -284,8 +285,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without argparse's top-level
+    pass when ``argv[0]`` names a command: that command's own parser reads
+    the rest.  Any other argv (none, ``-h``, an unknown command) and any
+    argument the command's parser leaves unrecognised go to the full
+    parser, so help, usage and error text and exit codes stay its own."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     # The command is looked up by name on every call, not bound into the
     # cached parser, so a replaced module-level cmd_* is the one that runs.
     # It returns the paths it wrote, its artefact first, and the manifest

@@ -67,8 +67,9 @@ class TimeGrid:
 
     def holds(self, times) -> bool:
         """Whether ``times`` read j*dt, j = 1..n_grid-1, each to a relative 1e-9."""
+        expected = self.times
         with np.errstate(over="ignore"):  # a difference that overflows reads as a mismatch
-            return bool(np.all(abs(np.asarray(times) - self.times) <= 1e-9 * self.times))
+            return bool(np.all(abs(np.asarray(times) - expected) <= 1e-9 * expected))
 
 
 # the paper's test pulse: one 200 us cycle of 1 kHz (143 nT) amplitude

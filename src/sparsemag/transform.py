@@ -129,9 +129,16 @@ def random_subsample_masks(n_grid: int, ms, seeds) -> np.ndarray:
 
 
 def random_subsample(n_grid: int, m: int, seed: int) -> SubsampleSet:
-    """Uniformly random m-subset of 1..N-1: :func:`random_subsample_masks`."""
-    row = random_subsample_masks(n_grid, [m], [seed])[0]
-    return SubsampleSet(n_grid, tuple((np.flatnonzero(row) + 1).tolist()))
+    """Uniformly random m-subset of 1..N-1, the row of
+    :func:`random_subsample_masks` for (m, seed): the swaps of one
+    ``rng.integers(np.arange(m), N - 1)`` call on the stream of key (seed,)."""
+    m = operator.index(m)
+    if not 1 <= m <= n_grid - 1:
+        raise ValueError(f"m must lie in 1..{n_grid - 1}, got {m}")
+    pool = list(range(1, n_grid))
+    for i, j in enumerate(next(streams(seed)).integers(np.arange(m), n_grid - 1).tolist()):
+        pool[i], pool[j] = pool[j], pool[i]
+    return SubsampleSet(n_grid, tuple(sorted(pool[:m])))
 
 
 def subsample_rows(matrix: np.ndarray, subsample: SubsampleSet) -> np.ndarray:

@@ -606,6 +606,36 @@ def test_parsed_flags_keep_their_dests_and_defaults(command):
     assert {k: type(v) for k, v in parsed.items()} == {k: type(v) for k, v in expected.items()}
 
 
+def _parsed(parse, argv, capsys):
+    """What a parse of argv gives, its flags (sorted, and by repr, so that a
+    nan equals itself) or its exit code, and what it printed."""
+    try:
+        result = repr(sorted(vars(parse(argv)).items()))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def _assert_one_route(argv, capsys):
+    assert _parsed(cli.parse_args, argv, capsys) == _parsed(cli.build_parser().parse_args, argv,
+                                                            capsys), argv
+
+
+# every CLI argv of the session, the failing ones too, and those the full
+# parser must take: no argv, help first, help after a command, and an
+# argument that the command's own parser leaves unrecognised
+_ROUTE_ARGVS = [*(pytest.param(argv, id=name)
+                  for name, argv in [*cli_session.CLI_RUNS, *cli_session.MORE_RUNS]),
+                pytest.param([], id="no-argv"), pytest.param(["-h"], id="h"),
+                pytest.param(["measure", "-h"], id="measure-h"),
+                pytest.param(["measure", "--in", "wf.csv", "--m", "5", "--bogus"], id="bogus")]
+
+
+@pytest.mark.parametrize("argv", _ROUTE_ARGVS)
+def test_a_command_parses_on_its_own_parser_as_on_the_full_one(capsys, argv):
+    _assert_one_route(argv, capsys)
+
+
 def _range_cases():
     """Every flag with a file-free range on every command that takes it, with
     values just outside that range and the exact line each must print."""
@@ -1290,7 +1320,9 @@ def test_cli_fuzz_every_numeric_flag(tmp_path_factory, capsys, monkeypatch, vali
     out = [] if command == "bound" else ["--out", "out/out.csv"]
     (d / "out").mkdir()
     flags = [str(v) for pair in pairs for v in (pair[0], repr(pair[1]))]
-    code = _exit_code([command, *_BASE[command], *flags, *out])
+    argv = [str(a) for a in (command, *_BASE[command], *flags, *out)]
+    _assert_one_route(argv, capsys)
+    code = _exit_code(argv)
     captured = capsys.readouterr()
     assert code in (0, 2, 3, 4), (command, flags, code)
     assert "warning" not in (captured.out + captured.err).lower(), captured

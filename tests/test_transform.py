@@ -236,6 +236,17 @@ def test_random_subsample_masks_match_oracle(draws):
         assert random_subsample(n_grid, m, seed).indices == expected
 
 
+@pytest.mark.parametrize("n_grid", [2, 3, 100, 257])
+@pytest.mark.parametrize("seeds", [range(50), range(2**32, 2**32 + 10)], ids=["small", "wide"])
+def test_a_lone_subset_is_its_mask_row(n_grid, seeds):
+    # every m against one block of the mask sampler per seed range: the
+    # block-mixed streams for seeds 0-49, numpy's SeedSequence past 2**32
+    rows = [(m, seed) for m in range(1, n_grid) for seed in seeds]
+    masks = random_subsample_masks(n_grid, *zip(*rows))
+    for (m, seed), mask in zip(rows, masks):
+        assert random_subsample(n_grid, m, seed).indices == tuple((np.flatnonzero(mask) + 1).tolist())
+
+
 def test_a_rejected_draw_redraws_its_row(monkeypatch):
     # at N = 30001, m = 20000 the stream of seed 9 holds a draw that numpy's
     # Lemire rule rejects, at step i = 7286: its low product word lies below
