@@ -18,7 +18,7 @@ Run:  python3 demos/02_single_shot_sensor.py
 import numpy as np
 
 import sparsemag as sm
-from sparsemag import sensor, transform
+from sparsemag import seeds, sensor, transform
 
 tgrid = sm.TimeGrid(100, 50e-6)
 waveform = sm.synth_waveform(
@@ -33,11 +33,11 @@ duration = tgrid.duration
 
 def magnus_shot(index, noise=None, shot_seed=0):
     """One shot in the first-order Magnus closed form: the exact quadratures,
-    sin(r)/r * a, then the atom counts (drift on stream (seed, shot, 0))."""
+    sin(r)/r * a, then the atom counts (drift on stream (seed, shot, DRIFT))."""
     drift = 0.0
     if noise is not None:
-        key = np.random.SeedSequence((noise.seed, shot_seed, 0))
-        drift = np.random.default_rng(key).normal(0.0, noise.bias_drift_std_hz)
+        rng = next(seeds.streams(noise.seed, shot_seed, seeds.DRIFT))
+        drift = 0.0 + noise.bias_drift_std_hz * rng.standard_normal()
     a, b = sensor.magnus_quadratures(coefs, duration, drift)
     fx = sensor.magnus_prediction(a[index - 1], b[index - 1])
     return sensor.readout_coefficient(fx, duration, noise, shot_seed)

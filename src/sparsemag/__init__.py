@@ -28,6 +28,7 @@ from .sensor import (
     measure_sine_coefficient,
     ramsey_sample,
     readout_coefficient,
+    simulate_measurements,
 )
 from .recovery import (
     DEFAULT_LAMBDA,
@@ -50,7 +51,6 @@ from .experiments import (
     TrainingSetSpec,
     compute_bound,
     run_scenario,
-    simulate_measurements,
     sweep_sample_count,
     tune_lambda,
 )

@@ -6,18 +6,10 @@ sequences, per-shot seeds and noise streams all come from counter-based keys
 under the master seed (``seeds.derive_seed``, ``seeds.streams``, which take a
 whole batch of keys at once), so results never depend on execution order.
 The key layouts and their tags are listed in ``seeds``.
-
-Shot batches here use the sensor's first-order Magnus closed form, the
-package's one Magnus sampler: the exact quadratures of the sine-interpolated
-waveform for every selected index at once (``sensor.magnus_quadratures``),
-then the coherent-state readout of <Fx> (``sensor.count_readout``), with
-no spin state built.  The test suite checks it against the stepped unitary
-shot (``sensor.measure_sine_coefficient``) and a per-shot 3x3 matrix oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,13 +36,9 @@ from .recovery import (
     fista_solve,
     fista_solve_block,
 )
-from .seeds import (COUNTS, DRIFT, RAMSEY, SEQUENCE, SHOT, SUBSET, derive_seed, seed_int,
-                    streams)
-from .sensor import NoiseModel
+from .seeds import RAMSEY, SEQUENCE, SUBSET, derive_seed, streams
+from .sensor import NoiseModel, simulate_measurements
 from .transform import (
-    MeasurementVector,
-    SubsampleSet,
-    apply_dst,
     apply_inverse_dst,
     dst_matrix,
     random_subsample,
@@ -61,53 +49,6 @@ from .transform import (
 # sweep subsets solved per block: each working array of the engine holds at
 # most this many rows of N - 1 values, whatever the m grid and subset count
 _SWEEP_BLOCK_COLUMNS = 256
-
-
-# the last full shot vector: ((grid, noise, master_seed), sample bytes, values)
-_last_full = None
-
-
-def simulate_measurements(
-    waveform: Waveform,
-    subsample: SubsampleSet | None,
-    noise: NoiseModel | None,
-    master_seed: int = 0,
-) -> MeasurementVector:
-    """One simulated shot per selected frequency index (all of 1..N-1 when
-    ``subsample`` is None), using the Magnus closed form.  Shot k draws its
-    drift and its atom counts on the seed derive_seed(master_seed, SHOT, k),
-    so a subset equals the matching slice of the full vector bit for bit,
-    and is read from the last full vector when that had the same waveform,
-    noise and master seed."""
-    global _last_full
-    n_grid = waveform.grid.n_grid
-    duration = waveform.grid.duration
-    if subsample is None:
-        subsample = SubsampleSet(n_grid, tuple(range(1, n_grid)))
-    if subsample.n_grid != n_grid:
-        raise ValueError(
-            f"subset is for N={subsample.n_grid}, the waveform has N={n_grid}"
-        )
-    k = np.asarray(subsample.indices)
-    key, last = (waveform.grid, noise, seed_int(master_seed, "master_seed")), _last_full
-    if last is not None and last[0] == key and last[1] == waveform.samples.tobytes():
-        return MeasurementVector(last[2][k - 1], subsample)
-    drift = np.zeros(n_grid - 1)
-    rngs = None  # the noiseless limit draws nothing
-    if noise is not None:
-        # every shot's DRIFT stream, then every shot's COUNTS stream
-        rngs = streams(noise.seed, derive_seed(master_seed, SHOT, k), [[DRIFT], [COUNTS]])
-        std = noise.bias_drift_std_hz  # 0.0 + std * z is rng.normal(0.0, std), as in sensor
-        drift[k - 1] = [0.0 + std * rng.standard_normal() for rng in itertools.islice(rngs, k.size)]
-    coefs = apply_dst(dst_matrix(n_grid), waveform)
-    a, b = sensor.magnus_quadratures(coefs, duration, drift)
-    fx = sensor.magnus_prediction(a[k - 1], b[k - 1])
-    measured = MeasurementVector(sensor.count_readout(fx, duration, noise, rngs), subsample)
-    if k.size == n_grid - 1:
-        values = measured.values.copy()
-        values.flags.writeable = False
-        _last_full = key, waveform.samples.tobytes(), values
-    return measured
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,15 @@ Coherent-state readout: every state the sensor makes is |m=-1> evolved under
 a Hamiltonian linear in F, so it is a spin-1 coherent state, and after the
 pi/2 pulse its populations (p_plus, p_zero, p_minus) are fixed by the
 second-frame x = <Fx> alone: (((1-x)/2)^2, (1-x^2)/2, ((1+x)/2)^2).
-``readout_coefficient`` draws the atom counts from that closed form, for one
-shot or a whole batch, with no 3x3 rotation per shot.
+``readout_coefficient`` draws the atom counts from that closed form, with no
+3x3 rotation per shot; a batch calls ``count_readout``, the same readout on
+the generators it already holds.
+
+A batch (``simulate_measurements``) is the package's one Magnus sampler: the
+exact first-order quadratures of the sine-interpolated waveform for every
+selected index at once (``magnus_quadratures``), then that readout of <Fx>,
+with no spin state built.  The test suite checks it against the stepped
+unitary shot (``measure_sine_coefficient``) and a per-shot 3x3 oracle.
 
 Evolution freezes the Hamiltonian at each step midpoint, which is
 second-order accurate.  H is linear in F, so each step is an SU(2) rotation
@@ -44,7 +51,8 @@ reads <Fx> straight from the one product pair; ``evolve_rotating_frame`` and
 
 Noise: a noisy shot draws its drift and its counts on the streams of keys
 (noise.seed, shot_seed, DRIFT) and (noise.seed, shot_seed, COUNTS), a Ramsey
-window on (noise.seed, shot_seed, RAMSEY_NOISE), all from ``seeds.streams``.
+window on (noise.seed, shot_seed, RAMSEY_NOISE), all from ``seeds.streams``;
+in a batch, shot k's shot_seed is derive_seed(master_seed, SHOT, k).
 A normal draw is written 0.0 + std * standard_normal(), which is what
 ``Generator.normal(0.0, std)`` computes, bit for bit, without its argument
 handling.
@@ -53,14 +61,16 @@ handling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Waveform
-from .seeds import COUNTS, DRIFT, RAMSEY_NOISE, seed_int, streams
-from .transform import SineInterpolant, sine_interpolant
+from .seeds import COUNTS, DRIFT, RAMSEY_NOISE, SHOT, derive_seed, seed_int, streams
+from .transform import (MeasurementVector, SineInterpolant, SubsampleSet, apply_dst, dst_matrix,
+                        sine_interpolant)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -321,6 +331,53 @@ def count_readout(fx, duration: float, noise: NoiseModel | None, rngs):
     return float(values) if values.ndim == 0 else values
 
 
+# the last full shot vector: ((grid, noise, master_seed), sample bytes, values)
+_last_full = None
+
+
+def simulate_measurements(
+    waveform: Waveform,
+    subsample: SubsampleSet | None,
+    noise: NoiseModel | None,
+    master_seed: int = 0,
+) -> MeasurementVector:
+    """One simulated shot per selected frequency index (all of 1..N-1 when
+    ``subsample`` is None), using the Magnus closed form.  Shot k draws its
+    drift and its atom counts on the seed derive_seed(master_seed, SHOT, k),
+    so a subset equals the matching slice of the full vector bit for bit,
+    and is read from the last full vector when that had the same waveform,
+    noise and master seed."""
+    global _last_full
+    n_grid = waveform.grid.n_grid
+    duration = waveform.grid.duration
+    if subsample is None:
+        subsample = SubsampleSet(n_grid, tuple(range(1, n_grid)))
+    if subsample.n_grid != n_grid:
+        raise ValueError(
+            f"subset is for N={subsample.n_grid}, the waveform has N={n_grid}"
+        )
+    k = np.asarray(subsample.indices)
+    key, last = (waveform.grid, noise, seed_int(master_seed, "master_seed")), _last_full
+    if last is not None and last[0] == key and last[1] == waveform.samples.tobytes():
+        return MeasurementVector(last[2][k - 1], subsample)
+    drift = np.zeros(n_grid - 1)
+    rngs = None  # the noiseless limit draws nothing
+    if noise is not None:
+        # every shot's DRIFT stream, then every shot's COUNTS stream
+        rngs = streams(noise.seed, derive_seed(master_seed, SHOT, k), [[DRIFT], [COUNTS]])
+        std = noise.bias_drift_std_hz
+        drift[k - 1] = [0.0 + std * rng.standard_normal() for rng in itertools.islice(rngs, k.size)]
+    coefs = apply_dst(dst_matrix(n_grid), waveform)
+    a, b = magnus_quadratures(coefs, duration, drift)
+    fx = magnus_prediction(a[k - 1], b[k - 1])
+    measured = MeasurementVector(count_readout(fx, duration, noise, rngs), subsample)
+    if k.size == n_grid - 1:
+        values = measured.values.copy()
+        values.flags.writeable = False
+        _last_full = key, waveform.samples.tobytes(), values
+    return measured
+
+
 def measure_sine_coefficient(
     waveform: Waveform, k: int, noise: NoiseModel | None, shot_seed: int = 0
 ) -> float:
@@ -337,7 +394,7 @@ def measure_sine_coefficient(
     ``noise=None`` is the exact noiseless limit: no drift, and the population
     difference is taken as an expectation value rather than sampled.  The
     first-order Magnus closed form of a batch of shots is
-    ``experiments.simulate_measurements``.
+    ``simulate_measurements``.
     """
     n_grid = waveform.grid.n_grid
     if not 1 <= k <= n_grid - 1:

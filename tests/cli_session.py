@@ -28,7 +28,6 @@ text are left out.
 
 import hashlib
 import json
-import os
 import platform
 import shutil
 import subprocess
@@ -38,12 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-import sparsemag
+from childenv import child_env
 from test_acceptance import CLI_RUNS
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "cli_session.json"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-PACKAGE_ROOT = str(Path(sparsemag.__file__).resolve().parents[1])
 SUBSET_JSON = '{"n_grid": 100, "indices": [2, 3, 50, 71]}'
 
 # after CLI_RUNS, in its directory: the flags and paths it leaves untried
@@ -127,9 +125,7 @@ def run_session(directory) -> dict:
     """Run every step in ``directory``; return its entries, in step order."""
     directory = Path(directory).resolve()
     session = str(directory).encode()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", COLUMNS="80")
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
+    env = child_env(OPENBLAS_NUM_THREADS="1", COLUMNS="80")
     (directory / "subset.json").write_text(SUBSET_JSON)
     shutil.copytree(DEMOS, directory / "demos",
                     ignore=shutil.ignore_patterns("output", "__pycache__"))

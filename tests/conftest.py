@@ -1,32 +1,23 @@
 """Shared fixtures for the test suite."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import sparsemag
+from childenv import child_env
 
 
 @pytest.fixture
 def run_sparsemag():
     """Run ``python -m sparsemag ARGS`` in ``cwd`` and return the completed process.
 
-    The child imports the same ``sparsemag`` as this test process: the
-    directory that holds it goes first on ``PYTHONPATH``, so a relative
-    ``PYTHONPATH`` (such as ``src``) still resolves when ``cwd`` is elsewhere.
-    The rest of the environment is passed on unchanged.  A non-zero exit fails
-    the test with the child's stderr in the message.
+    The child imports the same ``sparsemag`` as this test process
+    (``childenv.child_env``).  A non-zero exit fails the test with the
+    child's stderr in the message.
     """
-    package_root = str(Path(sparsemag.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + inherited if inherited else package_root
-    )
+    env = child_env()
 
     def run(args, cwd):
         proc = subprocess.run(

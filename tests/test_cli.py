@@ -121,10 +121,12 @@ def test_overflowing_inputs_exit_4_with_one_line(tmp_path, pulse_csv, capsys, ar
 
 
 def test_synth_malformed_pulse_spec_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        run_cli(["synth", "--pulses", "1.0e-3,1000", "--out", tmp_path / "x.csv"])
-    assert excinfo.value.code == 2
-    assert "malformed pulse spec" in capsys.readouterr().err
+    for spec, reason in (("1.0e-3,1000", "expected t0,amplitude,duration"),
+                         ("a,1000,2e-4", "non-numeric field")):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["synth", "--pulses", spec, "--out", tmp_path / "x.csv"])
+        assert excinfo.value.code == 2
+        assert f"malformed pulse spec {spec!r}: {reason}" in capsys.readouterr().err
 
 
 def test_measure_full_noiseless_matches_dst(tmp_path, pulse_csv):

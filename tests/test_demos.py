@@ -1,6 +1,5 @@
 """Each demo runs to completion from a copy of ``demos/`` and writes its files."""
 
-import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-import sparsemag
+from childenv import child_env
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 OUTPUTS = {
@@ -26,12 +25,8 @@ OUTPUTS = {
 def test_demo_runs_and_writes_its_files(tmp_path, demo):
     demos = tmp_path / "demos"
     shutil.copytree(DEMOS, demos, ignore=shutil.ignore_patterns("output", "__pycache__"))
-    package_root = str(Path(sparsemag.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    ))
     proc = subprocess.run(
-        [sys.executable, demos / demo], capture_output=True, cwd=tmp_path, env=env
+        [sys.executable, demos / demo], capture_output=True, cwd=tmp_path, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     for name in OUTPUTS[demo]:

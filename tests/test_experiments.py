@@ -123,7 +123,7 @@ def _forbid_shots(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a shared shot was computed again")
 
-    monkeypatch.setattr(experiments, "streams", boom)
+    monkeypatch.setattr(sensor, "streams", boom)
     monkeypatch.setattr(sensor, "magnus_quadratures", boom)
 
 
@@ -149,7 +149,7 @@ def test_subset_is_the_full_vector_slice_cold_and_warm(monkeypatch, n_grid, nois
     subset = random_subsample(n_grid, n_grid // 2, 11)
     picked = np.asarray(subset.indices) - 1
 
-    monkeypatch.setattr(experiments, "_last_full", None)
+    monkeypatch.setattr(sensor, "_last_full", None)
     cold = simulate_measurements(wf, subset, noise, master_seed=7).values
     full = simulate_measurements(wf, None, noise, master_seed=7).values
     assert cold.tobytes() == full[picked].tobytes()
@@ -196,7 +196,7 @@ def _near_misses(one_pulse):
 def test_a_near_miss_key_recomputes(one_pulse, monkeypatch, case):
     wf, noise, master_seed = _near_misses(one_pulse)[case]
     subset = random_subsample(100, 60, 8)
-    monkeypatch.setattr(experiments, "_last_full", None)
+    monkeypatch.setattr(sensor, "_last_full", None)
     cold = simulate_measurements(wf, subset, noise, master_seed).values
 
     simulate_measurements(one_pulse, None, NoiseModel(200.0, 1000.0, seed=3), 5)
@@ -267,6 +267,25 @@ def test_tune_lambda_degenerate_count_smoke():
     result = tune_lambda(spec, LambdaGrid(low=0.5, high=2.0, count=3))
     assert result.best_lambda in result.lambdas
     assert result.mean_l1_error.shape == (3,)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        TrainingSetSpec(count=0)
+
+
+def test_tune_lambda_counts_its_unconverged_solves(monkeypatch):
+    # which solves stall at tiny lambda depends on last-bit rounding, so the
+    # count is checked against the solves of the same run
+    unconverged = []
+    real = experiments.fista_solve_block
+
+    def counted(*args, **kwargs):
+        solved = real(*args, **kwargs)
+        unconverged.append(int(np.count_nonzero(~solved.converged)))
+        return solved
+
+    monkeypatch.setattr(experiments, "fista_solve_block", counted)
+    result = tune_lambda(TrainingSetSpec(count=2, master_seed=3), LambdaGrid(1e-6, 3e-6, 3))
+    assert len(unconverged) == 2
+    assert result.failed_solves == sum(unconverged) > 0
 
 
 def test_lambda_grid_validation():
@@ -342,7 +361,7 @@ def test_a_wide_master_seed_matches_the_oracles(one_pulse, monkeypatch):
     # seeds of 2**32 or more take numpy's SeedSequence one key at a time
     master = 2**40
     noise = NoiseModel(200.0, 1000.0, seed=2**32)
-    monkeypatch.setattr(experiments, "_last_full", None)
+    monkeypatch.setattr(sensor, "_last_full", None)
     base = simulate_measurements(one_pulse, None, noise, master).values
     expected = oracles.simulate_measurements(one_pulse, None, noise, master)
     assert base.tobytes() == expected.tobytes()

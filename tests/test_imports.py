@@ -8,19 +8,15 @@ already.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sparsemag
+from childenv import child_env
 from sparsemag.transform import SineInterpolant
 from test_acceptance import CLI_RUNS
-
-PACKAGE_ROOT = str(Path(sparsemag.__file__).resolve().parents[1])
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
@@ -28,10 +24,8 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('
 def _python(*args, cwd=None):
     """Run ``python ARGS`` with this sparsemag first on the path; return the
     completed process, whose exit code must be 0."""
-    env = dict(os.environ)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -540,6 +540,8 @@ def test_block_validation():
         fista_solve_block(*args, [1.0, 0.0])
     with pytest.raises(ValueError, match="measurement length"):
         fista_solve_block(problem.operator, problem.measurements[:-1], [1.0])
+    with pytest.raises(ValueError, match="operator must be a matrix"):
+        fista_solve_block(problem.operator[0], problem.measurements[:1], [1.0])
 
 
 def test_default_lambda_value():

@@ -74,6 +74,8 @@ def test_evolve_rejects_large_step():
         evolve_rotating_frame(
             zero_signal, SensorParams(0.0, 1000.0, 0.0, 5e-3, 1e-3)
         )
+    with pytest.raises(ValueError, match="step must be positive"):
+        SensorParams(0.0, 1000.0, 0.0, 5e-3, 0.0)
 
 
 def test_norm_preserved_with_signal():

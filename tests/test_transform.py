@@ -162,6 +162,8 @@ def test_inverse_dst_dimension_checks():
     tgrid = TimeGrid(100, 50e-6)
     with pytest.raises(ValueError):
         apply_inverse_dst(dst_matrix(100), np.zeros(60), tgrid)
+    with pytest.raises(ValueError, match="grid does not match matrix"):
+        apply_inverse_dst(dst_matrix(100), np.zeros(99), TimeGrid(50, 50e-6))
 
 
 @pytest.mark.parametrize("n_grid,value", [(100, 1 / np.sqrt(200)), (2, 0.5), (4, 1 / np.sqrt(8))])
@@ -308,6 +310,8 @@ def test_subsample_rows_extraction():
     single = subsample_rows(matrix, SubsampleSet(100, (1,)))
     j = np.arange(1, 100)
     np.testing.assert_allclose(single[0], np.sin(np.pi * j / 100) / 100)
+    with pytest.raises(ValueError, match="subsample set does not match matrix size"):
+        subsample_rows(matrix, SubsampleSet(50, (1, 2)))
 
 
 def test_subsample_restriction_consistency():
@@ -503,6 +507,8 @@ def test_measurement_vector_rejects_non_finite():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             MeasurementVector([0.0, 1.0, bad, 2.0, 3.0], subset)
+    with pytest.raises(ValueError, match=r"expected 5 values, got \(4,\)"):
+        MeasurementVector([0.0, 1.0, 2.0, 3.0], subset)
 
 
 def test_subsample_json_round_trip(tmp_path):
