@@ -28,10 +28,10 @@ others by more than trailing zeros.
 
 A batch of _BLOCK_MIN_KEYS or more keys of these layouts, every entry below
 2**32, is mixed in blocks of keys; any other batch is numpy's SeedSequence
-one key at a time.  Block mixing costs about 41 us whatever the batch size
-(50-60 us in ``streams``), SeedSequence 7-8 us a key (one thread, 2-core x86
-host): they break even at 5-7 keys.  A seed of 2**32 or more costs more: 60
-noisy shots take 1.8x as long, 2.7x when it is the noise seed.
+one key at a time.  Block mixing costs 50-57 us a batch (62-78 us in
+``streams``), SeedSequence 8 us a key (12 us in ``streams``; one thread,
+2-core x86 host): they break even at 4-7 keys.  A seed of 2**32 or more
+costs more: 60 noisy shots take 1.8x as long, 2.7x as the noise seed.
 """
 
 from __future__ import annotations
@@ -41,15 +41,13 @@ import math
 import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 SHOT, SUBSET, RAMSEY, SEQUENCE = 0, 1, 2, 3  # tags under a master seed
 DRIFT, COUNTS, RAMSEY_NOISE = 0, 1, 2  # tags under (noise, shot)
 
-# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF  # numpy's SeedSequence mixes a pool of 4 uint32 words
 _BLOCK_MIN_KEYS = 6  # smaller batches go key by key: see the module docstring
-_WALK_SEED = np.random.SeedSequence(0)  # streams' walk sets every state: no OS entropy
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -167,16 +165,24 @@ def derive_seed(master_seed: int, *indices):
     return int(seeds) if seeds.ndim == 0 else seeds
 
 
+class _Words(ISeedSequence):
+    """One key's ``generate_state(4, np.uint64)``, for PCG64 to seed itself from."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError(f"a key holds 4 uint64 words, not {n_words} of {dtype}")
+        return self.words
+
+
 def streams(*key):
     """Yield one ``Generator`` per key of a broadcast batch, in C order, each
-    in the state of ``np.random.default_rng(np.random.SeedSequence(key))``.
-
-    PCG64 takes its 128-bit initstate and initseq from ``generate_state(4,
-    np.uint64)``: inc = (initseq << 1) | 1 and state = ((inc + initstate) M
-    + inc) mod 2^128, M its multiplier.  Every key's (state, inc) is computed
-    first; one Generator and one state dict, local to the call, then walk
-    them: draw from each key's stream before taking the next.  A batch
-    seeded key by key yields ``default_rng`` of each SeedSequence itself.
+    in the state of ``np.random.default_rng(np.random.SeedSequence(key))``:
+    numpy's own PCG64 seeding of each key's words, or of its SeedSequence
+    when the batch goes key by key.  Each yield is its own generator; in a
+    block-mixed one ``seed_seq`` is the word holder, so ``spawn`` raises.
     """
     keys, entries, shape = _batch(key)
     if keys is not None:
@@ -184,12 +190,5 @@ def streams(*key):
             yield np.random.default_rng(np.random.SeedSequence(k))
         return
     words = _block_state(entries, shape, 8).reshape(8, -1).astype(np.uint64)
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in (words[0::2] | words[1::2] << 32).T.tolist():
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    rng, pcg = np.random.Generator(np.random.PCG64(_WALK_SEED)), {}
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
-    for pcg["state"], pcg["inc"] in states:
-        rng.bit_generator.state = state
-        yield rng
+    for row in (words[0::2] | words[1::2] << 32).T.copy():  # PCG64 reads C-order rows
+        yield np.random.Generator(np.random.PCG64(_Words(row)))

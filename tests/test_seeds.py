@@ -1,9 +1,9 @@
 """Counter-based seed keys: the exact batched SeedSequence/PCG64 streams.
 
-``seeds._seed_state`` and ``seeds.streams`` recompute numpy's SeedSequence
-mixing and PCG64 seeding for a batch of keys.  They are checked against numpy
-itself, so a numpy that changes either algorithm fails here instead of
-silently shifting every sampled value.
+``seeds._seed_state`` recomputes numpy's SeedSequence mixing for a batch of
+keys, and ``seeds.streams`` hands each key's words to numpy's PCG64 seeding.
+They are checked against numpy itself, so a numpy that changes either
+algorithm fails here instead of silently shifting every sampled value.
 """
 
 import itertools
@@ -212,6 +212,36 @@ def test_driver_batches_take_the_block_mixing(name, mix_calls):
 def test_other_batches_take_seed_sequence_per_key(name, mix_calls):
     _check_against_numpy(PER_KEY_BATCHES[name])
     assert not mix_calls
+
+
+def test_block_streams_are_one_generator_per_key(mix_calls):
+    # every generator is held before the first draw, then drawn from in
+    # reverse: each key keeps its own stream
+    batch = (3, _SHOT_SEEDS[:seeds._BLOCK_MIN_KEYS], [[seeds.DRIFT], [seeds.COUNTS]])
+    rngs = list(seeds.streams(*batch))
+    assert mix_calls and len(rngs) == 2 * seeds._BLOCK_MIN_KEYS
+    assert len({id(rng) for rng in rngs}) == len(rngs)
+    probs = [0.2, 0.3, 0.5]
+    for key, rng in reversed(list(zip(_keys(batch), rngs, strict=True))):
+        reference = np.random.default_rng(np.random.SeedSequence(key))
+        assert rng.standard_normal() == reference.standard_normal()
+        assert rng.poisson(1000.0) == reference.poisson(1000.0)
+        np.testing.assert_array_equal(
+            rng.multinomial(1000, probs), reference.multinomial(1000, probs)
+        )
+
+
+def test_block_stream_words_serve_only_pcg64_seeding():
+    rng = next(seeds.streams(*DRIVER_BATCHES["shot seeds"]))
+    words = rng.bit_generator.seed_seq
+    expected = np.random.SeedSequence((7, seeds.SHOT, 1)).generate_state(4, np.uint64)
+    for dtype in (np.uint64, "uint64", np.dtype(np.uint64)):
+        np.testing.assert_array_equal(words.generate_state(4, dtype), expected)
+    for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError, match="a key holds 4 uint64 words"):
+            words.generate_state(n_words, dtype)
+    with pytest.raises(TypeError, match="does not implement spawning"):
+        rng.bit_generator.spawn(1)
 
 
 def test_one_row_mask_equals_its_row_in_a_batch(monkeypatch):
